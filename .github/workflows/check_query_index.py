@@ -1,86 +1,37 @@
 #!/usr/bin/env python3
-"""CI gate for the serve tier's dual query-execution backends.
+"""CI perf gate for the serve tier's snapshot-pinned query index.
 
-Usage: check_query_index.py NAIVE_RESPONSES INDEXED_RESPONSES BENCH_JSON MIN_SPEEDUP
+Usage: check_query_index.py BENCH_JSON MIN_SPEEDUP
 
-Two serve processes answered the same scripted smoke batch (queries,
-cache-warming repeats, malformed requests, and the raw-document ingestion
-tail whose version bumps force post-ingest recomputation on a fresh
-snapshot epoch — i.e. against a freshly rebuilt index), one with
-`--query-exec naive`, one with `--query-exec indexed`. The gate demands:
-
-  * the two response streams are byte-identical, line for line — the
-    indexed executor is a pure optimization, including across epoch
-    changes and for error envelopes,
-  * the streams are non-trivial (filtered queries and ingests present),
-  * from BENCH_serve_throughput.json's `serve.filtered` record: the
-    indexed backend's cold filtered-query p99 beats naive by at least
-    MIN_SPEEDUP x, and the bench's own payload cross-check passed.
+From BENCH_serve_throughput.json's `serve.filtered` record, the gate
+demands that a cold indexed engine's filtered-query p99 beats the
+test-only naive reference (filtered database copy + render) by at least
+MIN_SPEEDUP x, and that the bench's own payload cross-check (engine vs
+reference, every query) passed. Payload equality across epochs and shard
+layouts is a ctest property (QueryIndex.EpochReplayMatchesReference).
 """
 import json
 import sys
 
 
-def main(naive_path: str, indexed_path: str, bench_path: str, min_speedup: float) -> int:
-    with open(naive_path) as f:
-        naive = [line for line in f.read().splitlines() if line.strip()]
-    with open(indexed_path) as f:
-        indexed = [line for line in f.read().splitlines() if line.strip()]
-
-    if len(naive) != len(indexed):
-        print(f"FAIL: {len(naive)} naive responses vs {len(indexed)} indexed")
-        return 1
-    if not naive:
-        print("FAIL: empty response streams")
-        return 1
-    for i, (n, x) in enumerate(zip(naive, indexed)):
-        if n != x:
-            print(f"FAIL: line {i}: backends disagree\n  naive:   {n}\n  indexed: {x}")
-            return 1
-
-    filtered = ingests = post_ingest_queries = 0
-    for line in naive:
-        response = json.loads(line)
-        if "ingest" in response or (response.get("ok") is False and "version" in response):
-            ingests += 1
-        elif response.get("ok") is True:
-            if ingests:
-                post_ingest_queries += 1
-            if any(c in response.get("query", "") for c in ("maker=", "year=", "tag=")):
-                filtered += 1
-    if filtered < 1:
-        print("FAIL: the batch exercised no filtered query (nothing used the index)")
-        return 1
-    if ingests < 1 or post_ingest_queries < 1:
-        print(
-            "FAIL: the batch exercised no post-ingest query "
-            "(index rebuild across epochs unproven)"
-        )
-        return 1
-
+def main(bench_path: str, min_speedup: float) -> int:
     with open(bench_path) as f:
         record = json.load(f)
     split = record["serve"]["filtered"]
     if not split["payloads_identical"]:
-        print("FAIL: bench payload cross-check: backends produced different bytes")
+        print("FAIL: bench payload cross-check: engine and reference produced different bytes")
         return 1
     speedup = split["indexed_speedup_p99"]
     print(
-        f"filtered cold queries: naive p99 {split['naive']['p99_ns'] / 1000:.0f} us, "
+        f"filtered cold queries: reference p99 {split['reference']['p99_ns'] / 1000:.0f} us, "
         f"indexed p99 {split['indexed']['p99_ns'] / 1000:.0f} us "
         f"({speedup:.2f}x, p50 {split['indexed_speedup_p50']:.2f}x)"
     )
     if speedup < min_speedup:
         print(f"FAIL: indexed p99 speedup {speedup:.2f}x < required {min_speedup}x")
         return 1
-
-    print(
-        f"{len(naive)} responses byte-identical across backends "
-        f"({filtered} filtered queries, {ingests} ingest envelopes, "
-        f"{post_ingest_queries} post-ingest queries)"
-    )
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1], sys.argv[2], sys.argv[3], float(sys.argv[4])))
+    sys.exit(main(sys.argv[1], float(sys.argv[2])))

@@ -24,8 +24,8 @@ Request ids are assigned by position (the serve loop echoes them back in
 order). CORPUS_DIR is the `avtk inject --out` layout (scanned/doc_NNN.txt
 with pristine/ twins); the manifest is the avtk.inject.v1 report naming
 the corrupted indices. check_serve.py verifies the responses against the
-same manifest; check_query_index.py byte-compares two backends' answers
-to this batch.
+same manifest; check_sharded.py byte-compares two shard layouts'
+answers to this batch.
 """
 import json
 import os

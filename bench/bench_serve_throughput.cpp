@@ -20,13 +20,13 @@
 #include "obs/latency.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
+#include "serve_reference.h"
 
 namespace {
 
 using avtk::serve::engine_config;
 using avtk::serve::query;
 using avtk::serve::query_engine;
-using avtk::serve::query_exec;
 using avtk::serve::query_kind;
 
 // Every query kind, bare and per-manufacturer: the mix a scripted client
@@ -50,14 +50,14 @@ std::vector<query> build_workload() {
   return workload;
 }
 
-// Filtered slicing mix for the naive-vs-indexed comparison: every query
-// here restricts at least one domain, so the naive backend materializes a
-// filtered database copy per execute while the indexed backend resolves
-// the same filters to posting-list selections over the pinned snapshot.
-// Counting builders only (tags/categories/modality): trend and metrics
-// recompute the vehicle-month attribution, a builder cost identical under
-// either executor that would swamp the execution-path difference this
-// split is meant to measure.
+// Filtered slicing mix for the reference-vs-indexed comparison: every
+// query here restricts at least one domain, so the naive reference
+// materializes a filtered database copy per query while the engine
+// resolves the same filters to posting-list selections over the pinned
+// snapshot. Counting builders only (tags/categories/modality): trend and
+// metrics recompute the vehicle-month attribution, a builder cost
+// identical under either that would swamp the execution-path difference
+// this split is meant to measure.
 std::vector<query> build_filtered_workload() {
   const auto& s = avtk::bench::state();
   std::vector<query> workload;
@@ -103,10 +103,9 @@ std::vector<query> build_filtered_workload() {
   return workload;
 }
 
-query_engine make_engine(query_exec exec = query_exec::indexed) {
+query_engine make_engine() {
   engine_config cfg;
   cfg.threads = 2;
-  cfg.exec = exec;
   return query_engine(avtk::bench::state().db(), cfg);
 }
 
@@ -132,13 +131,21 @@ void run_pass(query_engine& engine, const std::vector<query>& workload, pass_sta
   stats.queries += workload.size();
 }
 
-// One cold pass per backend on a fresh engine, returning every payload so
-// the caller can assert the two executors produced byte-identical bytes.
-std::vector<std::string> collect_payloads(query_exec exec, const std::vector<query>& workload) {
-  auto engine = make_engine(exec);
+// One pass of the naive reference (filtered copy plus render) over the
+// workload, accumulating into `stats`; returns every payload.
+std::vector<std::string> run_reference_pass(const std::vector<query>& workload,
+                                            pass_stats& stats) {
+  const auto& db = avtk::bench::state().db();
   std::vector<std::string> payloads;
   payloads.reserve(workload.size());
-  for (const auto& q : workload) payloads.push_back(*engine.execute(q).payload);
+  const avtk::obs::stopwatch watch;
+  for (const auto& q : workload) {
+    const avtk::obs::stopwatch one;
+    payloads.push_back(avtk::serve::testing::reference_payload(db, q));
+    stats.latencies_ns.push_back(one.elapsed_ns());
+  }
+  stats.total_seconds += watch.elapsed_seconds();
+  stats.queries += workload.size();
   return payloads;
 }
 
@@ -226,42 +233,41 @@ int main(int argc, char** argv) {
             << "warm/cold: " << warm_over_cold << "x\n\n";
 
   // Filtered cold split: the same filtered slicing mix through the naive
-  // copy-the-database executor and the snapshot-pinned index, fresh engine
-  // per pass so every measured execute is a cache miss. One filtered query
-  // outside the workload primes each engine first: it triggers the
-  // once-per-epoch index build (amortized across every filtered query in
-  // steady state, not a per-query cost) without warming any workload cache
-  // entry. Both backends are primed identically.
-  std::cout << "==== filtered cold queries (naive vs indexed) ====\n";
+  // reference (copy the filtered database, render) and a cold engine
+  // (snapshot-pinned index), a fresh engine per pass so every measured
+  // execute is a cache miss. One filtered query outside the workload
+  // primes each engine first: it triggers the once-per-epoch index build
+  // (amortized across every filtered query in steady state, not a
+  // per-query cost) without warming any workload cache entry.
+  std::cout << "==== filtered cold queries (reference vs indexed) ====\n";
   const auto filtered_workload = build_filtered_workload();
   query prime;
   prime.kind = query_kind::metrics;
   prime.maker = avtk::bench::state().analyzed().front();
-  pass_stats filtered_naive, filtered_indexed;
+  pass_stats filtered_reference, filtered_indexed;
+  bool payloads_identical = true;
   for (int pass = 0; pass < k_cold_passes; ++pass) {
-    auto naive_engine = make_engine(query_exec::naive);
-    naive_engine.execute(prime);
-    run_pass(naive_engine, filtered_workload, filtered_naive);
-    auto indexed_engine = make_engine(query_exec::indexed);
+    const auto expected = run_reference_pass(filtered_workload, filtered_reference);
+    auto indexed_engine = make_engine();
     indexed_engine.execute(prime);
     run_pass(indexed_engine, filtered_workload, filtered_indexed);
+    for (std::size_t i = 0; i < filtered_workload.size(); ++i) {
+      payloads_identical &= *indexed_engine.execute(filtered_workload[i]).payload == expected[i];
+    }
   }
-  const auto speedup = [](const pass_stats& naive, const pass_stats& indexed, double p) {
+  const auto speedup = [](const pass_stats& reference, const pass_stats& indexed, double p) {
     const auto indexed_ns = indexed.percentile_ns(p);
-    return indexed_ns > 0
-               ? static_cast<double>(naive.percentile_ns(p)) / static_cast<double>(indexed_ns)
-               : 0.0;
+    return indexed_ns > 0 ? static_cast<double>(reference.percentile_ns(p)) /
+                                static_cast<double>(indexed_ns)
+                          : 0.0;
   };
-  const double speedup_p50 = speedup(filtered_naive, filtered_indexed, 0.50);
-  const double speedup_p99 = speedup(filtered_naive, filtered_indexed, 0.99);
-  const bool payloads_identical =
-      collect_payloads(query_exec::naive, filtered_workload) ==
-      collect_payloads(query_exec::indexed, filtered_workload);
+  const double speedup_p50 = speedup(filtered_reference, filtered_indexed, 0.50);
+  const double speedup_p99 = speedup(filtered_reference, filtered_indexed, 0.99);
   std::cout << "workload: " << filtered_workload.size() << " filtered queries\n"
-            << "naive:   " << filtered_naive.qps() << " q/s (p50 "
-            << filtered_naive.percentile_ns(0.5) / 1000 << " us, p99 "
-            << filtered_naive.percentile_ns(0.99) / 1000 << " us)\n"
-            << "indexed: " << filtered_indexed.qps() << " q/s (p50 "
+            << "reference: " << filtered_reference.qps() << " q/s (p50 "
+            << filtered_reference.percentile_ns(0.5) / 1000 << " us, p99 "
+            << filtered_reference.percentile_ns(0.99) / 1000 << " us)\n"
+            << "indexed:   " << filtered_indexed.qps() << " q/s (p50 "
             << filtered_indexed.percentile_ns(0.5) / 1000 << " us, p99 "
             << filtered_indexed.percentile_ns(0.99) / 1000 << " us)\n"
             << "indexed speedup: p50 " << speedup_p50 << "x, p99 " << speedup_p99 << "x\n"
@@ -284,7 +290,7 @@ int main(int argc, char** argv) {
                       {"warm_over_cold", json::value(warm_over_cold)},
                       {"filtered", json::value(json::object{
                                        {"workload_queries", json::value(filtered_workload.size())},
-                                       {"naive", pass_json(filtered_naive)},
+                                       {"reference", pass_json(filtered_reference)},
                                        {"indexed", pass_json(filtered_indexed)},
                                        {"indexed_speedup_p50", json::value(speedup_p50)},
                                        {"indexed_speedup_p99", json::value(speedup_p99)},

@@ -10,7 +10,7 @@
 // in corpus order. Because selections preserve corpus order, every
 // aggregate computed through a view is byte-identical to the same
 // aggregate computed over a materialized copy of the selected records —
-// the equivalence contract serve's `--query-exec naive|indexed` gate pins.
+// the equivalence contract serve's tests pin against a naive filtered copy.
 //
 // Views are cheap to construct (a pointer and three spans — no record is
 // ever copied) and valid for as long as the underlying database and the
@@ -25,7 +25,7 @@
 // pointers instead of one array: the sharded snapshot store concatenates
 // per-shard records back into original corpus order (by global record id)
 // and serves cross-shard queries through the same builder surface —
-// byte-identical to the single-store oracle because iteration order is
+// byte-identical to the one-shard layout because iteration order is
 // identical.
 #pragma once
 

@@ -1,435 +1,19 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <cmath>
-#include <span>
 #include <thread>
-#include <type_traits>
 #include <utility>
 
-#include "core/analysis.h"
 #include "obs/clock.h"
-#include "obs/json.h"
-#include "reliability/mcf.h"
-#include "reliability/nhpp.h"
 #include "serve/index.h"
+#include "serve/render.h"
 
 namespace avtk::serve {
 
-namespace json = obs::json;
-using dataset::manufacturer;
-
 namespace {
-
-// JSON has no NaN/Inf; degenerate statistics serialize as null.
-json::value num(double v) { return std::isfinite(v) ? json::value(v) : json::value(nullptr); }
-json::value opt_num(const std::optional<double>& v) {
-  return v ? num(*v) : json::value(nullptr);
-}
-
-// Year semantics (event time, report-year fallback) are shared with the
-// index build: serve/index.h's disengagement_year / accident_year.
-
-bool matches(const dataset::disengagement_record& d, const query& q) {
-  if (q.maker && d.maker != *q.maker) return false;
-  if (q.year && disengagement_year(d) != *q.year) return false;
-  if (q.tag && d.tag != *q.tag) return false;
-  if (q.category && d.category != *q.category) return false;
-  return true;
-}
 
 bool needs_filter(const query& q) {
   return q.maker || q.year || q.tag || q.category;
-}
-
-// The naive oracle: materializes the filtered database the analysis
-// builders run against. Mileage and accidents are restricted by maker/year
-// only: a tag or category filter narrows the event set, not the exposure
-// it is normalized by — so under a tag/category-only filter those domains
-// are adopted structurally (a shared_ptr bump each, no element copies).
-dataset::failure_database filter_database(const dataset::failure_database& db, const query& q) {
-  dataset::failure_database out;
-  for (const auto& d : db.disengagements()) {
-    if (matches(d, q)) out.add_disengagement(d);
-  }
-  if (!q.maker && !q.year) {
-    out.share_mileage_from(db);
-    out.share_accidents_from(db);
-    return out;
-  }
-  for (const auto& m : db.mileage()) {
-    if (q.maker && m.maker != *q.maker) continue;
-    if (q.year && m.month.year != *q.year) continue;
-    out.add_mileage(m);
-  }
-  for (const auto& a : db.accidents()) {
-    if (q.maker && a.maker != *q.maker) continue;
-    if (q.year && accident_year(a) != *q.year) continue;
-    out.add_accident(a);
-  }
-  return out;
-}
-
-std::vector<manufacturer> makers_for(const dataset::database_view& db, const query& q) {
-  if (q.maker) return {*q.maker};
-  return db.manufacturers_present();  // enum order: deterministic
-}
-
-json::value metrics_payload(const dataset::database_view& db,
-                            const std::vector<manufacturer>& makers) {
-  json::array rows;
-  for (const auto maker : makers) {
-    const auto m = core::compute_metrics(db, maker);
-    if (m.total_miles <= 0 && m.total_disengagements == 0 && m.total_accidents == 0) continue;
-    rows.emplace_back(json::object{
-        {"maker", json::value(std::string(dataset::manufacturer_id(maker)))},
-        {"miles", num(m.total_miles)},
-        {"disengagements", json::value(m.total_disengagements)},
-        {"accidents", json::value(m.total_accidents)},
-        {"overall_dpm", num(m.overall_dpm)},
-        {"median_dpm", opt_num(m.median_dpm)},
-        {"dpa", opt_num(m.dpa)},
-        {"apm", opt_num(m.apm)},
-        {"apmi", opt_num(m.apmi)},
-        {"vs_human", opt_num(m.vs_human)},
-    });
-  }
-  return json::object{{"makers", json::value(std::move(rows))}};
-}
-
-json::value tags_payload(const dataset::database_view& db,
-                         const std::vector<manufacturer>& makers) {
-  json::array rows;
-  for (const auto& row : core::build_tag_fractions(db, makers)) {
-    json::object fractions;
-    for (const auto& [tag, fraction] : row.fractions) {
-      fractions.emplace_back(std::string(nlp::tag_id(tag)), num(fraction));
-    }
-    rows.emplace_back(json::object{
-        {"maker", json::value(std::string(dataset::manufacturer_id(row.maker)))},
-        {"total", json::value(row.total)},
-        {"fractions", json::value(std::move(fractions))},
-    });
-  }
-  return json::object{{"makers", json::value(std::move(rows))}};
-}
-
-json::value categories_payload(const dataset::database_view& db,
-                               const std::vector<manufacturer>& makers) {
-  json::array rows;
-  for (const auto& row : core::build_table4(db, makers)) {
-    rows.emplace_back(json::object{
-        {"maker", json::value(std::string(dataset::manufacturer_id(row.maker)))},
-        {"planner_controller", num(row.planner_controller)},
-        {"perception_recognition", num(row.perception_recognition)},
-        {"system", num(row.system)},
-        {"unknown", num(row.unknown)},
-        {"total", json::value(row.total)},
-    });
-  }
-  return json::object{{"makers", json::value(std::move(rows))}};
-}
-
-json::value modality_payload(const dataset::database_view& db,
-                             const std::vector<manufacturer>& makers) {
-  json::array rows;
-  for (const auto& row : core::build_table5(db, makers)) {
-    rows.emplace_back(json::object{
-        {"maker", json::value(std::string(dataset::manufacturer_id(row.maker)))},
-        {"automatic", num(row.automatic)},
-        {"manual", num(row.manual)},
-        {"planned", num(row.planned)},
-        {"total", json::value(row.total)},
-    });
-  }
-  return json::object{{"makers", json::value(std::move(rows))}};
-}
-
-json::value trend_payload(const dataset::database_view& db,
-                          const std::vector<manufacturer>& makers) {
-  json::array rows;
-  for (const auto maker : makers) {
-    const auto series = core::build_monthly_trend(db, maker);
-    if (series.empty()) continue;
-    json::array months;
-    for (const auto& point : series) {
-      months.emplace_back(json::object{
-          {"month", json::value(point.month.to_string())},
-          {"miles", num(point.miles)},
-          {"disengagements", json::value(point.disengagements)},
-          {"dpm", num(point.dpm())},
-      });
-    }
-    rows.emplace_back(json::object{
-        {"maker", json::value(std::string(dataset::manufacturer_id(maker)))},
-        {"months", json::value(std::move(months))},
-    });
-  }
-  return json::object{{"makers", json::value(std::move(rows))}};
-}
-
-json::value fit_payload(const dataset::database_view& db,
-                        const std::vector<manufacturer>& makers, std::size_t min_samples) {
-  constexpr double k_outlier_cut_s = 300.0;  // build_fig11's default
-  json::array rows;
-  for (const auto& fit : core::build_fig11(db, makers, min_samples, k_outlier_cut_s)) {
-    // Exponential baseline over the same cleaned sample the Weibull fits
-    // used, for the paper's Weibull-vs-exponential comparison.
-    auto rts = db.reaction_times(fit.maker);
-    std::erase_if(rts, [&](double t) { return !(t > 0) || t > k_outlier_cut_s; });
-    json::value exponential(nullptr);
-    if (rts.size() >= 2) {
-      const auto exp_fit = stats::exponential_dist::fit(rts);
-      exponential = json::object{{"mean", num(exp_fit.mean())}};
-    }
-    rows.emplace_back(json::object{
-        {"maker", json::value(std::string(dataset::manufacturer_id(fit.maker)))},
-        {"n", json::value(fit.n)},
-        {"weibull", json::value(json::object{{"shape", num(fit.weibull.shape())},
-                                             {"scale", num(fit.weibull.scale())}})},
-        {"exp_weibull", json::value(json::object{{"shape", num(fit.exp_weibull.shape())},
-                                                 {"scale", num(fit.exp_weibull.scale())},
-                                                 {"power", num(fit.exp_weibull.power())}})},
-        {"exponential", std::move(exponential)},
-        {"ks_p_weibull", num(fit.ks_p_weibull)},
-        {"ks_p_exp_weibull", num(fit.ks_p_exp_weibull)},
-    });
-  }
-  return json::object{{"makers", json::value(std::move(rows))}};
-}
-
-json::value compare_payload(const dataset::database_view& db,
-                            const std::vector<manufacturer>& makers) {
-  json::array rows;
-  std::optional<double> best_dpm;
-  std::optional<double> worst_dpm;
-  std::optional<manufacturer> best_maker;
-  std::optional<manufacturer> worst_maker;
-  for (const auto& row : core::build_table7(db, makers)) {
-    rows.emplace_back(json::object{
-        {"maker", json::value(std::string(dataset::manufacturer_id(row.maker)))},
-        {"median_dpm", opt_num(row.median_dpm)},
-        {"median_apm", opt_num(row.median_apm)},
-        {"vs_human", opt_num(row.vs_human)},
-    });
-    if (row.median_dpm && *row.median_dpm > 0) {
-      if (!best_dpm || *row.median_dpm < *best_dpm) {
-        best_dpm = row.median_dpm;
-        best_maker = row.maker;
-      }
-      if (!worst_dpm || *row.median_dpm > *worst_dpm) {
-        worst_dpm = row.median_dpm;
-        worst_maker = row.maker;
-      }
-    }
-  }
-  json::object out{{"rows", json::value(std::move(rows))}};
-  if (best_maker && worst_maker) {
-    out.emplace_back("best", json::value(std::string(dataset::manufacturer_id(*best_maker))));
-    out.emplace_back("worst", json::value(std::string(dataset::manufacturer_id(*worst_maker))));
-    // The paper's "~100x disparity" headline, live from the database.
-    out.emplace_back("median_dpm_spread", num(*worst_dpm / *best_dpm));
-  }
-  return out;
-}
-
-// Bound on curve points per maker in an mcf payload: the full Waymo curve
-// has thousands of steps, which would dominate every response and cache
-// entry for no analytical gain.
-constexpr std::size_t k_mcf_payload_points = 200;
-
-json::value mcf_payload(const dataset::database_view& db, const query& q) {
-  json::array rows;
-  for (const auto& mp : reliability::extract_processes(db)) {
-    // Per-VIN processes where the reports expose them; the fleet process is
-    // the single-unit fallback (bands then degenerate, as they should).
-    const std::span<const reliability::event_process> units =
-        mp.vehicles.empty() ? std::span(&mp.fleet, 1) : std::span(mp.vehicles);
-    reliability::mcf_options options;
-    options.seed = q.seed;
-    options.replicates = q.replicates;
-    options.max_points = k_mcf_payload_points;
-    const auto estimate = reliability::estimate_mcf(units, options);
-    json::array points;
-    for (const auto& p : estimate.points) {
-      points.emplace_back(json::object{
-          {"miles", num(p.miles)},
-          {"events", json::value(p.events)},
-          {"at_risk", json::value(p.at_risk)},
-          {"mcf", num(p.mcf)},
-          {"variance", num(p.variance)},
-          {"lower", num(p.lower)},
-          {"upper", num(p.upper)},
-      });
-    }
-    rows.emplace_back(json::object{
-        {"maker", json::value(std::string(dataset::manufacturer_id(mp.maker)))},
-        {"units", json::value(estimate.units)},
-        {"events", json::value(estimate.total_events)},
-        {"points", json::value(std::move(points))},
-    });
-  }
-  return json::object{
-      {"replicates", json::value(q.replicates)},
-      {"seed", json::value(q.seed)},
-      {"makers", json::value(std::move(rows))},
-  };
-}
-
-json::value nhpp_fit_json(const reliability::nhpp_fit& f, bool power_law) {
-  json::object out;
-  if (power_law) {
-    out.emplace_back("shape", num(f.shape));
-    out.emplace_back("scale", num(f.scale));
-  } else {
-    out.emplace_back("alpha", num(f.alpha));
-    out.emplace_back("gamma", num(f.gamma));
-  }
-  out.emplace_back("log_likelihood", num(f.log_likelihood));
-  out.emplace_back("aic", num(f.aic));
-  out.emplace_back("converged", json::value(f.converged));
-  return out;
-}
-
-json::value nhpp_payload(const dataset::database_view& db, const query& q) {
-  json::array rows;
-  for (const auto& mp : reliability::extract_processes(db)) {
-    // Trend models run on the fleet-level superposed process, so the
-    // extrapolation answers "expected events over the next H fleet miles".
-    const auto analysis = reliability::fit_trend(std::span(&mp.fleet, 1));
-    const double at = mp.fleet.exposure;
-    rows.emplace_back(json::object{
-        {"maker", json::value(std::string(dataset::manufacturer_id(mp.maker)))},
-        {"events", json::value(analysis.events)},
-        {"exposure_miles", num(analysis.exposure)},
-        {"hpp", json::value(json::object{
-                    {"rate", num(analysis.hpp.rate)},
-                    {"log_likelihood", num(analysis.hpp.log_likelihood)},
-                    {"aic", num(analysis.hpp.aic)},
-                })},
-        {"power_law", nhpp_fit_json(analysis.power_law, true)},
-        {"log_linear", nhpp_fit_json(analysis.log_linear, false)},
-        {"laplace", json::value(json::object{
-                        {"statistic", num(analysis.laplace.statistic)},
-                        {"p_value", num(analysis.laplace.p_value)},
-                    })},
-        {"preferred", json::value(std::string(analysis.preferred()))},
-        {"expected_events",
-         json::value(json::object{
-             {"horizon_miles", num(q.horizon_miles)},
-             {"hpp", num(reliability::expected_events(analysis, "hpp", at, q.horizon_miles))},
-             {"power_law",
-              num(reliability::expected_events(analysis, "power_law", at, q.horizon_miles))},
-             {"log_linear",
-              num(reliability::expected_events(analysis, "log_linear", at, q.horizon_miles))},
-         })},
-    });
-  }
-  return json::object{
-      {"horizon_miles", num(q.horizon_miles)},
-      {"makers", json::value(std::move(rows))},
-  };
-}
-
-// Sharded cache key: canonical form + '@' + one "s<i>:" segment per
-// *dependent* shard (the maker's shard for a maker-filtered query, every
-// shard otherwise), each carrying the dependent-domain version components
-// of that shard. A commit on shard i bumps only shard i's components, so
-// keys that don't carry an "s<i>:" segment — other makers' entries — stay
-// live across the ingest.
-std::string sharded_cache_key(const query& q, const composite_snapshot& comp,
-                              std::optional<std::size_t> maker_shard) {
-  const domain_mask deps = q.dependencies();
-  std::string key = q.canonical();
-  key += '@';
-  const auto add_shard = [&](std::size_t s) {
-    const auto& v = comp.shards[s]->version();
-    key += "s" + std::to_string(s) + ":";
-    if ((deps & domain_disengagements) != 0) key += "d" + std::to_string(v.disengagements);
-    if ((deps & domain_mileage) != 0) key += "m" + std::to_string(v.mileage);
-    if ((deps & domain_accidents) != 0) key += "a" + std::to_string(v.accidents);
-  };
-  if (maker_shard) {
-    add_shard(*maker_shard);
-  } else {
-    for (std::size_t s = 0; s < comp.shards.size(); ++s) add_shard(s);
-  }
-  return key;
-}
-
-/// Cross-shard indexed execution: per-shard index selections merged into
-/// per-domain pointer lists sorted by global id — the same record sequence
-/// the single store's selection view iterates. Keep the object alive while
-/// the view built from it is in use; the caller's composite pin keeps the
-/// pointed-at records alive.
-struct merged_selection {
-  std::vector<const dataset::disengagement_record*> disengagements;
-  std::vector<const dataset::mileage_record*> mileage;
-  std::vector<const dataset::accident_record*> accidents;
-
-  dataset::database_view view() const {
-    return dataset::database_view(disengagements, mileage, accidents);
-  }
-};
-
-merged_selection merge_indexed(const composite_snapshot& comp, const query& q,
-                               obs::trace* trace) {
-  merged_selection out;
-  std::vector<query_selection> sels;
-  sels.reserve(comp.shards.size());
-  for (const auto& snap : comp.shards) sels.push_back(snap->index(trace).select(q));
-
-  const auto gather = [&](auto member_records, auto member_ids, auto member_sel,
-                          auto& out_vec) {
-    using ptr_type = std::decay_t<decltype(out_vec[0])>;
-    std::vector<std::pair<std::uint64_t, ptr_type>> pairs;
-    for (std::size_t s = 0; s < comp.shards.size(); ++s) {
-      const auto& db = comp.shards[s]->db();
-      const auto& records = (db.*member_records)();
-      const auto& ids = (db.*member_ids)();
-      if (const auto span = (sels[s].*member_sel).span()) {
-        for (const std::uint32_t i : *span) pairs.emplace_back(ids[i], &records[i]);
-      } else {
-        for (std::size_t i = 0; i < records.size(); ++i) pairs.emplace_back(ids[i], &records[i]);
-      }
-    }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    out_vec.reserve(pairs.size());
-    for (const auto& [id, ptr] : pairs) out_vec.push_back(ptr);
-  };
-  gather(&dataset::failure_database::disengagements,
-         &dataset::failure_database::disengagement_ids, &query_selection::disengagements,
-         out.disengagements);
-  gather(&dataset::failure_database::mileage, &dataset::failure_database::mileage_ids,
-         &query_selection::mileage, out.mileage);
-  gather(&dataset::failure_database::accidents, &dataset::failure_database::accident_ids,
-         &query_selection::accidents, out.accidents);
-  return out;
-}
-
-// The naive oracle over a composed (cross-shard merged) view. The merged
-// iteration order is global-id — original corpus — order, so the filtered
-// copy appends records in exactly the sequence the single-store
-// filter_database produces. There is no single backing database to adopt
-// unfiltered domains from structurally, so they are copied; the payload
-// bytes are unaffected.
-dataset::failure_database filter_view(const dataset::database_view& db, const query& q) {
-  dataset::failure_database out;
-  for (const auto& d : db.disengagements()) {
-    if (matches(d, q)) out.add_disengagement(d);
-  }
-  for (const auto& m : db.mileage()) {
-    if (q.maker && m.maker != *q.maker) continue;
-    if (q.year && m.month.year != *q.year) continue;
-    out.add_mileage(m);
-  }
-  for (const auto& a : db.accidents()) {
-    if (q.maker && a.maker != *q.maker) continue;
-    if (q.year && accident_year(a) != *q.year) continue;
-    out.add_accident(a);
-  }
-  return out;
 }
 
 // A live append always scans strictly (the batch quarantine policies'
@@ -442,40 +26,14 @@ ingest::processor_config make_ingest_config(const engine_config& config) {
   return pcfg;
 }
 
-// Dispatches over an already-restricted view: filters were resolved by the
-// caller (indexed selections or the materialized naive database), so every
-// builder below just runs over whatever `db` exposes.
-json::value execute_payload(const dataset::database_view& db, const query& q) {
-  const auto makers = makers_for(db, q);
-  switch (q.kind) {
-    case query_kind::metrics: return metrics_payload(db, makers);
-    case query_kind::tags: return tags_payload(db, makers);
-    case query_kind::categories: return categories_payload(db, makers);
-    case query_kind::modality: return modality_payload(db, makers);
-    case query_kind::trend: return trend_payload(db, makers);
-    case query_kind::fit: return fit_payload(db, makers, q.min_samples);
-    case query_kind::compare: return compare_payload(db, makers);
-    case query_kind::mcf: return mcf_payload(db, q);
-    case query_kind::nhpp: return nhpp_payload(db, q);
-  }
-  return json::object{};
+template <typename Response>
+void report_state(Response& out, const composite_snapshot& comp) {
+  out.version = comp.version;
+  out.epoch = comp.epoch;
+  out.epochs = comp.epochs;
 }
 
 }  // namespace
-
-std::string_view query_exec_name(query_exec e) {
-  switch (e) {
-    case query_exec::naive: return "naive";
-    case query_exec::indexed: return "indexed";
-  }
-  return "indexed";
-}
-
-std::optional<query_exec> query_exec_from_string(std::string_view s) {
-  if (s == "naive") return query_exec::naive;
-  if (s == "indexed") return query_exec::indexed;
-  return std::nullopt;
-}
 
 query_engine::query_engine(dataset::failure_database db, engine_config config)
     : store_(std::move(db), config.shards, config.trace),
@@ -483,7 +41,6 @@ query_engine::query_engine(dataset::failure_database db, engine_config config)
       pool_(config.threads != 0 ? config.threads
                                 : std::max(std::thread::hardware_concurrency(), 1u)),
       trace_(config.trace),
-      exec_(config.exec),
       processor_(make_ingest_config(config)),
       queries_(obs::metrics().get_counter("serve.queries")),
       hits_(obs::metrics().get_counter("serve.cache_hits")),
@@ -507,19 +64,23 @@ query_response query_engine::execute(const query& q) {
   // commit landing meanwhile publishes a *new* shard snapshot and cannot
   // touch these.
   const auto comp = store_.pin();
-  out.version = comp.version;
-  out.epoch = comp.epoch;
-  out.epochs = comp.epochs;
+  report_state(out, comp);
 
-  const bool single = store_.shards() == 1;
-  // A maker-filtered query reads exactly one shard — route it there; its
-  // cache key then depends on that shard alone.
-  const std::optional<std::size_t> maker_shard =
-      (!single && q.maker) ? std::optional<std::size_t>(store_.shard_for(*q.maker))
-                           : std::nullopt;
-
-  const std::string key =
-      single ? cache_key(q, out.version) : sharded_cache_key(q, comp, maker_shard);
+  // 1. Route: a maker-filtered query reads exactly its maker's shard, any
+  // other query reads them all. The cache key carries the versions of the
+  // routed shards alone, so commits elsewhere leave it live.
+  std::size_t first = 0;
+  std::size_t last = comp.shards.size();
+  if (q.maker) {
+    first = store_.shard_for(*q.maker);
+    last = first + 1;
+  }
+  const domain_mask deps = q.dependencies();
+  std::string key = out.canonical;
+  key += '@';
+  for (std::size_t s = first; s < last; ++s) {
+    append_key_segment(key, deps, s, comp.shards[s]->version());
+  }
   if (auto cached = cache_.get(key)) {
     hits_.add();
     const obs::scoped_span span(trace_,
@@ -533,47 +94,30 @@ query_response query_engine::execute(const query& q) {
 
   misses_.add();
   obs::scoped_span span(trace_, "serve.query." + std::string(query_kind_name(q.kind)));
-  json::value result;
-  if (single || maker_shard) {
-    // Single-shard execution: the historical paths, against the one shard
-    // that holds every record the query can read.
-    const auto& snap = single ? comp.shards[0] : comp.shards[*maker_shard];
-    if (!needs_filter(q)) {
-      result = execute_payload(snap->db(), q);
-    } else if (exec_ == query_exec::indexed) {
-      // Zero-copy path: selections from the snapshot's lazy index feed a
-      // view over the pinned arrays; nothing is materialized. The selection
-      // object owns any intersected index lists, so it must outlive the
-      // view — both live to the end of this block, under the snapshot pin.
-      const auto sel = snap->index(trace_).select(q);
-      const auto view = sel.view(snap->db());
-      result = execute_payload(view, q);
-    } else {
-      const auto filtered = filter_database(snap->db(), q);
-      result = execute_payload(filtered, q);
+  // 2. One selection per routed shard from its epoch's lazy index. An
+  // unfiltered query takes each shard whole (a default selection) and
+  // never builds an index.
+  const bool filtered = needs_filter(q);
+  std::vector<query_selection> sels(last - first);
+  if (filtered) {
+    for (std::size_t s = first; s < last; ++s) {
+      sels[s - first] = comp.shards[s]->index(trace_).select(q);
     }
-  } else if (!needs_filter(q)) {
-    // Cross-shard scatter-gather, unfiltered: the cached merge plan
-    // (rebuilt only when a shard's epoch advances) composes every shard's
-    // records back into corpus order; no record is copied.
-    const auto plan = store_.plan_for(comp);
-    result = execute_payload(plan->view(), q);
-  } else if (exec_ == query_exec::indexed) {
-    // Cross-shard, filtered, indexed: per-shard index selections merged by
-    // global id — same record sequence as the single store's selection
-    // view. The merged pointer lists must outlive the view; both live to
-    // the end of this block, under the composite pin.
-    const auto merged = merge_indexed(comp, q, trace_);
-    result = execute_payload(merged.view(), q);
-  } else {
-    // Cross-shard, filtered, naive: materialize the filtered database from
-    // the merged (corpus-order) view — the oracle the sharded indexed path
-    // is gated against.
-    const auto plan = store_.plan_for(comp);
-    const auto filtered = filter_view(plan->view(), q);
-    result = execute_payload(filtered, q);
   }
-  auto payload = std::make_shared<const std::string>(result.dump());
+  // 3. Merge by global id. One routed shard is the identity merge: the
+  // view runs over that shard's own arrays. Across shards an unfiltered
+  // query shares the store's cached plan for these epochs and a filtered
+  // one gathers its selections. The view borrows storage from `sels` and
+  // `plan`, which live to the end of this function, under the pin.
+  std::shared_ptr<const merge_plan> plan;
+  if (last - first > 1) {
+    plan = filtered ? std::make_shared<const merge_plan>(gather_records(comp.shards, sels))
+                    : store_.plan_for(comp);
+  }
+  const dataset::database_view view =
+      plan ? plan->view() : sels.front().view(comp.shards[first]->db());
+  // 4. Render.
+  auto payload = std::make_shared<const std::string>(render_payload(view, q));
   span.close();
 
   cache_.put(key, payload);
@@ -593,44 +137,29 @@ std::future<query_response> query_engine::submit(query q) {
 
 // Appends route to the one shard the record's maker lives in and commit
 // under that shard's writer mutex alone — appends for different shards
-// proceed in parallel. The global id is allocated *before* the commit (the
-// counter is the merge order); under the single-shard layout the no-id
-// overload keeps the historical id == position invariant exactly.
+// proceed in parallel. The global id is allocated *before* the commit: the
+// allocation order is the cross-shard merge order.
 void query_engine::append_disengagement(dataset::disengagement_record rec) {
   const std::size_t shard = store_.shard_for(rec.maker);
-  if (store_.shards() == 1) {
-    store_.commit(0, [&](dataset::failure_database& db) { db.add_disengagement(std::move(rec)); });
-  } else {
-    const std::uint64_t id = store_.next_disengagement_id();
-    store_.commit(shard,
-                  [&](dataset::failure_database& db) { db.add_disengagement(std::move(rec), id); });
-  }
+  const std::uint64_t id = store_.next_disengagement_id();
+  store_.commit(shard,
+                [&](dataset::failure_database& db) { db.add_disengagement(std::move(rec), id); });
   appends_.add();
   invalidate_dependents('d', shard);
 }
 
 void query_engine::append_mileage(dataset::mileage_record rec) {
   const std::size_t shard = store_.shard_for(rec.maker);
-  if (store_.shards() == 1) {
-    store_.commit(0, [&](dataset::failure_database& db) { db.add_mileage(std::move(rec)); });
-  } else {
-    const std::uint64_t id = store_.next_mileage_id();
-    store_.commit(shard,
-                  [&](dataset::failure_database& db) { db.add_mileage(std::move(rec), id); });
-  }
+  const std::uint64_t id = store_.next_mileage_id();
+  store_.commit(shard, [&](dataset::failure_database& db) { db.add_mileage(std::move(rec), id); });
   appends_.add();
   invalidate_dependents('m', shard);
 }
 
 void query_engine::append_accident(dataset::accident_record rec) {
   const std::size_t shard = store_.shard_for(rec.maker);
-  if (store_.shards() == 1) {
-    store_.commit(0, [&](dataset::failure_database& db) { db.add_accident(std::move(rec)); });
-  } else {
-    const std::uint64_t id = store_.next_accident_id();
-    store_.commit(shard,
-                  [&](dataset::failure_database& db) { db.add_accident(std::move(rec), id); });
-  }
+  const std::uint64_t id = store_.next_accident_id();
+  store_.commit(shard, [&](dataset::failure_database& db) { db.add_accident(std::move(rec), id); });
   appends_.add();
   invalidate_dependents('a', shard);
 }
@@ -659,10 +188,7 @@ ingest_response query_engine::ingest_document(const ocr::document& delivered,
         .add();
     // Untouched: a reject publishes nothing — no commit, no epoch, no
     // version bump; the snapshot readers hold stays the published one.
-    const auto comp = store_.pin();
-    out.version = comp.version;
-    out.epoch = comp.epoch;
-    out.epochs = comp.epochs;
+    report_state(out, store_.pin());
     out.latency_ns = watch.elapsed_ns();
     ingest_ns_.add(static_cast<std::uint64_t>(out.latency_ns));
     span.close();
@@ -672,77 +198,57 @@ ingest_response query_engine::ingest_document(const ocr::document& delivered,
   out.disengagements_added = processed.disengagements.size();
   out.mileage_added = processed.mileage.size();
   out.accidents_added = processed.accidents.size();
-  const std::size_t shards = store_.shards();
-  // Shards a domain of this document touched, for targeted invalidation.
-  std::vector<bool> dis_touched(shards, false);
-  std::vector<bool> mil_touched(shards, false);
-  std::vector<bool> acc_touched(shards, false);
-  if (shards == 1) {
-    // One commit per document: all surviving records land in a single new
-    // epoch, so a query observes either none or all of the document.
-    const auto snap = store_.commit(0, [&](dataset::failure_database& db) {
-      for (auto& d : processed.disengagements) db.add_disengagement(std::move(d));
-      for (auto& m : processed.mileage) db.add_mileage(std::move(m));
-      for (auto& a : processed.accidents) db.add_accident(std::move(a));
-    });
-    out.version = snap->version();
-    out.epoch = snap->epoch();
-    out.epochs = {snap->epoch()};
-    dis_touched[0] = out.disengagements_added > 0;
-    mil_touched[0] = out.mileage_added > 0;
-    acc_touched[0] = out.accidents_added > 0;
-  } else {
-    // Group the document's records by shard, ids allocated in document
-    // order — the same per-domain order a single store appends in. Then one
-    // commit per *touched* shard: real workloads' documents are
-    // single-maker, so this is one commit, and the document stays atomic
-    // per shard (a query observes none or all of its records on a shard).
-    std::vector<std::vector<std::pair<dataset::disengagement_record, std::uint64_t>>> dis(shards);
-    std::vector<std::vector<std::pair<dataset::mileage_record, std::uint64_t>>> mil(shards);
-    std::vector<std::vector<std::pair<dataset::accident_record, std::uint64_t>>> acc(shards);
-    for (auto& d : processed.disengagements) {
-      const std::size_t s = store_.shard_for(d.maker);
-      dis[s].emplace_back(std::move(d), store_.next_disengagement_id());
-    }
-    for (auto& m : processed.mileage) {
-      const std::size_t s = store_.shard_for(m.maker);
-      mil[s].emplace_back(std::move(m), store_.next_mileage_id());
-    }
-    for (auto& a : processed.accidents) {
-      const std::size_t s = store_.shard_for(a.maker);
-      acc[s].emplace_back(std::move(a), store_.next_accident_id());
-    }
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (dis[s].empty() && mil[s].empty() && acc[s].empty()) continue;
-      store_.commit(s, [&](dataset::failure_database& db) {
-        for (auto& [d, id] : dis[s]) db.add_disengagement(std::move(d), id);
-        for (auto& [m, id] : mil[s]) db.add_mileage(std::move(m), id);
-        for (auto& [a, id] : acc[s]) db.add_accident(std::move(a), id);
-      });
-      dis_touched[s] = !dis[s].empty();
-      mil_touched[s] = !mil[s].empty();
-      acc_touched[s] = !acc[s].empty();
-    }
-    // Re-pin the composite for the response. Under a serialized request
-    // stream no other commit can land in between, so the version/epoch
-    // sums are exactly the post-ingest state — the same values the single
-    // store reports.
-    const auto comp = store_.pin();
-    out.version = comp.version;
-    out.epoch = comp.epoch;
-    out.epochs = comp.epochs;
-  }
   const std::size_t records =
       out.disengagements_added + out.mileage_added + out.accidents_added;
+
+  // Group the document's records by shard, with global ids allocated in
+  // document order — the per-domain order every layout appends in.
+  struct shard_batch {
+    std::vector<std::pair<dataset::disengagement_record, std::uint64_t>> dis;
+    std::vector<std::pair<dataset::mileage_record, std::uint64_t>> mil;
+    std::vector<std::pair<dataset::accident_record, std::uint64_t>> acc;
+  };
+  std::vector<shard_batch> batches(store_.shards());
+  for (auto& d : processed.disengagements) {
+    batches[store_.shard_for(d.maker)].dis.emplace_back(std::move(d),
+                                                        store_.next_disengagement_id());
+  }
+  for (auto& m : processed.mileage) {
+    batches[store_.shard_for(m.maker)].mil.emplace_back(std::move(m), store_.next_mileage_id());
+  }
+  for (auto& a : processed.accidents) {
+    batches[store_.shard_for(a.maker)].acc.emplace_back(std::move(a), store_.next_accident_id());
+  }
+
+  // One commit per touched shard, so the document is atomic per shard: a
+  // query observes none or all of its records there. An accepted document
+  // publishes at least one epoch; with no surviving record it commits an
+  // empty one on shard 0. The response reports the snapshots these commits
+  // published — never a later writer's — and the untouched shards' current
+  // snapshots.
+  std::vector<snapshot_ptr> reported(batches.size());
+  for (std::size_t s = 0; s < batches.size(); ++s) {
+    auto& b = batches[s];
+    if (b.dis.empty() && b.mil.empty() && b.acc.empty() && (records > 0 || s != 0)) continue;
+    reported[s] = store_.commit(s, [&](dataset::failure_database& db) {
+      for (auto& [d, id] : b.dis) db.add_disengagement(std::move(d), id);
+      for (auto& [m, id] : b.mil) db.add_mileage(std::move(m), id);
+      for (auto& [a, id] : b.acc) db.add_accident(std::move(a), id);
+    });
+  }
+  for (std::size_t s = 0; s < reported.size(); ++s) {
+    if (!reported[s]) reported[s] = store_.pin_shard(s);
+  }
+  report_state(out, composite_snapshot::of(std::move(reported)));
   appends_.add(records);
   ingest_records_.add(records);
 
   // Only the (domain, shard) pairs the document touched got a version
   // bump, so only their dependents go stale.
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (dis_touched[s]) invalidate_dependents('d', s);
-    if (mil_touched[s]) invalidate_dependents('m', s);
-    if (acc_touched[s]) invalidate_dependents('a', s);
+  for (std::size_t s = 0; s < batches.size(); ++s) {
+    if (!batches[s].dis.empty()) invalidate_dependents('d', s);
+    if (!batches[s].mil.empty()) invalidate_dependents('m', s);
+    if (!batches[s].acc.empty()) invalidate_dependents('a', s);
   }
 
   out.latency_ns = watch.elapsed_ns();
@@ -751,29 +257,13 @@ ingest_response query_engine::ingest_document(const ocr::document& delivered,
   return out;
 }
 
-// Cache keys end in "@<version components>" where a component letter is
-// present iff the query depends on that domain. Bumping domain X strands
-// every key carrying an X component (its version number is now stale), so
-// those — and only those — are dropped; entries over untouched domains
-// keep serving.
-void query_engine::invalidate_dependents(char domain_letter) {
-  cache_.erase_if([domain_letter](const std::string& key) {
-    const auto at = key.rfind('@');
-    return at != std::string::npos && key.find(domain_letter, at + 1) != std::string::npos;
-  });
-  obs::metrics().set_gauge("serve.cache_size", static_cast<double>(cache_.size()));
-}
-
-// Sharded invalidation: a key goes stale only if its version suffix
-// carries the bumped domain's letter *inside the bumped shard's segment*
-// ("s<i>:..."). Segments are delimited by 's' (the canonical prefix ends at
-// the last '@'; after it only shard tags and domain components appear), so
-// entries over other shards — other makers — survive the ingest.
+// A key goes stale only if its version suffix carries the bumped domain's
+// letter *inside the bumped shard's segment* ("s<i>:..."). Segments are
+// delimited by 's' (the canonical prefix ends at the last '@'; after it
+// only shard tags and domain components appear), so entries over other
+// domains and other shards keep serving. Stale keys could never be hit
+// again; dropping them eagerly keeps the cache's capacity for live ones.
 void query_engine::invalidate_dependents(char domain_letter, std::size_t shard) {
-  if (store_.shards() == 1) {
-    invalidate_dependents(domain_letter);
-    return;
-  }
   const std::string tag = "s" + std::to_string(shard) + ":";
   cache_.erase_if([&](const std::string& key) {
     const auto at = key.rfind('@');

@@ -25,13 +25,15 @@
 // domains keep serving from cache. Superseded snapshots free when their
 // last pinned reader drops (RCU-by-refcount; no reader ever blocks).
 //
-// With engine_config::shards > 1 the store is partitioned by manufacturer
-// (serve/store.h): maker-filtered queries route to one shard, cross-shard
-// queries scatter-gather through a global-id merge, ingests commit on the
-// one shard a record's maker lives in (parallel across makers), and cache
-// keys carry per-shard version components so a maker-A ingest never evicts
-// maker-B entries. Payloads stay byte-identical to the single-store
-// layout.
+// The store is partitioned by manufacturer into engine_config::shards
+// shards (serve/store.h), and every shard count, K = 1 included, runs one
+// execution path: route the query to its shards (the maker's, or all),
+// take one selection per shard (the epoch's index for a filtered query,
+// the whole shard otherwise), merge by global record id (the identity for
+// one shard), render. Ingests commit on the shard a record's maker lives
+// in (parallel across makers), and cache keys carry per-shard version
+// components so a maker-A ingest never evicts maker-B entries. Payloads
+// are byte-identical at every K.
 //
 // Every query records an obs span (when a trace is attached) and hit/miss,
 // latency and cache-occupancy metrics in the global obs registry under the
@@ -59,16 +61,6 @@
 
 namespace avtk::serve {
 
-/// How filtered queries execute. `indexed` (the default) runs builders
-/// over zero-copy selection views from the snapshot's lazy query_index;
-/// `naive` materializes a filtered failure_database first. Payloads are
-/// byte-identical — the naive path is retained as the oracle the CI
-/// equivalence gate (check_query_index.py) compares against.
-enum class query_exec { naive, indexed };
-
-std::string_view query_exec_name(query_exec e);
-std::optional<query_exec> query_exec_from_string(std::string_view s);
-
 struct engine_config {
   /// Worker threads for submit(); 0 means hardware concurrency.
   unsigned threads = 0;
@@ -84,14 +76,10 @@ struct engine_config {
   /// are overridden at construction: a live append always scans strictly,
   /// and the processor shares the engine's trace.
   ingest::processor_config ingest;
-  /// Filtered-query execution backend (unfiltered queries are identical
-  /// under both).
-  query_exec exec = query_exec::indexed;
-  /// Snapshot-store shards (serve/store.h). 1 (the default) is the
-  /// historical single-store layout; K > 1 partitions records by
+  /// Snapshot-store shards (serve/store.h). K > 1 partitions records by
   /// manufacturer so ingests for different makers commit in parallel.
-  /// Payloads are byte-identical across layouts — the single store is the
-  /// oracle the CI sharding gate (check_sharded.py) compares against.
+  /// Payloads are byte-identical at every K — the CI sharding gate
+  /// (check_sharded.py) compares K = 4 against K = 1.
   std::size_t shards = 1;
 };
 
@@ -109,9 +97,11 @@ struct query_response {
 };
 
 /// The outcome of ingesting one raw report document. An accepted document
-/// reports what it appended and the post-ingest database version; a
-/// rejected one carries the quarantine record (index / title / taxonomy
-/// code / message) and the version it left untouched.
+/// reports what it appended and the composite its commits produced: each
+/// touched shard at the epoch its own commit published (never a later
+/// writer's), each untouched shard as currently published. A rejected one
+/// carries the quarantine record (index / title / taxonomy code / message)
+/// and the version it left untouched.
 struct ingest_response {
   std::size_t index = 0;                  ///< ingest submission sequence number
   std::size_t disengagements_added = 0;
@@ -151,23 +141,24 @@ class query_engine {
   /// Raw-document ingestion: runs `delivered` through the shared
   /// ingest::document_processor (strict Stage II scan, per-document
   /// normalization, Stage-III labeling), then commits the surviving
-  /// records as one new snapshot epoch. Only the domains the document
-  /// actually touched get a version bump — and only their dependent cache
-  /// entries are dropped. A faulted document appends nothing, publishes
-  /// no epoch, and comes back as a reject; the published snapshot is
-  /// untouched. Safe to call from any number of threads; in-flight
-  /// queries keep answering against their pinned snapshots throughout.
+  /// records as one new epoch per touched shard (an accepted document
+  /// with no surviving record commits one empty epoch on shard 0). Only
+  /// the domains the document actually touched get a version bump — and
+  /// only their dependent cache entries are dropped. A faulted document
+  /// appends nothing, publishes no epoch, and comes back as a reject; the
+  /// published snapshot is untouched. Safe to call from any number of
+  /// threads; in-flight queries keep answering against their pinned
+  /// snapshots throughout.
   ingest_response ingest_document(const ocr::document& delivered,
                                   const ocr::document* pristine = nullptr);
 
   /// The currently published snapshot of shard 0 (pinned: stays alive and
   /// immutable for as long as the pointer is held, whatever ingests do
-  /// meanwhile). Under the default single-shard layout this is *the*
-  /// published snapshot; sharded engines expose the composite state
-  /// through version()/epoch()/epochs().
+  /// meanwhile). With one shard this is the whole store; with more, the
+  /// composite state is exposed through version()/epoch()/epochs().
   snapshot_ptr snapshot() const { return store_.pin_shard(0); }
 
-  /// Composite version vector / epoch sum — identical to the single-store
+  /// Composite version vector / epoch sum — identical to the K = 1
   /// values for any serialized request stream.
   dataset::database_version version() const { return store_.pin().version; }
   std::uint64_t epoch() const { return store_.epoch(); }
@@ -180,14 +171,12 @@ class query_engine {
   unsigned threads() const { return pool_.size(); }
 
  private:
-  void invalidate_dependents(char domain_letter);
   void invalidate_dependents(char domain_letter, std::size_t shard);
 
   sharded_store store_;
   result_cache cache_;
   thread_pool pool_;
   obs::trace* trace_;
-  query_exec exec_;
   /// Shared document path for ingest_document(); immutable after
   /// construction, so processing runs outside the database lock.
   ingest::document_processor processor_;

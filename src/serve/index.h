@@ -1,6 +1,6 @@
 // avtk/serve/index.h
 //
-// The per-epoch query index behind `--query-exec indexed`: ascending
+// The per-epoch query index behind every filtered query: ascending
 // posting lists (record indices) over each database domain, keyed by the
 // filter axes serve queries actually carry — maker and year for all three
 // domains, plus tag and category for disengagements.
@@ -8,8 +8,9 @@
 // A filtered query turns into one selection per domain: the applicable
 // posting lists are intersected (all lists are ascending, so the
 // intersection is ascending too — record order, and therefore every
-// payload byte, matches the naive filter-then-copy oracle exactly), and a
-// single-axis filter borrows its posting list as a zero-copy span. The
+// payload byte, matches the tests' naive filter-then-copy reference
+// exactly), and a single-axis filter borrows its posting list as a
+// zero-copy span. The
 // selections feed a `dataset::database_view`, so execution never
 // materializes a filtered failure_database.
 //
@@ -43,7 +44,7 @@ namespace avtk::serve {
 
 /// The `year` filter selects by event time where the record carries one,
 /// falling back to the DMV release year for undated records. Shared by the
-/// index build and the naive filter oracle — one definition, one
+/// index build and the tests' naive filter reference — one definition, one
 /// semantics.
 inline int disengagement_year(const dataset::disengagement_record& d) {
   if (const auto bucket = d.month_bucket()) return bucket->year;
@@ -114,7 +115,7 @@ class query_index {
  public:
   /// Selections for `q`'s filters. Mileage and accidents are restricted by
   /// maker/year only — a tag or category filter narrows the event set, not
-  /// the exposure it is normalized by (same contract as the naive oracle).
+  /// the exposure it is normalized by (same contract as the naive reference).
   /// Filter values absent from the corpus yield empty selections.
   query_selection select(const query& q) const;
 

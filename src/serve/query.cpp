@@ -1,6 +1,8 @@
 #include "serve/query.h"
 
+#include <charconv>
 #include <cmath>
+#include <iterator>
 
 #include "obs/json.h"
 
@@ -32,10 +34,14 @@ std::optional<query_kind> query_kind_from_string(std::string_view s) {
 
 domain_mask query::dependencies() const {
   switch (kind) {
-    // Pure disengagement breakdowns: mileage and accidents never enter.
+    // Disengagement breakdowns. Without a maker filter their rows are the
+    // makers present in disengagements or mileage, and a maker with
+    // mileage alone gets an all-zero row, so mileage appends change them.
     case query_kind::tags:
     case query_kind::categories:
     case query_kind::modality:
+      return maker ? domain_disengagements : domain_disengagements | domain_mileage;
+    // Fit rows need reaction-time samples: mileage never enters.
     case query_kind::fit:
       return domain_disengagements;
     // Exposure-normalized series read mileage too; the reliability event
@@ -170,13 +176,24 @@ std::optional<query> parse_query(std::string_view text, query_parse_error* error
   return q;
 }
 
+void append_key_segment(std::string& key, domain_mask deps, std::size_t shard,
+                        const dataset::database_version& version) {
+  const auto append = [&key](char tag, std::uint64_t n) {
+    char digits[24];
+    digits[0] = tag;
+    key.append(digits, std::to_chars(digits + 1, std::end(digits), n).ptr);
+  };
+  append('s', shard);
+  key += ':';
+  if ((deps & domain_disengagements) != 0) append('d', version.disengagements);
+  if ((deps & domain_mileage) != 0) append('m', version.mileage);
+  if ((deps & domain_accidents) != 0) append('a', version.accidents);
+}
+
 std::string cache_key(const query& q, const dataset::database_version& version) {
-  const domain_mask deps = q.dependencies();
   std::string key = q.canonical();
   key += '@';
-  if ((deps & domain_disengagements) != 0) key += "d" + std::to_string(version.disengagements);
-  if ((deps & domain_mileage) != 0) key += "m" + std::to_string(version.mileage);
-  if ((deps & domain_accidents) != 0) key += "a" + std::to_string(version.accidents);
+  append_key_segment(key, q.dependencies(), 0, version);
   return key;
 }
 

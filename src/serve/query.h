@@ -8,6 +8,7 @@
 // results on exactly the versions a computation depends on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -72,8 +73,9 @@ struct query {
   /// many fleet miles.
   double horizon_miles = 10000.0;
 
-  /// Which domains executing this query reads. Tag/category breakdowns
-  /// read only disengagements; metrics and compare read all three.
+  /// Which domains executing this query reads. A maker-filtered
+  /// tag/category breakdown reads only disengagements (unfiltered, its
+  /// maker rows come from mileage too); metrics and compare read all three.
   domain_mask dependencies() const;
 
   /// Stable canonical form, e.g. "tags?maker=waymo&year=2016". Two queries
@@ -94,9 +96,16 @@ struct query_parse_error {
 /// Returns the query or a parse error message.
 std::optional<query> parse_query(std::string_view text, query_parse_error* error = nullptr);
 
-/// The version-qualified cache key: canonical form plus the versions of the
-/// domains this query depends on. Appends to domains a query does not read
-/// leave its key — and therefore its cached result — untouched.
+/// Cache keys are the canonical form, '@', then one segment per store
+/// shard the query reads: "s<i>:" followed by that shard's versions of the
+/// domains the query depends on ("trend@s0:d3m7",
+/// "metrics@s0:d3m7a9s1:d2m5a1"). Appends to a domain or a shard a query
+/// does not read leave its key, and therefore its cached result,
+/// untouched. This appends one segment.
+void append_key_segment(std::string& key, domain_mask deps, std::size_t shard,
+                        const dataset::database_version& version);
+
+/// The key of `q` against a one-shard store at `version`.
 std::string cache_key(const query& q, const dataset::database_version& version);
 
 }  // namespace avtk::serve

@@ -1,7 +1,6 @@
 #include "serve/store.h"
 
 #include <algorithm>
-#include <type_traits>
 #include <utility>
 
 #include "obs/clock.h"
@@ -36,9 +35,7 @@ snapshot_store::snapshot_store(dataset::failure_database db, obs::trace* trace,
                                            : "serve.snapshot.commit." + span_label),
       commits_(obs::metrics().get_counter("serve.snapshot.commits")),
       commit_ns_(obs::metrics().get_counter("serve.snapshot.commit_ns")),
-      retired_(obs::metrics().get_counter("serve.snapshot.retired")) {
-  obs::metrics().set_gauge("serve.snapshot.epoch", 0.0);
-}
+      retired_(obs::metrics().get_counter("serve.snapshot.retired")) {}
 
 snapshot_ptr snapshot_store::commit(
     const std::function<void(dataset::failure_database&)>& mutate) {
@@ -62,7 +59,6 @@ snapshot_ptr snapshot_store::commit(
   retired_.add();
   commits_.add();
   commit_ns_.add(static_cast<std::uint64_t>(watch.elapsed_ns()));
-  obs::metrics().set_gauge("serve.snapshot.epoch", static_cast<double>(snap->epoch()));
   span.close();
   return snap;
 }
@@ -90,9 +86,8 @@ sharded_store::sharded_store(dataset::failure_database db, std::size_t shards,
   next_acc_id_.store(db.accidents().size());
 
   if (shards == 1) {
-    // Degenerate layout: adopt the database whole. No partition copy, no
-    // span labels — byte- and behavior-identical to a bare snapshot_store,
-    // including structural sharing with the caller's arrays.
+    // One shard: adopt the database whole. No partition copy and no span
+    // labels; structural sharing with the caller's arrays is kept.
     shards_.push_back(std::make_unique<snapshot_store>(std::move(db), trace));
   } else {
     // Partition in corpus order. The no-id add_* overloads would re-number
@@ -118,7 +113,7 @@ sharded_store::sharded_store(dataset::failure_database db, std::size_t shards,
     // shard at its record counts, but the seed may sit above its counts
     // (Stage-III relabels bump versions without adding records). Park the
     // surplus on shard 0 so the composite sum — what responses report and
-    // cache keys encode — is byte-identical to the single-store oracle.
+    // cache keys encode — is byte-identical to the K = 1 layout.
     const auto& seed_v = db.version();
     const auto& v0 = parts[0].version();
     parts[0].set_version({v0.disengagements + (seed_v.disengagements - dis.size()),
@@ -140,26 +135,28 @@ sharded_store::sharded_store(dataset::failure_database db, std::size_t shards,
     shard_records_.push_back(&obs::metrics().get_counter(shard_metric(s, "records")));
     obs::metrics().set_gauge(shard_metric(s, "epoch"), 0.0);
   }
-  // The shared gauge was last set by the last shard's constructor; with
-  // every shard at epoch 0 the sum is 0 regardless, but restate it so the
-  // sharded semantics (epoch sum) own the gauge from here on.
   obs::metrics().set_gauge("serve.snapshot.epoch", 0.0);
 }
 
-composite_snapshot sharded_store::pin() const {
+composite_snapshot composite_snapshot::of(std::vector<snapshot_ptr> shards) {
   composite_snapshot comp;
-  comp.shards.reserve(shards_.size());
-  comp.epochs.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    snapshot_ptr snap = shard->pin();
+  comp.epochs.reserve(shards.size());
+  for (const auto& snap : shards) {
     comp.version.disengagements += snap->version().disengagements;
     comp.version.mileage += snap->version().mileage;
     comp.version.accidents += snap->version().accidents;
     comp.epoch += snap->epoch();
     comp.epochs.push_back(snap->epoch());
-    comp.shards.push_back(std::move(snap));
   }
+  comp.shards = std::move(shards);
   return comp;
+}
+
+composite_snapshot sharded_store::pin() const {
+  std::vector<snapshot_ptr> pins;
+  pins.reserve(shards_.size());
+  for (const auto& shard : shards_) pins.push_back(shard->pin());
+  return composite_snapshot::of(std::move(pins));
 }
 
 std::uint64_t sharded_store::epoch() const {
@@ -192,50 +189,58 @@ snapshot_ptr sharded_store::commit(
     shard_records_[shard]->add(records_after - records_before);
   }
   obs::metrics().set_gauge(shard_metric(shard, "epoch"), static_cast<double>(snap->epoch()));
-  // The inner commit set serve.snapshot.epoch to this *shard's* epoch;
-  // overwrite with the store-wide sum, which is what the gauge means under
-  // sharding (and equals the shard epoch when K == 1).
   const std::uint64_t sum = epoch_sum_.fetch_add(1) + 1;
   obs::metrics().set_gauge("serve.snapshot.epoch", static_cast<double>(sum));
   return snap;
 }
 
+namespace {
+
+// One domain of gather_records: (global id, record) pairs from every
+// pinned shard's selection, sorted by id.
+template <typename Record>
+void gather_domain(const std::vector<snapshot_ptr>& pins, const std::vector<query_selection>& sels,
+                   const std::vector<Record>& (dataset::failure_database::*records_of)() const,
+                   const std::vector<std::uint64_t>& (dataset::failure_database::*ids_of)() const,
+                   domain_selection query_selection::*sel_of, std::vector<const Record*>& out) {
+  std::vector<std::pair<std::uint64_t, const Record*>> pairs;
+  for (std::size_t s = 0; s < pins.size(); ++s) {
+    const auto& records = (pins[s]->db().*records_of)();
+    const auto& ids = (pins[s]->db().*ids_of)();
+    if (const auto span = (sels[s].*sel_of).span()) {
+      for (const std::uint32_t i : *span) pairs.emplace_back(ids[i], &records[i]);
+    } else {
+      for (std::size_t i = 0; i < records.size(); ++i) pairs.emplace_back(ids[i], &records[i]);
+    }
+  }
+  std::sort(pairs.begin(), pairs.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  out.reserve(pairs.size());
+  for (const auto& [id, ptr] : pairs) out.push_back(ptr);
+}
+
+}  // namespace
+
+merge_plan gather_records(std::vector<snapshot_ptr> pins,
+                          const std::vector<query_selection>& sels) {
+  using fdb = dataset::failure_database;
+  merge_plan plan;
+  plan.pins = std::move(pins);
+  gather_domain(plan.pins, sels, &fdb::disengagements, &fdb::disengagement_ids,
+                &query_selection::disengagements, plan.disengagements);
+  gather_domain(plan.pins, sels, &fdb::mileage, &fdb::mileage_ids, &query_selection::mileage,
+                plan.mileage);
+  gather_domain(plan.pins, sels, &fdb::accidents, &fdb::accident_ids, &query_selection::accidents,
+                plan.accidents);
+  return plan;
+}
+
 std::shared_ptr<const merge_plan> sharded_store::plan_for(const composite_snapshot& comp) const {
   const std::lock_guard<std::mutex> lock(plan_mutex_);
   if (plan_ && plan_epochs_ == comp.epochs) return plan_;
-
-  auto plan = std::make_shared<merge_plan>();
-  plan->pins = comp.shards;
-
-  // Gather (global id, record ptr) pairs from every shard, then sort by
-  // id — reproducing original corpus order. A full sort (rather than a
-  // K-way merge of per-shard runs) tolerates per-shard id sequences that
-  // are not ascending, which concurrent multi-writer ingest can produce
-  // (ids are allocated before the shard commit lock is taken).
-  const auto gather = [](auto member_records, auto member_ids, const auto& pins, auto& out) {
-    using ptr_type = std::decay_t<decltype(out[0])>;
-    std::vector<std::pair<std::uint64_t, ptr_type>> pairs;
-    for (const auto& pin : pins) {
-      const auto& records = (pin->db().*member_records)();
-      const auto& ids = (pin->db().*member_ids)();
-      for (std::size_t i = 0; i < records.size(); ++i) {
-        pairs.emplace_back(ids[i], &records[i]);
-      }
-    }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    out.reserve(pairs.size());
-    for (const auto& [id, ptr] : pairs) out.push_back(ptr);
-  };
-  gather(&dataset::failure_database::disengagements,
-         &dataset::failure_database::disengagement_ids, plan->pins, plan->disengagements);
-  gather(&dataset::failure_database::mileage, &dataset::failure_database::mileage_ids,
-         plan->pins, plan->mileage);
-  gather(&dataset::failure_database::accidents, &dataset::failure_database::accident_ids,
-         plan->pins, plan->accidents);
-
+  plan_ = std::make_shared<const merge_plan>(
+      gather_records(comp.shards, std::vector<query_selection>(comp.shards.size())));
   plan_epochs_ = comp.epochs;
-  plan_ = std::move(plan);
   return plan_;
 }
 

@@ -22,11 +22,11 @@
 // no quiescent-state tracking, no deferred-free list, and nothing for a
 // leak checker to find once the readers are gone.
 //
-// Obs surface: `serve.snapshot.epoch` gauge (published epoch),
-// `serve.snapshot.commits` / `serve.snapshot.commit_ns` /
+// Obs surface: `serve.snapshot.commits` / `serve.snapshot.commit_ns` /
 // `serve.snapshot.retired` counters (retired = snapshots superseded by a
 // commit; they free when their last reader unpins), and one
-// "serve.snapshot.commit" span per commit when a trace is attached.
+// "serve.snapshot.commit" span per commit when a trace is attached. The
+// `serve.snapshot.epoch` gauge belongs to sharded_store alone.
 //
 // `sharded_store` composes K independent snapshot_stores, partitioning
 // records by manufacturer (shard_of: enum value mod K). Each shard has its
@@ -37,11 +37,11 @@
 // (dataset::failure_database id arrays), which is what lets cross-shard
 // queries merge per-shard records back into original corpus order — the
 // merged sequence, and therefore every payload byte, is identical to the
-// single-store layout. A composite pin is K acquire loads; the composite
+// K = 1 layout. A composite pin is K acquire loads; the composite
 // version vector is the component-wise sum of the shard versions, which
-// equals the single-store version exactly (every append bumps exactly one
-// shard-domain by one). K == 1 degenerates to the current layout: one
-// shard holding the database as passed in, structurally shared.
+// equals the K = 1 version exactly (every append bumps exactly one
+// shard-domain by one). K == 1 is the same layout with one shard, which
+// adopts the database as passed in, structurally shared.
 #pragma once
 
 #include <atomic>
@@ -60,6 +60,7 @@
 namespace avtk::serve {
 
 class query_index;
+struct query_selection;
 
 /// One immutable published state of the store. Everything a query needs —
 /// the records, the per-domain version vector it must report, the commit
@@ -161,20 +162,21 @@ inline std::size_t shard_of(dataset::manufacturer maker, std::size_t shards) {
 /// cut; per-shard states are each internally consistent and immutable).
 /// `version`/`epoch` are component-wise sums over the shards — for any
 /// composite observed by a serialized request stream they equal the
-/// single-store values exactly.
+/// K = 1 values exactly.
 struct composite_snapshot {
   std::vector<snapshot_ptr> shards;
   dataset::database_version version;  ///< component-wise sum over shards
   std::uint64_t epoch = 0;            ///< sum of per-shard epochs
   std::vector<std::uint64_t> epochs;  ///< per-shard epochs, index = shard id
+
+  /// Sums the versions and epochs of `shards` (index = shard id).
+  static composite_snapshot of(std::vector<snapshot_ptr> shards);
 };
 
 /// A cross-shard merge: per-domain record pointers concatenated back into
 /// ascending global-id (original corpus) order, plus the shard pins that
 /// keep every pointed-at record alive. view() adapts it to the composed
-/// database_view the Stage-IV builders consume. Built once per distinct
-/// epochs-vector and cached on the sharded_store; shared by every
-/// unfiltered cross-shard query against those epochs.
+/// database_view the Stage-IV builders consume.
 struct merge_plan {
   std::vector<snapshot_ptr> pins;
   std::vector<const dataset::disengagement_record*> disengagements;
@@ -186,25 +188,33 @@ struct merge_plan {
   }
 };
 
+/// The one record gather behind every cross-shard merge: the records
+/// `sels[i]` selects from `pins[i]` (a default query_selection takes the
+/// whole shard), sorted by global id. A full sort rather than a K-way merge
+/// of per-shard runs, because concurrent writers can commit a shard's ids
+/// out of order (ids are allocated before the shard's commit lock).
+merge_plan gather_records(std::vector<snapshot_ptr> pins,
+                          const std::vector<query_selection>& sels);
+
 /// K independent snapshot_stores partitioned by manufacturer. Each shard
 /// commits under its own writer mutex (parallel ingest for different
 /// makers) and clones only its own ~1/K slice of a domain on write. Global
 /// record ids are allocated from store-wide counters *before* any shard
 /// commit runs, in document order, so cross-shard merges reproduce the
-/// single-store record order — and therefore byte-identical payloads —
+/// K = 1 record order — and therefore byte-identical payloads —
 /// regardless of how shard commits interleave.
 ///
 /// Obs: shared serve.snapshot.* counters aggregate across shards; per-shard
 /// serve.shard.<i>.{commits,commit_ns,records} counters and a
 /// serve.shard.<i>.epoch gauge attribute work to its shard; the
-/// serve.snapshot.epoch gauge tracks the epoch *sum* (maintained here —
-/// last-writer-wins per-shard gauge updates would clobber each other).
+/// serve.snapshot.epoch gauge tracks the epoch *sum*, and this is its only
+/// writer.
 class sharded_store {
  public:
   /// Partitions `db` into `shards` stores. shards == 1 adopts `db` whole —
-  /// zero copies, structural sharing with the caller preserved — and is
-  /// byte-and-behavior identical to a bare snapshot_store. For K > 1 the
-  /// records are partitioned in corpus order, carrying their global ids.
+  /// zero copies, structural sharing with the caller preserved. For K > 1
+  /// the records are partitioned in corpus order, carrying their global
+  /// ids.
   sharded_store(dataset::failure_database db, std::size_t shards,
                 obs::trace* trace = nullptr);
 
@@ -228,7 +238,8 @@ class sharded_store {
 
   /// RCU commit on one shard; other shards' writers and all readers
   /// proceed concurrently. Returns the published per-shard snapshot.
-  /// Maintains the per-shard obs counters and both epoch gauges.
+  /// Maintains the per-shard obs counters and both epoch gauges. Every
+  /// shard count shares this path, K == 1 included.
   snapshot_ptr commit(std::size_t shard,
                       const std::function<void(dataset::failure_database&)>& mutate);
 
@@ -239,11 +250,10 @@ class sharded_store {
   std::uint64_t next_mileage_id() { return next_mil_id_.fetch_add(1); }
   std::uint64_t next_accident_id() { return next_acc_id_.fetch_add(1); }
 
-  /// The cross-shard merge plan for `comp`'s epochs: per-domain (id, ptr)
-  /// pairs gathered from every shard and sorted by global id. Cached —
-  /// repeated pins of unchanged epochs share one plan; any shard advancing
-  /// rebuilds. The plan holds its own pins, so it stays valid after `comp`
-  /// is dropped.
+  /// The unfiltered cross-shard merge for `comp`'s epochs: every shard's
+  /// records through gather_records. Cached — repeated pins of unchanged
+  /// epochs share one plan; any shard advancing rebuilds. The plan holds
+  /// its own pins, so it stays valid after `comp` is dropped.
   std::shared_ptr<const merge_plan> plan_for(const composite_snapshot& comp) const;
 
  private:

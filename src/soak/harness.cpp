@@ -117,7 +117,6 @@ soak_pass_stats run_pass(bool ingest_on, const soak_workload& workload,
   serve::engine_config cfg;
   cfg.threads = options.engine_threads;
   cfg.cache_capacity = options.cache_capacity;
-  cfg.exec = options.exec;
   cfg.shards = options.shards;
   serve::query_engine engine(workload.fleet.database, cfg);
 

@@ -72,10 +72,7 @@ struct soak_options {
   std::uint64_t query_seed = 7;
   /// Pipelining window for the ingest session's serve loop (0 = default).
   std::size_t max_in_flight = 0;
-  /// Filtered-query backend for both passes' engines (serve/engine.h).
-  serve::query_exec exec = serve::query_exec::indexed;
-  /// Snapshot-store shards for both passes' engines (serve/store.h);
-  /// 1 = the single-store layout.
+  /// Snapshot-store shards for both passes' engines (serve/store.h).
   std::size_t shards = 1;
 };
 

@@ -130,4 +130,11 @@ std::vector<std::string> arg_list::positional() const {
   return out;
 }
 
+std::optional<std::string> arg_list::unknown_flag() const {
+  for (const auto& word : positional()) {
+    if (word.starts_with("--")) return word;
+  }
+  return std::nullopt;
+}
+
 }  // namespace avtk::cli

@@ -70,6 +70,10 @@ class arg_list {
 
   std::vector<std::string> positional() const;
 
+  /// The first unconsumed token that looks like a flag ("--..."), if any.
+  /// Read every flag a command knows first; what is left is unknown.
+  std::optional<std::string> unknown_flag() const;
+
  private:
   std::vector<std::string> args_;
   std::set<std::size_t> consumed_;

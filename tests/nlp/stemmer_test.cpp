@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace avtk::nlp {
 namespace {
 
@@ -10,6 +12,12 @@ struct stem_pair {
   const char* word;
   const char* expected;
 };
+
+// Print the pair by value. ctest names embed the printed parameter; gtest's default
+// dumps the two string-literal addresses, which change with every build and run.
+void PrintTo(const stem_pair& pair, std::ostream* os) {
+  *os << pair.word << "_" << pair.expected;
+}
 
 class PorterReference : public ::testing::TestWithParam<stem_pair> {};
 

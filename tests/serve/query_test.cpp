@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -125,14 +126,19 @@ TEST(ParseQuery, ParsesReliabilityFields) {
 }
 
 TEST(QueryDependencies, MatchDomainsEachKindReads) {
-  const auto deps_of = [](query_kind k) {
+  const auto deps_of = [](query_kind k, std::optional<dataset::manufacturer> maker = {}) {
     query q;
     q.kind = k;
+    q.maker = maker;
     return q.dependencies();
   };
-  EXPECT_EQ(deps_of(query_kind::tags), domain_disengagements);
-  EXPECT_EQ(deps_of(query_kind::categories), domain_disengagements);
-  EXPECT_EQ(deps_of(query_kind::modality), domain_disengagements);
+  // Unfiltered breakdowns list every maker present in disengagements or
+  // mileage (mileage-only makers as all-zero rows); a maker filter fixes
+  // the row set.
+  for (const auto kind : {query_kind::tags, query_kind::categories, query_kind::modality}) {
+    EXPECT_EQ(deps_of(kind), domain_disengagements | domain_mileage);
+    EXPECT_EQ(deps_of(kind, dataset::manufacturer::waymo), domain_disengagements);
+  }
   EXPECT_EQ(deps_of(query_kind::fit), domain_disengagements);
   EXPECT_EQ(deps_of(query_kind::trend), domain_disengagements | domain_mileage);
   // Reliability curves are built from disengagement counts over the mileage
@@ -183,15 +189,16 @@ TEST(CacheKey, CarriesOnlyDependentVersionComponents) {
   const dataset::database_version v{3, 7, 9};
   query tags;
   tags.kind = query_kind::tags;
-  EXPECT_EQ(cache_key(tags, v), "tags@d3");
+  tags.maker = dataset::manufacturer::waymo;
+  EXPECT_EQ(cache_key(tags, v), "tags?maker=waymo@s0:d3");
 
   query trend;
   trend.kind = query_kind::trend;
-  EXPECT_EQ(cache_key(trend, v), "trend@d3m7");
+  EXPECT_EQ(cache_key(trend, v), "trend@s0:d3m7");
 
   query metrics;
   metrics.kind = query_kind::metrics;
-  EXPECT_EQ(cache_key(metrics, v), "metrics@d3m7a9");
+  EXPECT_EQ(cache_key(metrics, v), "metrics@s0:d3m7a9");
 }
 
 TEST(CacheKey, AccidentBumpLeavesDisengagementKeysUntouched) {

@@ -1,9 +1,10 @@
 // Cross-layout equivalence tests for the sharded snapshot store
-// (serve/store.h, engine_config::shards): the single-store layout is the
-// oracle, and a sharded engine must be byte-identical to it —
+// (serve/store.h, engine_config::shards): K = 1 and the naive reference
+// (serve_reference.h) are the oracles, and a sharded engine must be
+// byte-identical to both —
 //
-//  * every query kind (filters, mcf bands, nhpp horizons included), under
-//    both execution backends, at K in {2, 4, 7};
+//  * every query kind (filters, mcf bands, nhpp horizons included), at K
+//    in {2, 4, 7};
 //  * across ingest interleavings: the same append / ingest_document stream
 //    applied to both layouts keeps every payload, version vector and epoch
 //    sum equal at every step;
@@ -11,21 +12,27 @@
 //    always sum to the reported epoch;
 //  * sharded cache keys isolate makers: a maker-B entry survives a maker-A
 //    ingest (and is correctly evicted under the single-store layout);
-//  * commits for different makers race safely — the Sharded* stress test
-//    joins the CI TSan leg next to SnapshotStress (AVTK_SNAPSHOT_STRESS
-//    cranks the load).
+//  * commits for different makers race safely, and each concurrent
+//    ingest reports the epoch its own commit published — the Sharded*
+//    stress tests join the CI TSan leg next to SnapshotStress
+//    (AVTK_SNAPSHOT_STRESS cranks the load).
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstdint>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dataset/generator.h"
+#include "dataset/report_writers.h"
 #include "ingest/processor.h"
 #include "serve/engine.h"
 #include "serve/store.h"
+#include "serve_reference.h"
 #include "serve_test_util.h"
 
 namespace avtk::serve {
@@ -90,6 +97,13 @@ std::vector<query> query_suite() {
   return out;
 }
 
+engine_config single_threaded(std::size_t shards) {
+  engine_config cfg;
+  cfg.threads = 1;
+  cfg.shards = shards;
+  return cfg;
+}
+
 std::uint64_t epoch_vector_sum(const std::vector<std::uint64_t>& epochs) {
   std::uint64_t sum = 0;
   for (const auto e : epochs) sum += e;
@@ -122,20 +136,20 @@ dataset::generated_corpus& corpus() {
   return c;
 }
 
-// --- static equivalence: every kind, every backend, K in {2, 4, 7} ---
+// --- static equivalence: every kind at K in {2, 4, 7}, vs K = 1 and the reference ---
 
 TEST(ShardedEquivalence, AllKindsByteIdenticalAcrossLayouts) {
   const auto suite = query_suite();
-  for (const auto exec : {query_exec::indexed, query_exec::naive}) {
-    query_engine oracle(testing::make_test_database(),
-                        {.threads = 1, .exec = exec, .shards = 1});
-    for (const auto shards : k_shard_counts) {
-      query_engine sharded(testing::make_test_database(),
-                           {.threads = 1, .exec = exec, .shards = shards});
-      ASSERT_EQ(sharded.shards(), shards);
-      const std::string context = std::string(query_exec_name(exec)) + "/K=" +
-                                  std::to_string(shards);
-      for (const auto& q : suite) expect_equivalent(oracle, sharded, q, context);
+  const auto db = testing::make_test_database();
+  query_engine oracle(db, single_threaded(1));
+  for (const auto shards : k_shard_counts) {
+    query_engine sharded(db, single_threaded(shards));
+    ASSERT_EQ(sharded.shards(), shards);
+    const std::string context = "K=" + std::to_string(shards);
+    for (const auto& q : suite) {
+      expect_equivalent(oracle, sharded, q, context);
+      EXPECT_EQ(*sharded.execute(q).payload, testing::reference_payload(db, q))
+          << context << " " << q.canonical();
     }
   }
 }
@@ -336,6 +350,66 @@ TEST(ShardedStress, ConcurrentIngestAcrossShardsAndQueries) {
   const auto a = engine.execute(q);
   const auto b = engine.execute(q);
   EXPECT_EQ(*a.payload, *b.payload);
+}
+
+TEST(ShardedStress, ConcurrentIngestResponsesReportTheirOwnCommits) {
+  // Two writers per shard under K = 4 (maker enum values 0/4, 1/5, 2/6,
+  // 3/7), all eight on one shard under K = 1, more writers than cores: a
+  // response that re-read the store after its commit could report another
+  // writer's epoch.
+  const manufacturer writer_makers[] = {
+      manufacturer::mercedes_benz, manufacturer::nissan,     manufacturer::bosch,
+      manufacturer::tesla,         manufacturer::delphi,     manufacturer::volkswagen,
+      manufacturer::gm_cruise,     manufacturer::waymo};
+  // Not scaled by AVTK_SNAPSHOT_STRESS: 250 rounds already take about a
+  // minute under TSan.
+  const int ingests_per_writer = 250;
+
+  // One short accident report per writer, the same shape for every maker,
+  // so the writers' scans take alike and their commits cluster.
+  std::vector<ocr::document> docs;
+  for (const auto maker : writer_makers) {
+    docs.push_back(
+        dataset::render_accident_report(testing::make_accident(maker, 2016, 3, 4.0, 9.0)));
+  }
+
+  for (const std::size_t shards : {1, 4}) {
+    query_engine engine(testing::make_test_database(), single_threaded(shards));
+    std::vector<std::vector<ingest_response>> responses(docs.size());
+    // Rounds start together, so the writers' commits cluster.
+    std::barrier round(static_cast<std::ptrdiff_t>(docs.size()));
+    std::vector<std::thread> writers;
+    for (std::size_t t = 0; t < docs.size(); ++t) {
+      writers.emplace_back([&, t] {
+        for (int i = 0; i < ingests_per_writer; ++i) {
+          round.arrive_and_wait();
+          responses[t].push_back(engine.ingest_document(docs[t]));
+        }
+      });
+    }
+    for (auto& w : writers) w.join();
+
+    // Every commit published a distinct epoch on its shard, so if each
+    // response reports its own commit, the reported (shard, epoch) pairs
+    // are distinct and cover each shard's epochs 1..n exactly.
+    const auto final_epochs = engine.epochs();
+    std::set<std::pair<std::size_t, std::uint64_t>> seen;
+    for (std::size_t t = 0; t < docs.size(); ++t) {
+      const std::size_t home = shard_of(writer_makers[t], shards);
+      for (const auto& r : responses[t]) {
+        ASSERT_TRUE(r.accepted());
+        ASSERT_EQ(r.epochs.size(), shards);
+        EXPECT_EQ(epoch_vector_sum(r.epochs), r.epoch);
+        EXPECT_GE(r.epochs[home], 1u);
+        EXPECT_LE(r.epochs[home], final_epochs[home]);
+        EXPECT_TRUE(seen.emplace(home, r.epochs[home]).second)
+            << "K=" << shards << ": two responses reported shard " << home << " epoch "
+            << r.epochs[home];
+      }
+    }
+    EXPECT_EQ(seen.size(), docs.size() * static_cast<std::size_t>(ingests_per_writer));
+    EXPECT_EQ(epoch_vector_sum(final_epochs), seen.size()) << "K=" << shards;
+  }
 }
 
 }  // namespace

@@ -127,5 +127,15 @@ TEST(CliArgs, PositionalSkipsConsumedFlagValues) {
   EXPECT_EQ(pos[0], "{\"query\": \"metrics\"}");
 }
 
+TEST(CliArgs, UnknownFlagIsTheFirstUnconsumedFlag) {
+  auto args = make_args({"{\"query\": \"tags\"}", "--shards", "4", "--bogus", "x", "--also"});
+  (void)args.value_of("--shards");
+  EXPECT_EQ(args.unknown_flag(), "--bogus");
+  (void)args.value_of("--bogus");
+  EXPECT_EQ(args.unknown_flag(), "--also");
+  (void)args.has("--also");
+  EXPECT_FALSE(args.unknown_flag().has_value());  // the JSON word is no flag
+}
+
 }  // namespace
 }  // namespace avtk::cli

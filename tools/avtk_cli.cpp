@@ -111,26 +111,22 @@ int usage() {
       "                [--trace-json PATH]\n"
       "  avtk serve [--seed N] [--quality Q] [--threads N] [--cache-capacity N]\n"
       "             [--input PATH] [--metrics-json PATH]\n"
-      "             [--on-error fail_fast|skip|quarantine]\n"
-      "             [--query-exec naive|indexed] [--shards N]\n"
+      "             [--on-error fail_fast|skip|quarantine] [--shards N]\n"
       "      Answer line-delimited JSON analytics queries (--input file or stdin)\n"
-      "      from a worker pool with a sharded, memoized result cache.\n"
-      "      --query-exec picks the filtered-query backend (default indexed:\n"
-      "      snapshot-pinned posting lists, zero-copy views; naive materializes\n"
-      "      a filtered database copy — both produce identical payloads). A\n"
+      "      from a worker pool with a sharded, memoized result cache. A\n"
       "      request whose top-level member is \"ingest\" (raw report text, or\n"
       "      {\"text\":..., \"title\":..., \"pristine\":...}) is scanned, labeled\n"
       "      and appended live; refused documents answer with a structured\n"
       "      reject envelope. --on-error picks what a reject does to the loop\n"
       "      (default quarantine: keep serving; fail_fast aborts, exit 1).\n"
       "      --shards partitions the snapshot store by manufacturer into N\n"
-      "      independent shards with per-shard ingest commits (default 1, the\n"
-      "      single-store layout; payloads are byte-identical at any N).\n"
+      "      independent shards with per-shard ingest commits (default 1;\n"
+      "      payloads are byte-identical at any N).\n"
       "  avtk soak [--vehicles N] [--months M] [--seed N]\n"
       "            [--chaos-fraction F] [--chaos-seed N]\n"
       "            [--query-threads N] [--queries N] [--duty-cycle F]\n"
       "            [--threads N] [--cache-capacity N] [--json PATH]\n"
-      "            [--query-exec naive|indexed] [--shards N]\n"
+      "            [--shards N]\n"
       "      End-to-end soak: simulate a fleet, render its filings month by\n"
       "      month, corrupt a seeded fraction (the chaos leg), and stream\n"
       "      them into a live serve loop at the given ingest duty cycle while\n"
@@ -140,8 +136,7 @@ int usage() {
       "      (epoch-per-accepted-doc, byte-stable warm payloads). Writes the\n"
       "      avtk.bench.v1 record to --json or $AVTK_BENCH_JSON_DIR. Exit 1\n"
       "      when any invariant is violated.\n"
-      "  avtk query JSON [--seed N] [--quality Q] [--query-exec naive|indexed]\n"
-      "             [--shards N]\n"
+      "  avtk query JSON [--seed N] [--quality Q] [--shards N]\n"
       "      One-shot analytics query, e.g. '{\"query\": \"metrics\"}', or a\n"
       "      one-shot ingest, e.g. '{\"ingest\": {\"text\": \"...\"}}'. Kinds:\n"
       "      metrics tags categories modality trend fit compare mcf nhpp;\n"
@@ -223,23 +218,18 @@ bool flag_fraction(arg_list& args, const char* flag, const char* cmd, double* ou
   return true;
 }
 
-// --shards N: snapshot-store shards (serve/store.h). 1 (the default) is
-// the single-store layout; payloads are byte-identical at any N.
+// --shards N: snapshot-store shards (serve/store.h), default 1; payloads
+// are byte-identical at any N.
 bool flag_shards(arg_list& args, const char* cmd, std::size_t* out) {
   return flag_positive_size(args, "--shards", cmd, out);
 }
 
-bool flag_query_exec(arg_list& args, const char* cmd, serve::query_exec* out) {
-  const auto value = args.maybe_value_of("--query-exec");
-  if (!value) return true;
-  const auto parsed = serve::query_exec_from_string(*value);
-  if (!parsed) {
-    std::fprintf(stderr, "%s: unknown --query-exec backend '%s' (naive, indexed)\n", cmd,
-                 value->c_str());
-    return false;
-  }
-  *out = *parsed;
-  return true;
+// Call once every flag a command knows has been read: a flag it does not
+// know is a usage error, not silently ignored.
+bool no_unknown_flag(const arg_list& args, const char* cmd) {
+  const auto flag = args.unknown_flag();
+  if (flag) std::fprintf(stderr, "%s: unknown flag '%s'\n", cmd, flag->c_str());
+  return !flag;
 }
 
 // --------------------------------------------------------------------------
@@ -624,10 +614,11 @@ int cmd_soak(arg_list args) {
       !flag_fraction(args, "--duty-cycle", "soak", &opts.duty_cycle) ||
       !flag_uint(args, "--threads", "soak", &opts.engine_threads) ||
       !flag_positive_size(args, "--cache-capacity", "soak", &opts.cache_capacity) ||
-      !flag_query_exec(args, "soak", &opts.exec) ||
       !flag_shards(args, "soak", &opts.shards)) {
     return 2;
   }
+  std::string json_path = args.value_of("--json");
+  if (!no_unknown_flag(args, "soak")) return 2;
   if (query_threads < 1 || !(opts.duty_cycle > 0.0)) {
     std::fputs("soak: --query-threads must be >= 1 and --duty-cycle in (0, 1]\n", stderr);
     return 2;
@@ -652,7 +643,6 @@ int cmd_soak(arg_list args) {
   const auto report = soak::run_soak(workload, opts);
   std::cout << soak::render_soak_summary(workload, report);
 
-  std::string json_path = args.value_of("--json");
   if (json_path.empty()) {
     if (const char* dir = std::getenv("AVTK_BENCH_JSON_DIR"); dir != nullptr && *dir != '\0') {
       json_path = std::string(dir) + "/BENCH_soak.json";
@@ -688,7 +678,6 @@ int cmd_serve(arg_list args) {
   serve::engine_config cfg;
   if (!flag_uint(args, "--threads", "serve", &cfg.threads) ||
       !flag_positive_size(args, "--cache-capacity", "serve", &cfg.cache_capacity) ||
-      !flag_query_exec(args, "serve", &cfg.exec) ||
       !flag_shards(args, "serve", &cfg.shards)) {
     return 2;
   }
@@ -708,7 +697,7 @@ int cmd_serve(arg_list args) {
   }
 
   const auto gen_cfg = make_generator_config(args, "serve");
-  if (!gen_cfg) return 2;
+  if (!gen_cfg || !no_unknown_flag(args, "serve")) return 2;
   auto engine = make_engine(*gen_cfg, cfg);
   std::fprintf(stderr, "serve: %u worker threads, cache capacity %zu; reading %s\n",
                engine.threads(), cfg.cache_capacity,
@@ -726,7 +715,7 @@ int cmd_serve(arg_list args) {
     stats = serve::run_serve_loop(engine, in, std::cout, options);
   }
   // The sharded layout reports the composite version vector: the epoch sum
-  // (comparable to the single-store epoch) plus the per-shard epochs.
+  // (comparable to the K = 1 epoch) plus the per-shard epochs.
   std::string epoch_suffix;
   if (engine.shards() > 1) {
     epoch_suffix = " [";
@@ -765,12 +754,11 @@ int cmd_serve(arg_list args) {
 int cmd_query(arg_list args) {
   serve::engine_config cfg;
   cfg.threads = 1;  // one-shot: no pool needed
-  if (!flag_query_exec(args, "query", &cfg.exec) ||
-      !flag_shards(args, "query", &cfg.shards)) {
+  if (!flag_shards(args, "query", &cfg.shards)) {
     return 2;
   }
   const auto gen_cfg = make_generator_config(args, "query");
-  if (!gen_cfg) return 2;
+  if (!gen_cfg || !no_unknown_flag(args, "query")) return 2;
   auto engine = make_engine(*gen_cfg, cfg);
   const auto words = args.positional();
   if (words.empty()) {
