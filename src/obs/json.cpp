@@ -81,6 +81,7 @@ void dump_into(const value& v, std::string& out, int indent, int depth) {
 struct parser {
   std::string_view text;
   std::size_t pos = 0;
+  int depth = 0;  ///< open arrays/objects around `pos`
   bool failed = false;
 
   void skip_ws() {
@@ -115,8 +116,15 @@ struct parser {
     skip_ws();
     if (pos >= text.size()) return fail();
     const char c = text[pos];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Containers recurse, so an unbounded nesting would let one input
+      // line exhaust the stack.
+      if (depth == k_max_depth) return fail();
+      ++depth;
+      value v = c == '{' ? parse_object() : parse_array();
+      --depth;
+      return v;
+    }
     if (c == '"') return parse_string();
     if (eat_literal("true")) return value(true);
     if (eat_literal("false")) return value(false);

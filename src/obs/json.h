@@ -61,8 +61,12 @@ class value {
   std::variant<std::nullptr_t, bool, double, std::string, array, object> data_;
 };
 
-/// Parses a complete JSON document; std::nullopt on any syntax error or
-/// trailing garbage. Good enough to round-trip everything `dump` emits.
+/// Deepest array/object nesting parse() accepts.
+inline constexpr int k_max_depth = 64;
+
+/// Parses a complete JSON document; std::nullopt on any syntax error,
+/// trailing garbage or nesting deeper than k_max_depth. Good enough to
+/// round-trip everything `dump` emits.
 std::optional<value> parse(std::string_view text);
 
 /// Escapes a string per JSON rules (adds surrounding quotes).

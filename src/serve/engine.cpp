@@ -26,6 +26,16 @@ ingest::processor_config make_ingest_config(const engine_config& config) {
   return pcfg;
 }
 
+// Span names are built only when a trace is attached: "serve.hit.categories"
+// outgrows the small-string buffer, so an untraced query would otherwise pay
+// a heap allocation for a name nobody records.
+std::string span_name(const obs::trace* trace, std::string_view prefix, query_kind kind) {
+  if (trace == nullptr) return {};
+  std::string name(prefix);
+  name += query_kind_name(kind);
+  return name;
+}
+
 template <typename Response>
 void report_state(Response& out, const composite_snapshot& comp) {
   out.version = comp.version;
@@ -51,50 +61,59 @@ query_engine::query_engine(dataset::failure_database db, engine_config config)
       ingest_records_(obs::metrics().get_counter("serve.ingest.records")),
       ingest_ns_(obs::metrics().get_counter("serve.ingest_ns")) {}
 
-query_response query_engine::execute(const query& q) {
+query_lookup query_engine::try_hit(const query& q) {
   const obs::stopwatch watch;
   queries_.add();
 
-  query_response out;
-  out.canonical = q.canonical();
+  query_lookup out;
+  out.q = q;
+  out.response.canonical = q.canonical();
 
   // Pin the published composite: one atomic refcounted load per shard, no
-  // lock. Everything below — the version the response reports, the cache
-  // key, the computation — is against these frozen per-shard epochs; a
-  // commit landing meanwhile publishes a *new* shard snapshot and cannot
+  // lock. Everything after — the version the response reports, the cache
+  // key, a miss's computation — is against these frozen per-shard epochs;
+  // a commit landing meanwhile publishes a *new* shard snapshot and cannot
   // touch these.
-  const auto comp = store_.pin();
-  report_state(out, comp);
+  out.comp = store_.pin();
+  report_state(out.response, out.comp);
 
-  // 1. Route: a maker-filtered query reads exactly its maker's shard, any
+  // Route: a maker-filtered query reads exactly its maker's shard, any
   // other query reads them all. The cache key carries the versions of the
   // routed shards alone, so commits elsewhere leave it live.
-  std::size_t first = 0;
-  std::size_t last = comp.shards.size();
+  out.last = out.comp.shards.size();
   if (q.maker) {
-    first = store_.shard_for(*q.maker);
-    last = first + 1;
+    out.first = store_.shard_for(*q.maker);
+    out.last = out.first + 1;
   }
   const domain_mask deps = q.dependencies();
-  std::string key = out.canonical;
-  key += '@';
-  for (std::size_t s = first; s < last; ++s) {
-    append_key_segment(key, deps, s, comp.shards[s]->version());
+  out.key = out.response.canonical;
+  out.key += '@';
+  for (std::size_t s = out.first; s < out.last; ++s) {
+    append_key_segment(out.key, deps, s, out.comp.shards[s]->version());
   }
-  if (auto cached = cache_.get(key)) {
+  if (auto cached = cache_.get(out.key)) {
     hits_.add();
-    const obs::scoped_span span(trace_,
-                                "serve.hit." + std::string(query_kind_name(q.kind)));
-    out.payload = std::move(cached);
-    out.cache_hit = true;
-    out.latency_ns = watch.elapsed_ns();
-    query_ns_.add(static_cast<std::uint64_t>(out.latency_ns));
+    const obs::scoped_span span(trace_, span_name(trace_, "serve.hit.", q.kind));
+    out.response.payload = std::move(cached);
+    out.response.cache_hit = true;
+    out.response.latency_ns = watch.elapsed_ns();
+    query_ns_.add(static_cast<std::uint64_t>(out.response.latency_ns));
     return out;
   }
-
   misses_.add();
-  obs::scoped_span span(trace_, "serve.query." + std::string(query_kind_name(q.kind)));
-  // 2. One selection per routed shard from its epoch's lazy index. An
+  out.response.latency_ns = watch.elapsed_ns();
+  return out;
+}
+
+query_response query_engine::run_miss(query_lookup miss) {
+  const obs::stopwatch watch;
+  const query& q = miss.q;
+  const auto& comp = miss.comp;
+  const std::size_t first = miss.first;
+  const std::size_t last = miss.last;
+
+  obs::scoped_span span(trace_, span_name(trace_, "serve.query.", q.kind));
+  // 1. One selection per routed shard from its epoch's lazy index. An
   // unfiltered query takes each shard whole (a default selection) and
   // never builds an index.
   const bool filtered = needs_filter(q);
@@ -104,7 +123,7 @@ query_response query_engine::execute(const query& q) {
       sels[s - first] = comp.shards[s]->index(trace_).select(q);
     }
   }
-  // 3. Merge by global id. One routed shard is the identity merge: the
+  // 2. Merge by global id. One routed shard is the identity merge: the
   // view runs over that shard's own arrays. Across shards an unfiltered
   // query shares the store's cached plan for these epochs and a filtered
   // one gathers its selections. The view borrows storage from `sels` and
@@ -116,23 +135,34 @@ query_response query_engine::execute(const query& q) {
   }
   const dataset::database_view view =
       plan ? plan->view() : sels.front().view(comp.shards[first]->db());
-  // 4. Render.
+  // 3. Render.
   auto payload = std::make_shared<const std::string>(render_payload(view, q));
   span.close();
 
-  cache_.put(key, payload);
+  cache_.put(miss.key, payload);
   obs::metrics().set_gauge("serve.cache_size", static_cast<double>(cache_.size()));
   obs::metrics().set_gauge("serve.cache_evictions", static_cast<double>(cache_.evictions()));
 
+  query_response out = std::move(miss.response);
   out.payload = std::move(payload);
-  out.cache_hit = false;
-  out.latency_ns = watch.elapsed_ns();
+  out.latency_ns += watch.elapsed_ns();
   query_ns_.add(static_cast<std::uint64_t>(out.latency_ns));
   return out;
 }
 
+query_response query_engine::execute(const query& q) {
+  query_lookup lookup = try_hit(q);
+  if (lookup.hit()) return std::move(lookup.response);
+  return run_miss(std::move(lookup));
+}
+
 std::future<query_response> query_engine::submit(query q) {
   return pool_.submit([this, q = std::move(q)] { return execute(q); });
+}
+
+std::future<query_response> query_engine::submit_miss(query_lookup miss) {
+  return pool_.submit(
+      [this, miss = std::move(miss)]() mutable { return run_miss(std::move(miss)); });
 }
 
 // Appends route to the one shard the record's maker lives in and commit

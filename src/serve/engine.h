@@ -35,9 +35,17 @@
 // components so a maker-A ingest never evicts maker-B entries. Payloads
 // are byte-identical at every K.
 //
+// A query runs in two halves. try_hit (pin, route, key, cache get) is
+// cheap and runs on the calling thread; run_miss (select, merge, render,
+// cache put) runs only on a miss, against the pin and key try_hit took.
+// execute() is the two back to back; the serve loop's reader thread runs
+// try_hit itself and sends only misses to the pool (serve/protocol.h).
+//
 // Every query records an obs span (when a trace is attached) and hit/miss,
 // latency and cache-occupancy metrics in the global obs registry under the
 // "serve." prefix; commits additionally record serve.snapshot.* metrics.
+// A query's latency_ns is its try_hit time plus, on a miss, its run_miss
+// time; the wait for a pool worker in between is not part of it.
 #pragma once
 
 #include <atomic>
@@ -96,6 +104,21 @@ struct query_response {
   std::int64_t latency_ns = 0;
 };
 
+/// A query pinned, routed and keyed against the published composite: what
+/// try_hit() returns. A hit carries its finished response; a miss carries
+/// the pin and the key on to the miss path (submit_miss, or execute's own
+/// call), which therefore neither pins again nor rebuilds the key.
+struct query_lookup {
+  query q;
+  composite_snapshot comp;   ///< the pin every later step reads
+  std::size_t first = 0;     ///< routed shards: [first, last)
+  std::size_t last = 0;
+  std::string key;           ///< the cache key over the routed shards
+  query_response response;   ///< complete on a hit; canonical + versions on a miss
+
+  bool hit() const { return response.cache_hit; }
+};
+
 /// The outcome of ingesting one raw report document. An accepted document
 /// reports what it appended and the composite its commits produced: each
 /// touched shard at the epoch its own commit published (never a later
@@ -125,12 +148,24 @@ class query_engine {
   query_engine(const query_engine&) = delete;
   query_engine& operator=(const query_engine&) = delete;
 
-  /// Executes `q` on the calling thread, consulting the cache first.
+  /// Executes `q` on the calling thread: try_hit, then run_miss on a miss.
   /// Safe to call from any number of threads concurrently.
   query_response execute(const query& q);
 
   /// Executes `q` on the worker pool.
   std::future<query_response> submit(query q);
+
+  /// The cheap half of a query, run on the calling thread: pins the
+  /// published composite, routes, builds the cache key and consults the
+  /// cache. Counts the query (and its hit or miss) and, on a hit, records
+  /// the "serve.hit.<kind>" span. The serve loop's reader answers hits
+  /// with it and hands only misses to the pool.
+  query_lookup try_hit(const query& q);
+
+  /// Completes a lookup that missed, on the worker pool: selects, merges
+  /// and renders against the lookup's pin, caches the payload under the
+  /// lookup's key. Records the "serve.query.<kind>" span.
+  std::future<query_response> submit_miss(query_lookup miss);
 
   /// Incremental ingest: appends one record, bumps that domain's version
   /// and drops cache entries that depended on the domain.
@@ -171,6 +206,8 @@ class query_engine {
   unsigned threads() const { return pool_.size(); }
 
  private:
+  /// The miss half of a query (what submit_miss runs on a worker).
+  query_response run_miss(query_lookup miss);
   void invalidate_dependents(char domain_letter, std::size_t shard);
 
   sharded_store store_;

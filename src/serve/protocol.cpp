@@ -5,6 +5,7 @@
 #include <optional>
 #include <ostream>
 #include <utility>
+#include <variant>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -18,9 +19,13 @@ namespace {
 
 // Envelopes are assembled by hand so the cached payload text can be spliced
 // in verbatim — re-parsing it into a value tree would cost the warm path
-// the whole serialization again for nothing.
-std::string envelope_prefix(const std::optional<json::value>& id, bool ok) {
-  std::string out = "{\"schema\":";
+// the whole serialization again for nothing. `body_bytes` is what the
+// caller will append, reserved up front so a large payload is copied once.
+std::string envelope_prefix(const std::optional<json::value>& id, bool ok,
+                            std::size_t body_bytes = 0) {
+  std::string out;
+  out.reserve(64 + body_bytes);
+  out += "{\"schema\":";
   out += json::escape(k_serve_schema);
   out += ",\"ok\":";
   out += ok ? "true" : "false";
@@ -32,7 +37,7 @@ std::string envelope_prefix(const std::optional<json::value>& id, bool ok) {
 }
 
 std::string envelope_ok(const std::optional<json::value>& id, const query_response& r) {
-  std::string out = envelope_prefix(id, true);
+  std::string out = envelope_prefix(id, true, r.canonical.size() + r.payload->size() + 64);
   out += ",\"query\":";
   out += json::escape(r.canonical);
   out += ",\"version\":";
@@ -63,61 +68,44 @@ std::string envelope_error(const std::optional<json::value>& id, std::string_vie
   return out;
 }
 
-// Best-effort correlation id: only well-formed objects can carry one.
-std::optional<json::value> extract_id(std::string_view line) {
-  const auto doc = json::parse(line);
-  if (!doc || !doc->is_object()) return std::nullopt;
-  const auto* id = doc->find("id");
-  if (id == nullptr || (!id->is_string() && !id->is_number())) return std::nullopt;
-  return *id;
-}
-
 bool is_request_line(std::string_view line) {
   const auto first = line.find_first_not_of(" \t\r");
   return first != std::string_view::npos && line[first] != '#';
 }
 
-// A parsed ingest request: the delivered document plus the optional
-// pristine (manual-transcription) fallback.
-struct ingest_request {
-  ocr::document delivered;
-  std::optional<ocr::document> pristine;
-};
-
 // The "ingest" member is either a bare text string or
 // {"text": ..., "title": ..., "pristine": ...}. Unknown members are
 // rejected, matching parse_query's posture.
-std::optional<ingest_request> parse_ingest_request(const json::value& doc, std::string* error) {
-  const auto* spec = doc.find("ingest");
+std::optional<ingest_request> parse_ingest_request(const json::value& spec, std::string* error) {
   ingest_request out;
-  if (spec->is_string()) {
-    out.delivered = ocr::document::from_text(spec->as_string());
+  if (spec.is_string()) {
+    out.delivered = ocr::document::from_text(spec.as_string());
     return out;
   }
-  if (!spec->is_object()) {
+  if (!spec.is_object()) {
     *error = "'ingest' must be a document text string or an object";
     return std::nullopt;
   }
-  for (const auto& [key, unused] : spec->as_object()) {
+  for (const auto& [key, unused] : spec.as_object()) {
     if (key != "text" && key != "title" && key != "pristine") {
       *error = "unknown ingest field '" + key + "'";
       return std::nullopt;
     }
   }
-  const auto* text = spec->find("text");
+  const auto* text = spec.find("text");
   if (text == nullptr || !text->is_string()) {
     *error = "ingest request needs a string 'text' member";
     return std::nullopt;
   }
   out.delivered = ocr::document::from_text(text->as_string());
-  if (const auto* title = spec->find("title")) {
+  if (const auto* title = spec.find("title")) {
     if (!title->is_string()) {
       *error = "ingest 'title' must be a string";
       return std::nullopt;
     }
     out.delivered.title = title->as_string();
   }
-  if (const auto* pristine = spec->find("pristine")) {
+  if (const auto* pristine = spec.find("pristine")) {
     if (!pristine->is_string()) {
       *error = "ingest 'pristine' must be a string";
       return std::nullopt;
@@ -173,24 +161,55 @@ std::string envelope_ingest_reject(const std::optional<json::value>& id,
 
 }  // namespace
 
-std::string handle_request_line(query_engine& engine, std::string_view line) {
-  const auto id = extract_id(line);
-  if (const auto doc = json::parse(line); doc && doc->is_object() && doc->find("ingest")) {
-    std::string perr;
-    const auto req = parse_ingest_request(*doc, &perr);
-    if (!req) return envelope_error(id, "parse", perr);
-    const auto r =
-        engine.ingest_document(req->delivered, req->pristine ? &*req->pristine : nullptr);
-    return r.accepted() ? envelope_ingest_ok(id, r)
-                        : envelope_ingest_reject(id, r, /*detail=*/true);
+parsed_request parse_request(std::string_view line) {
+  parsed_request out;
+  const auto doc = json::parse(line);
+  // The two messages parse_query(std::string_view) gives for the same lines.
+  if (!doc) {
+    out.body = query_parse_error{"request is not valid JSON"};
+    return out;
+  }
+  if (!doc->is_object()) {
+    out.body = query_parse_error{"request must be a JSON object"};
+    return out;
+  }
+  if (const auto* id = doc->find("id"); id != nullptr && (id->is_string() || id->is_number())) {
+    out.id = *id;
+  }
+  if (const auto* spec = doc->find("ingest")) {
+    out.ingest = true;
+    std::string error;
+    if (auto req = parse_ingest_request(*spec, &error)) {
+      out.body = std::move(*req);
+    } else {
+      out.body = query_parse_error{std::move(error)};
+    }
+    return out;
   }
   query_parse_error error;
-  const auto q = parse_query(line, &error);
-  if (!q) return envelope_error(id, "parse", error.message);
+  if (auto q = parse_query(doc->as_object(), &error)) {
+    out.body = std::move(*q);
+  } else {
+    out.body = std::move(error);
+  }
+  return out;
+}
+
+std::string handle_request_line(query_engine& engine, std::string_view line) {
+  const auto req = parse_request(line);
+  if (const auto* error = std::get_if<query_parse_error>(&req.body)) {
+    return envelope_error(req.id, "parse", error->message);
+  }
+  if (const auto* doc = std::get_if<ingest_request>(&req.body)) {
+    const auto r =
+        engine.ingest_document(doc->delivered, doc->pristine ? &*doc->pristine : nullptr);
+    return r.accepted() ? envelope_ingest_ok(req.id, r)
+                        : envelope_ingest_reject(req.id, r, /*detail=*/true);
+  }
   try {
-    return envelope_ok(id, engine.execute(*q));
+    return envelope_ok(req.id, engine.execute(std::get<query>(req.body)));
   } catch (const std::exception& e) {
-    return envelope_error(id, execution_code(e), std::string("query failed: ") + e.what());
+    return envelope_error(req.id, execution_code(e), std::string("query failed: ") + e.what());
   }
 }
 
@@ -209,72 +228,72 @@ serve_loop_stats run_serve_loop(query_engine& engine, std::istream& in, std::ost
 
   serve_loop_stats stats;
 
+  const auto parse_error = [&](const std::optional<json::value>& id, std::string_view message) {
+    ++stats.errors;
+    ++stats.parse_errors;
+    obs::metrics().get_counter("serve.errors.parse").add();
+    return envelope_error(id, "parse", message);
+  };
+
   // A window of in-flight requests; responses drain from the front so
   // output order always matches input order regardless of which worker
-  // finishes first.
+  // finishes first. The reader answers parse errors and cache hits itself,
+  // so their entries hold a finished response line; a miss holds the
+  // future of the worker computing it. Either way an entry is written only
+  // when it leaves the window: when the window is full, when a filing
+  // drains it, or when input ends.
   struct pending {
+    std::string line;  ///< the response line, unless `miss` is set
     std::optional<json::value> id;
-    std::optional<std::future<query_response>> future;  // nullopt: parse error
-    std::string error;
+    std::optional<std::future<query_response>> miss;
   };
   std::deque<pending> window;
 
   const auto drain_front = [&] {
     pending p = std::move(window.front());
     window.pop_front();
-    if (!p.future) {
-      ++stats.errors;
-      ++stats.parse_errors;
-      obs::metrics().get_counter("serve.errors.parse").add();
-      out << envelope_error(p.id, "parse", p.error) << '\n';
-      return;
+    if (p.miss) {
+      try {
+        p.line = envelope_ok(p.id, p.miss->get());
+      } catch (const std::exception& e) {
+        ++stats.errors;
+        ++stats.execution_errors;
+        obs::metrics().get_counter("serve.errors.execution").add();
+        p.line = envelope_error(p.id, execution_code(e), std::string("query failed: ") + e.what());
+      }
     }
-    try {
-      const auto r = p.future->get();
-      if (r.cache_hit) ++stats.cache_hits;
-      out << envelope_ok(p.id, r) << '\n';
-    } catch (const std::exception& e) {
-      ++stats.errors;
-      ++stats.execution_errors;
-      obs::metrics().get_counter("serve.errors.execution").add();
-      out << envelope_error(p.id, execution_code(e), std::string("query failed: ") + e.what())
-          << '\n';
-    }
+    out << p.line << '\n';
   };
 
   std::string line;
   while (std::getline(in, line)) {
     if (!is_request_line(line)) continue;
     ++stats.requests;
+    auto req = parse_request(line);
 
-    if (const auto doc = json::parse(line); doc && doc->is_object() && doc->find("ingest")) {
+    if (req.ingest) {
       // Response-order barrier (not a store barrier: the snapshot store
       // commits without stalling queries): everything already in flight
       // answers against its pinned pre-ingest snapshot before the
       // document lands, so the response stream reads like a serial
       // history and each query's version vector matches its position.
       while (!window.empty()) drain_front();
-      const auto id = extract_id(line);
-      std::string perr;
-      const auto req = parse_ingest_request(*doc, &perr);
-      if (!req) {
-        ++stats.errors;
-        ++stats.parse_errors;
-        obs::metrics().get_counter("serve.errors.parse").add();
-        out << envelope_error(id, "parse", perr) << '\n';
+      const auto* doc = std::get_if<ingest_request>(&req.body);
+      if (doc == nullptr) {
+        out << parse_error(req.id, std::get<query_parse_error>(req.body).message) << '\n';
         continue;
       }
       ++stats.ingests;
       const auto r =
-          engine.ingest_document(req->delivered, req->pristine ? &*req->pristine : nullptr);
+          engine.ingest_document(doc->delivered, doc->pristine ? &*doc->pristine : nullptr);
       if (r.accepted()) {
         stats.ingest_records += r.disengagements_added + r.mileage_added + r.accidents_added;
-        out << envelope_ingest_ok(id, r) << '\n';
+        out << envelope_ingest_ok(req.id, r) << '\n';
       } else {
         ++stats.errors;
         ++stats.ingest_rejected;
         const bool detail = options.on_ingest_error != ingest::error_policy::skip;
-        out << envelope_ingest_reject(id, r, detail) << '\n';
+        out << envelope_ingest_reject(req.id, r, detail) << '\n';
         if (options.on_ingest_error == ingest::error_policy::fail_fast) {
           stats.aborted = true;
           // Deterministic-prefix contract (see the header): the reject
@@ -291,12 +310,14 @@ serve_loop_stats run_serve_loop(query_engine& engine, std::istream& in, std::ost
     }
 
     pending p;
-    p.id = extract_id(line);
-    query_parse_error error;
-    if (const auto q = parse_query(line, &error)) {
-      p.future = engine.submit(*q);
+    if (const auto* error = std::get_if<query_parse_error>(&req.body)) {
+      p.line = parse_error(req.id, error->message);
+    } else if (auto lookup = engine.try_hit(std::get<query>(req.body)); lookup.hit()) {
+      ++stats.cache_hits;
+      p.line = envelope_ok(req.id, lookup.response);
     } else {
-      p.error = std::move(error.message);
+      p.id = std::move(req.id);
+      p.miss = engine.submit_miss(std::move(lookup));
     }
     window.push_back(std::move(p));
     while (window.size() >= max_in_flight) drain_front();

@@ -50,19 +50,57 @@
 // Responses are deterministic: the envelope carries no timing and no
 // hit/miss flag, so a warm (cached) response is byte-identical to the cold
 // one. Hit/miss and latency are observable via the obs metric registry.
+//
+// The reader path: run_serve_loop's reader thread parses each line once
+// (parse_request) and runs query_engine::try_hit itself, so a cache hit
+// never leaves the reader. Only a miss goes to the worker pool. Hits,
+// misses and parse errors all queue in one in-flight window, whose
+// release rule is the same for each: a response line is written only
+// when the window is full, when a filing (a line with an "ingest" member,
+// malformed or not) drains it, or when input ends. An answer that is
+// ready early still waits its turn, so the output order and the fail_fast
+// prefix above do not depend on which requests hit the cache.
+// A line nested deeper than obs::json::k_max_depth is not valid JSON and
+// answers a "parse" error.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 
+#include "obs/json.h"
 #include "serve/engine.h"
 
 namespace avtk::serve {
 
 /// Serve wire schema tag.
 inline constexpr std::string_view k_serve_schema = "avtk.serve.v1";
+
+/// A parsed ingest request: the delivered document plus the optional
+/// pristine (manual-transcription) fallback.
+struct ingest_request {
+  ocr::document delivered;
+  std::optional<ocr::document> pristine;
+};
+
+/// One request line, parsed once: the correlation id (when the line is an
+/// object carrying a string or numeric "id") and what the line asks for —
+/// a query, an ingest, or the "parse" error message it is answered with.
+struct parsed_request {
+  std::optional<obs::json::value> id;
+  std::variant<query, ingest_request, query_parse_error> body;
+  /// The line carries a top-level "ingest" member. The serve loop treats
+  /// it as a write barrier even when the member is malformed.
+  bool ingest = false;
+};
+
+/// Parses one request line with a single obs::json::parse. A top-level
+/// "ingest" member makes the line an ingest request (its other members are
+/// ignored); any other object is parsed as a query.
+parsed_request parse_request(std::string_view line);
 
 /// Handles one request line synchronously: parse, execute, envelope.
 /// Never throws — execution errors become {"ok":false,...} responses.
@@ -90,13 +128,13 @@ struct serve_loop_options {
 };
 
 /// Reads request lines from `in` until EOF, writing one response line per
-/// request to `out` in request order. Query requests are dispatched to the
-/// engine's worker pool and pipelined up to `max_in_flight` deep, so
-/// independent queries overlap while responses stay ordered. An ingest
-/// request is a write barrier: the in-flight window drains first, then the
-/// document is ingested synchronously — every earlier query answers
-/// against the pre-ingest database, every later one against the
-/// post-ingest version.
+/// request to `out` in request order. Cache hits are answered on the
+/// reading thread; misses are dispatched to the engine's worker pool.
+/// Both are pipelined up to `max_in_flight` deep, so independent queries
+/// overlap while responses stay ordered. An ingest request is a write
+/// barrier: the in-flight window drains first, then the document is
+/// ingested synchronously — every earlier query answers against the
+/// pre-ingest database, every later one against the post-ingest version.
 serve_loop_stats run_serve_loop(query_engine& engine, std::istream& in, std::ostream& out,
                                 const serve_loop_options& options);
 serve_loop_stats run_serve_loop(query_engine& engine, std::istream& in, std::ostream& out,

@@ -109,10 +109,18 @@ std::optional<query> parse_query(std::string_view text, query_parse_error* error
   const auto doc = json::parse(text);
   if (!doc) return fail("request is not valid JSON");
   if (!doc->is_object()) return fail("request must be a JSON object");
+  return parse_query(doc->as_object(), error);
+}
+
+std::optional<query> parse_query(const json::object& request, query_parse_error* error) {
+  const auto fail = [&](std::string message) -> std::optional<query> {
+    if (error != nullptr) error->message = std::move(message);
+    return std::nullopt;
+  };
 
   query q;
   bool saw_kind = false;
-  for (const auto& [key, value] : doc->as_object()) {
+  for (const auto& [key, value] : request) {
     if (key == "query") {
       if (!value.is_string()) return fail("'query' must be a string");
       const auto kind = query_kind_from_string(value.as_string());

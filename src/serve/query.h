@@ -17,6 +17,7 @@
 #include "dataset/database.h"
 #include "dataset/manufacturers.h"
 #include "nlp/ontology.h"
+#include "obs/json.h"
 
 namespace avtk::serve {
 
@@ -95,6 +96,12 @@ struct query_parse_error {
 /// everything would be a correctness bug in a cached service).
 /// Returns the query or a parse error message.
 std::optional<query> parse_query(std::string_view text, query_parse_error* error = nullptr);
+
+/// The same over a request line's already parsed top-level object, so a
+/// caller that has parsed the line (serve/protocol.h) does not parse it
+/// again. The text overload is a thin wrapper over this one.
+std::optional<query> parse_query(const obs::json::object& request,
+                                 query_parse_error* error = nullptr);
 
 /// Cache keys are the canonical form, '@', then one segment per store
 /// shard the query reads: "s<i>:" followed by that shard's versions of the

@@ -58,6 +58,24 @@ TEST(Json, ParseRejectsMalformedDocuments) {
   }
 }
 
+TEST(Json, ParseBoundsNestingDepth) {
+  const auto nested = [](int depth, char open, char close) {
+    return std::string(static_cast<std::size_t>(depth), open) +
+           std::string(static_cast<std::size_t>(depth), close);
+  };
+  EXPECT_TRUE(json::parse(nested(json::k_max_depth, '[', ']')).has_value());
+  EXPECT_FALSE(json::parse(nested(json::k_max_depth + 1, '[', ']')).has_value());
+  // Objects count toward the same bound as arrays.
+  std::string mixed;
+  for (int i = 0; i < json::k_max_depth; ++i) mixed += i % 2 == 0 ? "{\"k\":" : "[";
+  mixed += "0";
+  for (int i = json::k_max_depth - 1; i >= 0; --i) mixed += i % 2 == 0 ? "}" : "]";
+  EXPECT_TRUE(json::parse(mixed).has_value());
+  EXPECT_FALSE(json::parse("[" + mixed + "]").has_value());
+  // A million unclosed brackets fail fast instead of overflowing the stack.
+  EXPECT_FALSE(json::parse(std::string(1'000'000, '[')).has_value());
+}
+
 TEST(Json, ParseAcceptsEscapesAndUnicode) {
   const auto v = json::parse(R"("aA\né")");
   ASSERT_TRUE(v.has_value());

@@ -12,10 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.h"
-#include "dataset/generator.h"
 #include "ingest/processor.h"
-#include "inject/corruptor.h"
+#include "ingest_test_util.h"
 #include "obs/json.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
@@ -26,33 +24,8 @@ namespace {
 
 namespace json = obs::json;
 
-// A clean-quality corpus: the delivered documents scan strictly without
-// needing the pristine fallback, which is exactly the shape a raw text
-// document arriving over the wire has.
-dataset::generated_corpus& corpus() {
-  static dataset::generated_corpus c = [] {
-    dataset::generator_config cfg;
-    cfg.seed = 424;
-    cfg.quality = ocr::scan_quality::clean;
-    return dataset::generate_corpus(cfg);
-  }();
-  return c;
-}
-
-// First corpus document of the wanted kind, by strict probe.
-const ocr::document& first_report(bool accident) {
-  const auto& c = corpus();
-  const ingest::document_processor probe{ingest::processor_config{}};
-  for (std::size_t i = 0; i < c.documents.size(); ++i) {
-    const auto scan = probe.scan(c.documents[i], &c.pristine_documents[i], i);
-    if (scan.fault) continue;
-    if (accident ? scan.is_accident_report : scan.is_disengagement_report) {
-      return c.documents[i];
-    }
-  }
-  ADD_FAILURE() << "corpus has no " << (accident ? "accident" : "disengagement") << " report";
-  return c.documents.front();
-}
+using testing::first_report;
+using testing::ingest_request_line;
 
 query make_query(query_kind kind) {
   query q;
@@ -96,12 +69,7 @@ TEST(ServeIngest, IngestInvalidatesOnlyDependentCacheEntries) {
 }
 
 TEST(ServeIngest, RejectCarriesProbeCodeAndPerturbsNothing) {
-  auto docs = corpus().documents;
-  auto pristine = corpus().pristine_documents;
-  inject::injection_config icfg;
-  icfg.seed = 17;
-  icfg.fraction = 0.05;
-  const auto report = inject::inject_faults(docs, pristine, icfg);
+  const auto [docs, pristine, report] = testing::inject_corpus();
   ASSERT_FALSE(report.faults.empty());
 
   query_engine engine(testing::make_test_database(), {.threads = 1});
@@ -148,16 +116,6 @@ std::vector<std::string> run_batch(query_engine& engine, const std::string& requ
   return lines;
 }
 
-std::string ingest_request_line(const ocr::document& doc, int id) {
-  json::object spec;
-  spec.emplace_back("text", doc.full_text());
-  spec.emplace_back("title", doc.title);
-  json::object req;
-  req.emplace_back("ingest", json::value(std::move(spec)));
-  req.emplace_back("id", id);
-  return json::value(std::move(req)).dump();
-}
-
 TEST(ServeIngestProtocol, RoundTripAppendsAndAnswersInOrder) {
   query_engine engine(testing::make_test_database(), {.threads = 2});
   const auto& doc = first_report(/*accident=*/true);
@@ -189,12 +147,7 @@ TEST(ServeIngestProtocol, RoundTripAppendsAndAnswersInOrder) {
 }
 
 TEST(ServeIngestProtocol, CorruptedDocumentAnswersStructuredReject) {
-  auto docs = corpus().documents;
-  auto pristine = corpus().pristine_documents;
-  inject::injection_config icfg;
-  icfg.seed = 17;
-  icfg.fraction = 0.05;
-  const auto report = inject::inject_faults(docs, pristine, icfg);
+  const auto [docs, pristine, report] = testing::inject_corpus();
   ASSERT_FALSE(report.faults.empty());
   const auto& fault = report.faults.front();
 
@@ -225,12 +178,7 @@ TEST(ServeIngestProtocol, CorruptedDocumentAnswersStructuredReject) {
 }
 
 TEST(ServeIngestProtocol, FailFastAbortsLoopOnReject) {
-  auto docs = corpus().documents;
-  auto pristine = corpus().pristine_documents;
-  inject::injection_config icfg;
-  icfg.seed = 17;
-  icfg.fraction = 0.05;
-  const auto report = inject::inject_faults(docs, pristine, icfg);
+  const auto [docs, pristine, report] = testing::inject_corpus();
   ASSERT_FALSE(report.faults.empty());
 
   query_engine engine(testing::make_test_database(), {.threads = 1});
@@ -255,12 +203,7 @@ TEST(ServeIngestProtocol, FailFastAbortsLoopOnReject) {
 // response-order barrier at every ingest, so queries admitted before the
 // poisoned ingest are always answered, queries after it never are.
 TEST(ServeIngestProtocol, FailFastStreamIsDeterministicPrefixAcrossWindows) {
-  auto docs = corpus().documents;
-  auto pristine = corpus().pristine_documents;
-  inject::injection_config icfg;
-  icfg.seed = 17;
-  icfg.fraction = 0.05;
-  const auto report = inject::inject_faults(docs, pristine, icfg);
+  const auto [docs, pristine, report] = testing::inject_corpus();
   ASSERT_FALSE(report.faults.empty());
   const auto& fault = report.faults.front();
 
@@ -310,12 +253,7 @@ TEST(ServeIngestProtocol, FailFastStreamIsDeterministicPrefixAcrossWindows) {
 }
 
 TEST(ServeIngestProtocol, SkipPolicyDropsRejectDetail) {
-  auto docs = corpus().documents;
-  auto pristine = corpus().pristine_documents;
-  inject::injection_config icfg;
-  icfg.seed = 17;
-  icfg.fraction = 0.05;
-  const auto report = inject::inject_faults(docs, pristine, icfg);
+  const auto [docs, pristine, report] = testing::inject_corpus();
   ASSERT_FALSE(report.faults.empty());
 
   query_engine engine(testing::make_test_database(), {.threads = 1});
