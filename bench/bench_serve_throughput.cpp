@@ -1,11 +1,14 @@
-// avtk::serve throughput: queries/sec against the canonical pipeline
-// database, cold (every query computed) vs warm (every query served from
-// the memoized result cache), with p50/p99 per-query latency.
+// avtk::serve filtered cold queries: a cold indexed engine (snapshot-pinned
+// posting-list selections) against the test-only naive reference (copy the
+// filtered database, render), with p50/p99 per-query latency and a
+// byte-for-byte payload cross-check on every query.
 //
-// Unlike the per-figure benches this one emits a custom perf record —
-// BENCH_serve_throughput.json under AVTK_BENCH_JSON_DIR — because the
-// interesting numbers are the serve-specific cold/warm split, not the
-// pipeline stage timings.
+// The end-to-end wire path, warm hits and live ingest are perfbench's
+// (perfbench/README.md); this split is the one it does not measure. The
+// record — BENCH_serve_throughput.json under AVTK_BENCH_JSON_DIR — carries
+// `serve.filtered`, which .github/workflows/check_query_index.py gates.
+//
+// Run: AVTK_BENCH_JSON_DIR=DIR ./build/bench/bench_serve_throughput
 #include "bench/common.h"
 
 #include <cstdint>
@@ -19,7 +22,6 @@
 #include "obs/json.h"
 #include "obs/latency.h"
 #include "serve/engine.h"
-#include "serve/protocol.h"
 #include "serve_reference.h"
 
 namespace {
@@ -28,27 +30,6 @@ using avtk::serve::engine_config;
 using avtk::serve::query;
 using avtk::serve::query_engine;
 using avtk::serve::query_kind;
-
-// Every query kind, bare and per-manufacturer: the mix a scripted client
-// exploring the Stage-IV analyses would issue.
-std::vector<query> build_workload() {
-  const auto& s = avtk::bench::state();
-  std::vector<query> workload;
-  const std::vector<query_kind> kinds = {
-      query_kind::metrics, query_kind::tags,  query_kind::categories, query_kind::modality,
-      query_kind::trend,   query_kind::fit,   query_kind::compare,
-  };
-  for (const auto kind : kinds) {
-    query q;
-    q.kind = kind;
-    workload.push_back(q);
-    for (const auto maker : s.analyzed()) {
-      q.maker = maker;
-      workload.push_back(q);
-    }
-  }
-  return workload;
-}
 
 // Filtered slicing mix for the reference-vs-indexed comparison: every
 // query here restricts at least one domain, so the naive reference
@@ -160,90 +141,23 @@ avtk::obs::json::value pass_json(const pass_stats& s) {
   });
 }
 
-void BM_ServeColdQuery(benchmark::State& state) {
-  // Cache capacity 1 with a >1-entry workload: every execute recomputes.
-  engine_config cfg;
-  cfg.threads = 1;
-  cfg.cache_capacity = 1;
-  cfg.cache_shards = 1;
-  query_engine engine(avtk::bench::state().db(), cfg);
-  query metrics, tags;
-  metrics.kind = query_kind::metrics;
-  tags.kind = query_kind::tags;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.execute(metrics).payload);
-    benchmark::DoNotOptimize(engine.execute(tags).payload);
-  }
-}
-BENCHMARK(BM_ServeColdQuery);
-
-void BM_ServeWarmQuery(benchmark::State& state) {
-  auto engine = make_engine();
-  query q;
-  q.kind = query_kind::metrics;
-  engine.execute(q);  // prime
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.execute(q).payload);
-  }
-}
-BENCHMARK(BM_ServeWarmQuery);
-
-void BM_ServeRequestLine(benchmark::State& state) {
-  auto engine = make_engine();
-  const std::string line = R"({"query": "compare", "id": "bench"})";
-  avtk::serve::handle_request_line(engine, line);  // prime
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(avtk::serve::handle_request_line(engine, line));
-  }
-}
-BENCHMARK(BM_ServeRequestLine);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   namespace json = avtk::obs::json;
 
-  std::cout << "==== serve throughput (cold vs warm) ====\n";
-  const auto workload = build_workload();
-
-  // Cold: fresh engine per pass so every query is a miss.
-  pass_stats cold;
-  constexpr int k_cold_passes = 3;
-  for (int pass = 0; pass < k_cold_passes; ++pass) {
-    auto engine = make_engine();
-    run_pass(engine, workload, cold);
-  }
-
-  // Warm: one engine, primed by the first pass, then measured repeats.
-  pass_stats warm;
-  constexpr int k_warm_passes = 20;
-  auto engine = make_engine();
-  {
-    pass_stats prime;
-    run_pass(engine, workload, prime);
-  }
-  for (int pass = 0; pass < k_warm_passes; ++pass) run_pass(engine, workload, warm);
-
-  const double warm_over_cold = cold.qps() > 0 ? warm.qps() / cold.qps() : 0;
-  std::cout << "workload: " << workload.size() << " distinct queries\n"
-            << "cold: " << cold.qps() << " q/s (p50 " << cold.percentile_ns(0.5) / 1000
-            << " us, p99 " << cold.percentile_ns(0.99) / 1000 << " us)\n"
-            << "warm: " << warm.qps() << " q/s (p50 " << warm.percentile_ns(0.5) / 1000
-            << " us, p99 " << warm.percentile_ns(0.99) / 1000 << " us)\n"
-            << "warm/cold: " << warm_over_cold << "x\n\n";
-
-  // Filtered cold split: the same filtered slicing mix through the naive
-  // reference (copy the filtered database, render) and a cold engine
-  // (snapshot-pinned index), a fresh engine per pass so every measured
-  // execute is a cache miss. One filtered query outside the workload
-  // primes each engine first: it triggers the once-per-epoch index build
-  // (amortized across every filtered query in steady state, not a
-  // per-query cost) without warming any workload cache entry.
+  // The same filtered slicing mix through the naive reference and a cold
+  // engine, a fresh engine per pass so every measured execute is a cache
+  // miss. One filtered query outside the workload primes each engine
+  // first: it triggers the once-per-epoch index build (amortized across
+  // every filtered query in steady state, not a per-query cost) without
+  // warming any workload cache entry.
   std::cout << "==== filtered cold queries (reference vs indexed) ====\n";
   const auto filtered_workload = build_filtered_workload();
   query prime;
   prime.kind = query_kind::metrics;
   prime.maker = avtk::bench::state().analyzed().front();
+  constexpr int k_cold_passes = 3;
   pass_stats filtered_reference, filtered_indexed;
   bool payloads_identical = true;
   for (int pass = 0; pass < k_cold_passes; ++pass) {
@@ -273,21 +187,11 @@ int main(int argc, char** argv) {
             << "indexed speedup: p50 " << speedup_p50 << "x, p99 " << speedup_p99 << "x\n"
             << "payloads identical: " << (payloads_identical ? "yes" : "NO") << "\n\n";
 
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-
   if (const char* dir = std::getenv("AVTK_BENCH_JSON_DIR"); dir != nullptr && *dir != '\0') {
     const json::value record(json::object{
         {"schema", json::value("avtk.bench.v1")},
         {"experiment", json::value("serve_throughput")},
         {"serve", json::value(json::object{
-                      {"workload_queries", json::value(workload.size())},
-                      {"threads", json::value(engine.threads())},
-                      {"cold", pass_json(cold)},
-                      {"warm", pass_json(warm)},
-                      {"warm_over_cold", json::value(warm_over_cold)},
                       {"filtered", json::value(json::object{
                                        {"workload_queries", json::value(filtered_workload.size())},
                                        {"reference", pass_json(filtered_reference)},

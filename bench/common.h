@@ -14,8 +14,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstdint>
 #include <iostream>
 #include <string>
 
@@ -25,28 +23,6 @@
 #include "dataset/generator.h"
 
 namespace avtk::bench {
-
-// Shared duty-cycle pacing constants for the ingest-under-load benches
-// (bench_serve_mixed) and the soak harness driver (bench_soak). One
-// definition, so the sharded and single-store legs of a bench — and the
-// soak's paced stream — are paced identically by construction.
-//
-// k_ingest_pace_multiplier corresponds to a ~0.66% duty cycle: each
-// ingest burst is followed by a gap of burst * 150, clamped to
-// [per-bench floor, cap]. The mixed bench tolerates a much larger cap
-// than the soak because its bursts are single documents, not rendered
-// monthly filings.
-inline constexpr double k_ingest_pace_multiplier = 150.0;
-inline constexpr std::int64_t k_mixed_pace_cap_ms = 20000;
-inline constexpr int k_soak_pace_cap_ms = 2000;
-
-/// The paced gap after a burst of `burst_ms`: burst * ratio clamped to
-/// [floor_ms, cap_ms].
-inline std::int64_t paced_gap_ms(double burst_ms, double ratio, std::int64_t floor_ms,
-                                 std::int64_t cap_ms) {
-  return std::clamp<std::int64_t>(static_cast<std::int64_t>(burst_ms * ratio), floor_ms,
-                                  cap_ms);
-}
 
 struct shared_state {
   dataset::generated_corpus corpus;

@@ -44,8 +44,7 @@ document_processor::document_processor(processor_config config)
 const nlp::keyword_voting_classifier& document_processor::classifier() const {
   std::call_once(classifier_once_, [this] {
     classifier_ = std::make_unique<nlp::keyword_voting_classifier>(
-        config_.dictionary ? *config_.dictionary : nlp::failure_dictionary::builtin(),
-        config_.labeling);
+        config_.dictionary ? *config_.dictionary : nlp::failure_dictionary::builtin());
   });
   return *classifier_;
 }

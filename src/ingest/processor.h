@@ -118,11 +118,11 @@ struct processor_config {
   /// Normalization rules for process() (scan() leaves normalization to the
   /// batch driver, which must apply it corpus-wide).
   parse::normalizer_config normalizer;
-  /// Stage-III dictionary/backend for process(); nullopt means the builtin
-  /// dictionary, built lazily on first use so scan-only users (the batch
-  /// driver, the inject probes) never pay for it.
+  /// Stage-III dictionary for process(), scored by the default automaton
+  /// classifier; nullopt means the builtin dictionary, built lazily on
+  /// first use so scan-only users (the batch driver, the inject probes)
+  /// never pay for it.
   std::optional<nlp::failure_dictionary> dictionary;
-  nlp::labeling_backend labeling = nlp::labeling_backend::automaton;
   /// When non-null, scans record ocr / parse (and, on containment,
   /// quarantine) spans here; process() adds a label span.
   obs::trace* trace = nullptr;

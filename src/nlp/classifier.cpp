@@ -21,12 +21,6 @@ std::string_view labeling_backend_name(labeling_backend backend) {
   return "automaton";
 }
 
-std::optional<labeling_backend> labeling_backend_from_name(std::string_view name) {
-  if (name == "naive") return labeling_backend::naive;
-  if (name == "automaton") return labeling_backend::automaton;
-  return std::nullopt;
-}
-
 keyword_voting_classifier::keyword_voting_classifier(failure_dictionary dictionary,
                                                      labeling_backend backend)
     : dictionary_(std::move(dictionary)),

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -38,9 +37,6 @@ enum class labeling_backend { naive, automaton };
 
 /// Stable spelling ("naive", "automaton").
 std::string_view labeling_backend_name(labeling_backend backend);
-
-/// Inverse of labeling_backend_name; nullopt for unknown spellings.
-std::optional<labeling_backend> labeling_backend_from_name(std::string_view name);
 
 /// The classifier's verdict for one description.
 struct classification {

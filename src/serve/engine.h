@@ -85,9 +85,10 @@ struct engine_config {
   /// and the processor shares the engine's trace.
   ingest::processor_config ingest;
   /// Snapshot-store shards (serve/store.h). K > 1 partitions records by
-  /// manufacturer so ingests for different makers commit in parallel.
-  /// Payloads are byte-identical at every K — the CI sharding gate
-  /// (check_sharded.py) compares K = 4 against K = 1.
+  /// manufacturer so ingests for different makers commit in parallel
+  /// (ShardedStore.CommitsOnDistinctShardsDoNotSerialize). Payloads are
+  /// byte-identical at every K: ShardedEquivalence.* compares K = 2, 4, 7
+  /// against K = 1, and CI's check_sharded.py does so over the smoke batch.
   std::size_t shards = 1;
 };
 

@@ -26,6 +26,12 @@ namespace json = obs::json;
 
 namespace {
 
+// Cap on the inter-document gap, so a pathological burst cannot stall the
+// stream.
+constexpr int k_pace_cap_ms = 2000;
+// Query client t draws its request lines from rng(k_query_seed + t).
+constexpr std::uint64_t k_query_seed = 7;
+
 // Feeds run_serve_loop one request line at a time, sleeping between lines
 // so the ingest stream holds the configured duty cycle: the gap after each
 // document is that document's own processing time (measured as the time
@@ -37,11 +43,10 @@ namespace {
 class paced_request_buf : public std::streambuf {
  public:
   paced_request_buf(const std::vector<soak_document>& documents, double duty_cycle, int floor_ms,
-                    int cap_ms, std::function<void(std::size_t)> between)
+                    std::function<void(std::size_t)> between)
       : documents_(documents),
         pace_ratio_(duty_cycle < 1.0 ? (1.0 - duty_cycle) / duty_cycle : 0.0),
         floor_ms_(floor_ms),
-        cap_ms_(cap_ms),
         between_(std::move(between)) {}
 
  protected:
@@ -56,7 +61,7 @@ class paced_request_buf : public std::streambuf {
     if (next_ > 0) {
       const double burst_ms = burst_.elapsed_seconds() * 1000.0;
       const auto gap_ms = std::clamp<std::int64_t>(
-          static_cast<std::int64_t>(burst_ms * pace_ratio_), floor_ms_, cap_ms_);
+          static_cast<std::int64_t>(burst_ms * pace_ratio_), floor_ms_, k_pace_cap_ms);
       std::this_thread::sleep_for(std::chrono::milliseconds(gap_ms));
     }
     if (between_) between_(next_);
@@ -72,7 +77,6 @@ class paced_request_buf : public std::streambuf {
   const std::vector<soak_document>& documents_;
   const double pace_ratio_;
   const int floor_ms_;
-  const int cap_ms_;
   std::function<void(std::size_t)> between_;
   std::size_t next_ = 0;
   bool eof_sampled_ = false;
@@ -140,7 +144,7 @@ soak_pass_stats run_pass(bool ingest_on, const soak_workload& workload,
   if (ingest_on) {
     ingester = std::thread([&] {
       paced_request_buf buf(workload.documents, options.duty_cycle, options.pace_floor_ms,
-                            options.pace_cap_ms, [&](std::size_t) {
+                            [&](std::size_t) {
                               epoch_samples.push_back(engine.epoch());
                               if (engine.shards() > 1) {
                                 epoch_vector_samples.push_back(engine.epochs());
@@ -148,7 +152,6 @@ soak_pass_stats run_pass(bool ingest_on, const soak_workload& workload,
                             });
       std::istream in(&buf);
       serve::serve_loop_options loop_options;
-      loop_options.max_in_flight = options.max_in_flight;
       loop_options.on_ingest_error = ingest::error_policy::quarantine;
       loop_stats = serve::run_serve_loop(engine, in, responses, loop_options);
       stream_done.store(true, std::memory_order_relaxed);
@@ -162,7 +165,7 @@ soak_pass_stats run_pass(bool ingest_on, const soak_workload& workload,
     clients.emplace_back([&, t] {
       auto& mine = per_thread[t];
       mine.latency_ns.reserve(static_cast<std::size_t>(options.queries_per_thread));
-      rng gen(options.query_seed + t);
+      rng gen(k_query_seed + t);
       for (int i = 0;
            i < options.queries_per_thread || !stream_done.load(std::memory_order_relaxed); ++i) {
         const auto& line = query_lines[static_cast<std::size_t>(

@@ -15,9 +15,8 @@
 // The ingest session is duty-cycle paced: after each document the stream
 // sleeps for the document's own processing time scaled by
 // (1 - duty_cycle) / duty_cycle, so the stream holds roughly the
-// configured CPU duty cycle on any machine (the same reasoning as
-// bench_serve_mixed: an unpaced stream on a small runner measures
-// scheduler preemption, not store behavior).
+// configured CPU duty cycle on any machine: an unpaced stream on a small
+// runner would measure scheduler preemption, not store behavior.
 //
 // What the report asserts, exactly:
 //
@@ -63,15 +62,8 @@ struct soak_options {
   double duty_cycle = 0.05;
   /// Floor on the inter-document gap (a zero-burst document still yields).
   int pace_floor_ms = 2;
-  /// Cap on the inter-document gap (a pathological burst cannot stall the
-  /// stream). Benches override this from bench/common.h's shared pacing
-  /// constants; the default matches the historical hard-coded cap.
-  int pace_cap_ms = 2000;
   unsigned engine_threads = 2;
   std::size_t cache_capacity = 1024;
-  std::uint64_t query_seed = 7;
-  /// Pipelining window for the ingest session's serve loop (0 = default).
-  std::size_t max_in_flight = 0;
   /// Snapshot-store shards for both passes' engines (serve/store.h).
   std::size_t shards = 1;
 };

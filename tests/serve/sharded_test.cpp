@@ -12,6 +12,8 @@
 //    always sum to the reported epoch;
 //  * sharded cache keys isolate makers: a maker-B entry survives a maker-A
 //    ingest (and is correctly evicted under the single-store layout);
+//  * a commit on one shard never waits for another shard's writer, and
+//    clones only its own shard's slice;
 //  * commits for different makers race safely, and each concurrent
 //    ingest reports the epoch its own commit published — the Sharded*
 //    stress tests join the CI TSan leg next to SnapshotStress
@@ -19,8 +21,11 @@
 #include <gtest/gtest.h>
 
 #include <barrier>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
+#include <latch>
 #include <set>
 #include <string>
 #include <thread>
@@ -270,6 +275,65 @@ TEST(ShardedCache, SameShardIngestStillEvicts) {
                                                           nlp::fault_tag::planner));
   const auto after = engine.execute(warm);
   EXPECT_FALSE(after.cache_hit) << "same-shard ingest must evict its dependents";
+}
+
+// --- parallel commits: distinct shards never serialize ---
+
+// A commit on shard A whose mutation blocks must not stop a commit on
+// shard B from another thread. Under K = 1 both makers share the one
+// writer mutex, so the same probe must find B still waiting, which proves
+// the probe probes. No timing ratio: the bounded waits only keep a failure
+// from hanging the suite.
+TEST(ShardedStore, CommitsOnDistinctShardsDoNotSerialize) {
+  const auto maker_a = manufacturer::waymo;   // shard 3 under K = 4
+  const auto maker_b = manufacturer::delphi;  // shard 2 under K = 4
+  for (const std::size_t shards : {4, 1}) {
+    SCOPED_TRACE("K=" + std::to_string(shards));
+    sharded_store store(testing::make_test_database(), shards);
+    const auto sa = store.shard_for(maker_a);
+    const auto sb = store.shard_for(maker_b);
+    ASSERT_EQ(sa == sb, shards == 1);
+    std::latch a_entered(1);
+    std::latch release_a(1);
+    std::thread holder([&] {
+      store.commit(sa, [&](dataset::failure_database& db) {
+        a_entered.count_down();
+        release_a.wait();
+        db.add_mileage(testing::make_mileage(maker_a, 2017, 2, 1.0));
+      });
+    });
+    a_entered.wait();
+    auto b_commit = std::async(std::launch::async, [&] {
+      return store.commit(sb, [&](dataset::failure_database& db) {
+        db.add_mileage(testing::make_mileage(maker_b, 2017, 2, 1.0));
+      });
+    });
+
+    if (shards > 1) {
+      const bool returned =
+          b_commit.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+      EXPECT_TRUE(returned) << "a commit on shard B waited for shard A's writer";
+      if (returned) {
+        EXPECT_EQ(store.epochs()[sb], 1u) << "shard B did not publish while A was held";
+        EXPECT_EQ(store.epochs()[sa], 0u);
+        // The copy-on-write commit cloned shard B's slice only.
+        const auto pinned = store.pin_shard(sb);
+        const auto& db = pinned->db();
+        for (const auto& r : db.disengagements()) EXPECT_EQ(shard_of(r.maker, shards), sb);
+        for (const auto& r : db.mileage()) EXPECT_EQ(shard_of(r.maker, shards), sb);
+        for (const auto& r : db.accidents()) EXPECT_EQ(shard_of(r.maker, shards), sb);
+        EXPECT_LT(db.mileage().size(), testing::make_test_database().mileage().size());
+      }
+    } else {
+      EXPECT_EQ(b_commit.wait_for(std::chrono::milliseconds(200)),
+                std::future_status::timeout)
+          << "the single writer mutex let a second commit through";
+    }
+    release_a.count_down();
+    holder.join();
+    EXPECT_EQ(b_commit.get()->epoch(), shards > 1 ? 1u : 2u);
+    EXPECT_EQ(store.epoch(), 2u);
+  }
 }
 
 // --- concurrency: per-maker commits race on different shards ---

@@ -10,7 +10,8 @@
 //  * superseded epochs are reclaimed exactly when the last pinned reader
 //    drops (leak-checked under the ASan CI leg);
 //  * epoch and version stay monotone and mutually consistent under
-//    concurrent commits, ingests and queries — the stress test doubles as
+//    concurrent commits, ingests and queries, at K = 1 and K = 4 shards
+//    (per-shard epochs at K = 4) — the stress test doubles as
 //    the CI TSan leg's workhorse (AVTK_SNAPSHOT_STRESS cranks the load).
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -262,27 +264,26 @@ TEST(SnapshotSemantics, AcceptedIngestIsOneEpoch) {
   FAIL() << "corpus has no clean multi-record document";
 }
 
+struct stress_sample {
+  std::uint64_t epoch;
+  std::vector<std::uint64_t> epochs;
+  dataset::database_version version;
+};
+
 // The mixed-workload stress: N ingest threads × M query threads against
-// one engine. Invariants checked on every response: payload present, the
-// (epoch -> version vector) mapping is a function, each thread observes
-// monotone epochs, and versions are monotone in epoch. This is the test
-// the CI TSan leg hammers with AVTK_SNAPSHOT_STRESS > 1.
-TEST(SnapshotStress, ConcurrentIngestAndQueries) {
+// `engine`. Every response must carry a payload; returns each query
+// thread's (epoch, per-shard epochs, version) samples in issue order.
+std::vector<std::vector<stress_sample>> run_ingest_query_mix(query_engine& engine) {
   const int mult = stress_multiplier();
   const int query_threads = 3;
   const int ingest_threads = 2;
   const int queries_per_thread = 40 * mult;
   const int documents_per_thread = 6 * mult;
 
-  query_engine engine(testing::make_test_database(), {.threads = 2});
   const std::vector<query_kind> kinds = {query_kind::metrics, query_kind::tags,
                                          query_kind::trend, query_kind::compare};
 
-  struct sample {
-    std::uint64_t epoch;
-    dataset::database_version version;
-  };
-  std::vector<std::vector<sample>> samples(static_cast<std::size_t>(query_threads));
+  std::vector<std::vector<stress_sample>> samples(static_cast<std::size_t>(query_threads));
   std::atomic<int> failures{0};
 
   std::vector<std::thread> threads;
@@ -294,7 +295,7 @@ TEST(SnapshotStress, ConcurrentIngestAndQueries) {
         q.kind = kinds[static_cast<std::size_t>(t + i) % kinds.size()];
         const auto r = engine.execute(q);
         if (r.payload == nullptr || r.payload->empty()) ++failures;
-        mine.push_back({r.epoch, r.version});
+        mine.push_back({r.epoch, r.epochs, r.version});
       }
     });
   }
@@ -312,10 +313,13 @@ TEST(SnapshotStress, ConcurrentIngestAndQueries) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+  return samples;
+}
 
-  // One epoch, one version vector: the mapping must be a function, and
-  // monotone — and each thread must have seen epochs in non-decreasing
-  // order (its pins are sequenced).
+// K = 1. One epoch, one version vector: the mapping must be a function, and
+// monotone — and each thread must have seen epochs in non-decreasing
+// order (its pins are sequenced).
+void expect_epochs_consistent(const std::vector<std::vector<stress_sample>>& samples) {
   std::map<std::uint64_t, dataset::database_version> by_epoch;
   for (const auto& thread_samples : samples) {
     std::uint64_t last_epoch = 0;
@@ -337,14 +341,56 @@ TEST(SnapshotStress, ConcurrentIngestAndQueries) {
     }
     prev = &version;
   }
+}
 
-  // Final state is consistent: a cold/warm pair agrees byte-for-byte.
-  query q;
-  q.kind = query_kind::metrics;
-  const auto a = engine.execute(q);
-  const auto b = engine.execute(q);
-  EXPECT_EQ(*a.payload, *b.payload);
-  EXPECT_EQ(b.version, engine.version());
+// K > 1. The epoch is a sum, so two different cuts can share it: key on the
+// per-shard epochs instead. (epochs -> version) must be a function, and each
+// thread must see every shard's epoch and every version component
+// non-decreasing.
+void expect_shard_cuts_consistent(const std::vector<std::vector<stress_sample>>& samples,
+                                  std::size_t shards) {
+  std::map<std::vector<std::uint64_t>, dataset::database_version> by_cut;
+  for (const auto& thread_samples : samples) {
+    const stress_sample* last = nullptr;
+    for (const auto& s : thread_samples) {
+      ASSERT_EQ(s.epochs.size(), shards);
+      const auto [it, inserted] = by_cut.emplace(s.epochs, s.version);
+      ASSERT_EQ(it->second, s.version)
+          << "two responses at one per-shard cut reported different versions";
+      (void)inserted;
+      if (last != nullptr) {
+        for (std::size_t i = 0; i < shards; ++i) {
+          ASSERT_GE(s.epochs[i], last->epochs[i]) << "thread observed a past epoch on shard " << i;
+        }
+        ASSERT_GE(s.version.disengagements, last->version.disengagements);
+        ASSERT_GE(s.version.mileage, last->version.mileage);
+        ASSERT_GE(s.version.accidents, last->version.accidents);
+      }
+      last = &s;
+    }
+  }
+}
+
+// The CI TSan leg hammers this with AVTK_SNAPSHOT_STRESS > 1.
+TEST(SnapshotStress, ConcurrentIngestAndQueries) {
+  for (const std::size_t shards : {1, 4}) {
+    SCOPED_TRACE("K=" + std::to_string(shards));
+    query_engine engine(testing::make_test_database(), {.threads = 2, .shards = shards});
+    const auto samples = run_ingest_query_mix(engine);
+    if (shards == 1) {
+      expect_epochs_consistent(samples);
+    } else {
+      expect_shard_cuts_consistent(samples, shards);
+    }
+
+    // Final state is consistent: a cold/warm pair agrees byte-for-byte.
+    query q;
+    q.kind = query_kind::metrics;
+    const auto a = engine.execute(q);
+    const auto b = engine.execute(q);
+    EXPECT_EQ(*a.payload, *b.payload);
+    EXPECT_EQ(b.version, engine.version());
+  }
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 //       Render the raw DMV-style report corpus to text files.
 //   avtk run [--seed N] [--quality Q] [--csv DIR] [--figures DIR] [--full]
 //            [--parallel N] [--trace-json PATH] [--metrics-json PATH]
-//            [--labeling-backend naive|automaton]
 //            [--on-error POLICY] [--quarantine-json PATH] [--inject-* ...]
 //       Run the Stage I-IV pipeline; print headline claims (or the full
 //       report with --full); optionally export the consolidated database
@@ -88,15 +87,12 @@ int usage() {
       "  avtk generate --out DIR [--seed N] [--quality clean|good|fair|poor]\n"
       "  avtk run [--seed N] [--quality Q] [--csv DIR] [--figures DIR] [--full]\n"
       "           [--parallel [N]] [--trace-json PATH] [--metrics-json PATH]\n"
-      "           [--labeling-backend naive|automaton]\n"
       "           [--on-error fail_fast|skip|quarantine] [--quarantine-json PATH]\n"
       "           [--inject-seed N] [--inject-fraction F] [--inject-faults K,K,...]\n"
       "           [--inject-manifest PATH] [--drop-docs I,J,...]\n"
       "      --parallel without a value (or with 0) uses every hardware thread\n"
       "      for the per-document OCR + parse stage and the Stage-III labeling\n"
-      "      pass. --labeling-backend picks the Stage-III scorer (default\n"
-      "      automaton: one Aho-Corasick pass per description; naive keeps the\n"
-      "      original per-phrase scan — both produce identical output).\n"
+      "      pass.\n"
       "      --on-error picks the per-document fault policy; quarantine\n"
       "      surfaces refused documents in an avtk.quarantine.v1 report. The\n"
       "      --inject-* flags corrupt a seeded fraction of the corpus before\n"
@@ -343,7 +339,7 @@ int cmd_generate(arg_list args) {
     return 2;
   }
   const auto cfg = make_generator_config(args, "generate");
-  if (!cfg) return 2;
+  if (!cfg || !no_unknown_flag(args, "generate")) return 2;
   const auto corpus = dataset::generate_corpus(*cfg);
   const auto n = write_corpus(corpus, out_dir);
   std::printf("wrote %zu files under %s (seed %llu, %zu documents)\n", n, out_dir.c_str(),
@@ -358,16 +354,6 @@ int cmd_run(arg_list args) {
   const auto metrics_path = args.value_of("--metrics-json");
 
   core::pipeline_config pcfg;
-  const auto backend = args.value_of("--labeling-backend");
-  if (!backend.empty()) {
-    const auto parsed = nlp::labeling_backend_from_name(backend);
-    if (!parsed) {
-      std::fprintf(stderr, "run: unknown --labeling-backend '%s' (naive, automaton)\n",
-                   backend.c_str());
-      return 2;
-    }
-    pcfg.labeling = *parsed;
-  }
   const auto on_error = args.value_of("--on-error");
   if (!on_error.empty()) {
     const auto policy = core::error_policy_from_name(on_error);
@@ -383,6 +369,29 @@ int cmd_run(arg_list args) {
   bool inject_flags_ok = true;
   const auto [inject_cfg, inject_requested] = make_injection_config(args, "run", &inject_flags_ok);
   if (!inject_flags_ok) return 2;
+  std::optional<std::set<std::size_t>> drop;
+  if (const auto drop_spec = args.value_of("--drop-docs"); !drop_spec.empty()) {
+    drop = parse_index_list(drop_spec, "--drop-docs", "run");
+    if (!drop) return 2;
+  }
+  if (const auto parallel = args.value_if_present("--parallel")) {
+    // Bare --parallel (or an explicit 0) means "use every hardware thread".
+    unsigned n = 0;
+    if (!parallel->empty()) {
+      const auto parsed = cli::parse_uint(*parallel);
+      if (!parsed) {
+        std::fprintf(stderr, "run: --parallel expects an unsigned integer, got '%s'\n",
+                     parallel->c_str());
+        return 2;
+      }
+      n = *parsed;
+    }
+    pcfg.parallelism = n != 0 ? n : std::max(std::thread::hardware_concurrency(), 1u);
+  }
+  const bool full = args.has("--full");
+  const auto csv_dir = args.value_of("--csv");
+  const auto fig_dir = args.value_of("--figures");
+  if (!no_unknown_flag(args, "run")) return 2;
 
   std::printf("generating corpus (seed %llu) and running the pipeline...\n",
               static_cast<unsigned long long>(cfg->seed));
@@ -408,10 +417,7 @@ int cmd_run(arg_list args) {
   // pipeline sees them. This is the control arm of the chaos determinism
   // gate: a quarantine run that refuses set S must produce byte-identical
   // analysis output to a clean run that never had S.
-  const auto drop_spec = args.value_of("--drop-docs");
-  if (!drop_spec.empty()) {
-    const auto drop = parse_index_list(drop_spec, "--drop-docs", "run");
-    if (!drop) return 2;
+  if (drop) {
     std::vector<ocr::document> kept_docs;
     std::vector<ocr::document> kept_pristine;
     for (std::size_t i = 0; i < corpus.documents.size(); ++i) {
@@ -430,27 +436,13 @@ int cmd_run(arg_list args) {
   // The trace epoch starts after corpus generation so `total_ns` is the
   // end-to-end pipeline + analysis wall-clock, not the data synthesis.
   obs::trace trace;
-  if (const auto parallel = args.value_if_present("--parallel")) {
-    // Bare --parallel (or an explicit 0) means "use every hardware thread".
-    unsigned n = 0;
-    if (!parallel->empty()) {
-      const auto parsed = cli::parse_uint(*parallel);
-      if (!parsed) {
-        std::fprintf(stderr, "run: --parallel expects an unsigned integer, got '%s'\n",
-                     parallel->c_str());
-        return 2;
-      }
-      n = *parsed;
-    }
-    pcfg.parallelism = n != 0 ? n : std::max(std::thread::hardware_concurrency(), 1u);
-  }
   if (!trace_path.empty()) pcfg.trace = &trace;
   const auto result = core::run_pipeline(corpus.documents, corpus.pristine_documents, pcfg);
 
   // Stage IV analysis/rendering shares the pipeline's trace timeline.
   obs::scoped_span analysis_span(pcfg.trace, "analysis");
   std::string rendered;
-  if (args.has("--full")) {
+  if (full) {
     rendered += core::render_full_report(result.database, result.stats.analyzed);
     rendered += "\n" + core::render_reliability_metrics(result.database) + "\n";
     rendered += core::render_context_breakdown(result.database);
@@ -496,7 +488,6 @@ int cmd_run(arg_list args) {
     std::printf("metric snapshot written to %s\n", metrics_path.c_str());
   }
 
-  const auto csv_dir = args.value_of("--csv");
   if (!csv_dir.empty()) {
     namespace fs = std::filesystem;
     fs::create_directories(csv_dir);
@@ -511,7 +502,6 @@ int cmd_run(arg_list args) {
     std::printf("\nCSV database written under %s\n", csv_dir.c_str());
   }
 
-  const auto fig_dir = args.value_of("--figures");
   if (!fig_dir.empty()) {
     const auto bundle =
         core::export_all_figures(result.database, result.stats.analyzed);
@@ -532,6 +522,7 @@ int cmd_inject(arg_list args) {
   (void)inject_requested;  // inject always injects; the flags just tune it
   const auto out_dir = args.value_of("--out");
   const auto manifest_path = args.value_of("--manifest");
+  if (!no_unknown_flag(args, "inject")) return 2;
 
   std::printf("generating corpus (seed %llu) and injecting faults (inject seed %llu, fraction %g)...\n",
               static_cast<unsigned long long>(cfg->seed),
@@ -576,6 +567,7 @@ int cmd_simulate(arg_list args) {
   cfg.vehicle.driverless = args.has("--driverless");
   cfg.miles_per_vehicle_month = 1200;
   const auto trace_path = args.value_of("--trace-json");
+  if (!no_unknown_flag(args, "simulate")) return 2;
   obs::trace trace;
   if (!trace_path.empty()) cfg.trace = &trace;
 
