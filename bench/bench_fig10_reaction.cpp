@@ -29,7 +29,7 @@ std::string render_distribution_tests() {
   std::vector<std::vector<double>> groups;
   std::vector<avtk::dataset::manufacturer> group_makers;
   for (const auto maker : s.analyzed()) {
-    auto rts = s.db().reaction_times(maker);
+    auto rts = avtk::dataset::database_view(s.db()).reaction_times(maker);
     std::erase_if(rts, [](double t) { return !(t > 0) || t > 300.0; });
     if (rts.size() >= 30) {
       groups.push_back(std::move(rts));

@@ -9,8 +9,8 @@
 namespace {
 
 void BM_WeibullMle(benchmark::State& state) {
-  const auto rts =
-      avtk::bench::state().db().reaction_times(avtk::dataset::manufacturer::mercedes_benz);
+  const auto rts = avtk::dataset::database_view(avtk::bench::state().db())
+                       .reaction_times(avtk::dataset::manufacturer::mercedes_benz);
   std::vector<double> xs;
   for (double t : rts) {
     if (t > 0 && t < 300) xs.push_back(t);
@@ -22,8 +22,8 @@ void BM_WeibullMle(benchmark::State& state) {
 BENCHMARK(BM_WeibullMle);
 
 void BM_ExpWeibullMle(benchmark::State& state) {
-  const auto rts =
-      avtk::bench::state().db().reaction_times(avtk::dataset::manufacturer::mercedes_benz);
+  const auto rts = avtk::dataset::database_view(avtk::bench::state().db())
+                       .reaction_times(avtk::dataset::manufacturer::mercedes_benz);
   std::vector<double> xs;
   for (double t : rts) {
     if (t > 0 && t < 300) xs.push_back(t);

@@ -1,11 +1,12 @@
-// Stage-III labeling throughput: the naive per-phrase scanner vs the
-// Aho-Corasick automaton backend over the canonical pipeline's real
-// disengagement descriptions — descriptions/sec, ns/description, and the
+// Stage-III labeling throughput: the test-only naive per-phrase reference
+// scan (tests/nlp/nlp_reference.h) vs the production Aho-Corasick
+// classifier over the canonical pipeline's real disengagement
+// descriptions — descriptions/sec, ns/description, and the
 // automaton-over-naive speedup ratio.
 //
 // Like bench_serve_throughput this emits a custom perf record —
 // BENCH_nlp_classifier.json under AVTK_BENCH_JSON_DIR — because the
-// interesting numbers are the per-backend labeling rates, not the
+// interesting numbers are the per-scorer labeling rates, not the
 // pipeline stage timings.
 #include "bench/common.h"
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "nlp/classifier.h"
+#include "nlp_reference.h"
 #include "obs/clock.h"
 #include "obs/export.h"
 #include "obs/json.h"
@@ -22,7 +24,7 @@ namespace {
 
 using avtk::nlp::failure_dictionary;
 using avtk::nlp::keyword_voting_classifier;
-using avtk::nlp::labeling_backend;
+using avtk::nlp::testing::reference_classify;
 
 // The labeling workload: every disengagement description the canonical
 // pipeline run actually classified, in database order.
@@ -37,7 +39,7 @@ const std::vector<std::string_view>& workload() {
   return descriptions;
 }
 
-struct backend_stats {
+struct scorer_stats {
   std::size_t descriptions = 0;
   double total_seconds = 0;
 
@@ -49,14 +51,15 @@ struct backend_stats {
   }
 };
 
-backend_stats measure(labeling_backend backend, int passes) {
-  const keyword_voting_classifier cls(failure_dictionary::builtin(), backend);
-  backend_stats stats;
-  // Warm-up pass: page in the corpus and fill the per-thread token memo.
-  benchmark::DoNotOptimize(cls.classify_all(workload()));
+// Times `passes` labeling passes of `label_all` over the workload, after
+// one warm-up pass (pages in the corpus, fills the per-thread token memo).
+template <typename LabelAll>
+scorer_stats measure(LabelAll label_all, int passes) {
+  scorer_stats stats;
+  benchmark::DoNotOptimize(label_all());
   for (int pass = 0; pass < passes; ++pass) {
     const avtk::obs::stopwatch watch;
-    const auto verdicts = cls.classify_all(workload());
+    const auto verdicts = label_all();
     stats.total_seconds += watch.elapsed_seconds();
     stats.descriptions += verdicts.size();
     benchmark::DoNotOptimize(verdicts.data());
@@ -64,7 +67,14 @@ backend_stats measure(labeling_backend backend, int passes) {
   return stats;
 }
 
-avtk::obs::json::value backend_json(const backend_stats& s) {
+std::vector<avtk::nlp::classification> reference_all(const failure_dictionary& dict) {
+  std::vector<avtk::nlp::classification> out;
+  out.reserve(workload().size());
+  for (const auto text : workload()) out.push_back(reference_classify(dict, text));
+  return out;
+}
+
+avtk::obs::json::value scorer_json(const scorer_stats& s) {
   namespace json = avtk::obs::json;
   return json::value(json::object{
       {"descriptions", json::value(s.descriptions)},
@@ -75,17 +85,16 @@ avtk::obs::json::value backend_json(const backend_stats& s) {
 }
 
 void BM_ClassifyNaive(benchmark::State& state) {
-  const keyword_voting_classifier cls(failure_dictionary::builtin(), labeling_backend::naive);
+  const auto dict = failure_dictionary::builtin();
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cls.classify(workload()[i++ % workload().size()]).score);
+    benchmark::DoNotOptimize(reference_classify(dict, workload()[i++ % workload().size()]).score);
   }
 }
 BENCHMARK(BM_ClassifyNaive);
 
 void BM_ClassifyAutomaton(benchmark::State& state) {
-  const keyword_voting_classifier cls(failure_dictionary::builtin(),
-                                      labeling_backend::automaton);
+  const keyword_voting_classifier cls(failure_dictionary::builtin());
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cls.classify(workload()[i++ % workload().size()]).score);
@@ -98,7 +107,7 @@ void BM_AutomatonBuild(benchmark::State& state) {
   // automaton must stay cheap enough to rebuild per run.
   for (auto _ : state) {
     const keyword_voting_classifier cls(failure_dictionary::builtin());
-    benchmark::DoNotOptimize(cls.backend());
+    benchmark::DoNotOptimize(&cls);
   }
 }
 BENCHMARK(BM_AutomatonBuild);
@@ -110,8 +119,10 @@ int main(int argc, char** argv) {
 
   std::cout << "==== nlp classifier throughput (naive vs automaton) ====\n";
   constexpr int k_passes = 5;
-  const auto naive = measure(labeling_backend::naive, k_passes);
-  const auto automaton = measure(labeling_backend::automaton, k_passes);
+  const auto dict = failure_dictionary::builtin();
+  const keyword_voting_classifier cls(dict);
+  const auto naive = measure([&] { return reference_all(dict); }, k_passes);
+  const auto automaton = measure([&] { return cls.classify_all(workload()); }, k_passes);
   const double speedup =
       naive.per_second() > 0 ? automaton.per_second() / naive.per_second() : 0;
 
@@ -135,8 +146,8 @@ int main(int argc, char** argv) {
         {"labeling", json::value(json::object{
                          {"workload_descriptions", json::value(workload().size())},
                          {"passes", json::value(static_cast<std::size_t>(k_passes))},
-                         {"naive", backend_json(naive)},
-                         {"automaton", backend_json(automaton)},
+                         {"naive", scorer_json(naive)},
+                         {"automaton", scorer_json(automaton)},
                          {"automaton_over_naive", json::value(speedup)},
                      })},
         {"metrics", avtk::obs::snapshot_to_json_value(avtk::obs::metrics().snapshot())},

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
               metrics.median_dpm ? format_number(*metrics.median_dpm, 3).c_str() : "-");
 
   std::map<std::int64_t, std::pair<double, long long>> monthly;
-  for (const auto& vm : result.database.vehicle_months()) {
+  for (const auto& vm : dataset::database_view(result.database).vehicle_months()) {
     auto& cell = monthly[vm.month.index()];
     cell.first += vm.miles;
     cell.second += vm.disengagements;

@@ -24,7 +24,7 @@ int main() {
   std::puts("Building the corpus and running the pipeline...");
   const auto corpus = dataset::generate_corpus({});
   const auto run = core::run_pipeline(corpus.documents, corpus.pristine_documents);
-  const auto& db = run.database;
+  const dataset::database_view db(run.database);
 
   // Accident-rate intervals: is each maker's rate distinguishable from the
   // human baseline of 2e-6 accidents per mile? (Paper: Waymo and GM Cruise

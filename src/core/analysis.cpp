@@ -42,11 +42,11 @@ q2_answer answer_q2(const dataset::database_view& db,
   long long perception = 0;
   long long planner = 0;
   long long system = 0;
-  for (const auto* d : db.query_disengagements([](const auto&) { return true; })) {
+  for (const auto& d : db.disengagements()) {
     ++total;
-    switch (d->category) {
+    switch (d.category) {
       case nlp::failure_category::ml_design:
-        if (nlp::ml_subcategory_of(d->tag) == nlp::ml_subcategory::perception_recognition) {
+        if (nlp::ml_subcategory_of(d.tag) == nlp::ml_subcategory::perception_recognition) {
           ++perception;
         } else {
           ++planner;

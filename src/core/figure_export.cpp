@@ -169,7 +169,7 @@ export_bundle export_fig11(const dataset::failure_database& db,
   std::vector<std::string> plots;
   for (const auto& f : build_fig11(db, makers)) {
     // Histogram of the empirical data plus the fitted exp-Weibull pdf.
-    auto rts = db.reaction_times(f.maker);
+    auto rts = dataset::database_view(db).reaction_times(f.maker);
     std::erase_if(rts, [](double t) { return !(t > 0) || t > 300.0; });
     if (rts.size() < 30) continue;
     std::string dat = "# reaction_time_s\n";

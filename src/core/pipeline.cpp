@@ -184,13 +184,13 @@ pipeline_result run_pipeline(const std::vector<ocr::document>& documents,
   ingest_span.close();
 
   // Stage III: NLP labeling, split into matcher construction (dictionary
-  // interning + automaton compile under the automaton backend) and the
-  // labeling pass proper, so `stage_timings` shows where label time goes.
+  // interning + automaton compile) and the labeling pass proper, so
+  // `stage_timings` shows where label time goes.
   obs::scoped_span classify_span(config.trace, "classify", pipeline_span.id());
   const obs::stopwatch classify_watch;
   obs::scoped_span build_span(config.trace, "classify.build", classify_span.id());
   const obs::stopwatch build_watch;
-  const nlp::keyword_voting_classifier classifier(config.dictionary, config.labeling);
+  const nlp::keyword_voting_classifier classifier(config.dictionary);
   const double classify_build_seconds = build_watch.elapsed_seconds();
   build_span.close();
   obs::scoped_span label_span(config.trace, "classify.label", classify_span.id());

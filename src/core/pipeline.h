@@ -2,7 +2,13 @@
 //
 // The end-to-end pipeline of Fig. 1: Stage I (documents in), Stage II
 // (OCR -> parse -> filter -> normalize), Stage III (NLP labeling), Stage IV
-// (the consolidated failure database handed to the statistical analyses).
+// (the consolidated failure database handed to the statistical analyses,
+// which read it through dataset::database_view).
+//
+// Stage III has one implementation: the Aho-Corasick keyword-voting
+// classifier (nlp/classifier.h). The naive per-phrase scan it must match
+// bit for bit is a test reference (tests/nlp/nlp_reference.h), not a
+// pipeline option.
 //
 // Fault containment: real DMV reports are messy (scanned, manufacturer-
 // specific, OCR-degraded), so a per-document failure need not abort the
@@ -75,11 +81,6 @@ struct pipeline_config {
   parse::normalizer_config normalizer;
   parse::filter_config filter;
   nlp::failure_dictionary dictionary = nlp::failure_dictionary::builtin();
-  /// Stage-III scorer backend. Both backends produce bit-identical
-  /// classifications (CI gates on byte-identical pipeline output); `naive`
-  /// keeps the original per-phrase scan for differential testing and
-  /// benchmarking against the Aho-Corasick default.
-  nlp::labeling_backend labeling = nlp::labeling_backend::automaton;
   /// When non-null, the pipeline records hierarchical stage spans here
   /// (pipeline → scan → per-document ocr/parse, then merge / normalize /
   /// ingest / classify / analysis; classify carries `classify.build` and

@@ -1,10 +1,5 @@
 #include "dataset/database.h"
 
-#include <algorithm>
-#include <set>
-
-#include "dataset/view.h"
-
 namespace avtk::dataset {
 
 std::string database_version::to_string() const {
@@ -61,111 +56,6 @@ void failure_database::add_accident(accident_record rec, std::uint64_t id) {
   owned(accidents_).push_back(std::move(rec));
   owned(accident_ids_).push_back(id);
   ++version_.accidents;
-}
-
-std::vector<const disengagement_record*> failure_database::query_disengagements(
-    const std::function<bool(const disengagement_record&)>& pred) const {
-  std::vector<const disengagement_record*> out;
-  for (const auto& d : *disengagements_) {
-    if (pred(d)) out.push_back(&d);
-  }
-  return out;
-}
-
-std::vector<const disengagement_record*> failure_database::disengagements_of(
-    manufacturer maker) const {
-  return query_disengagements([maker](const disengagement_record& d) { return d.maker == maker; });
-}
-
-std::vector<const accident_record*> failure_database::accidents_of(manufacturer maker) const {
-  std::vector<const accident_record*> out;
-  for (const auto& a : *accidents_) {
-    if (a.maker == maker) out.push_back(&a);
-  }
-  return out;
-}
-
-std::vector<manufacturer> failure_database::manufacturers_present() const {
-  std::set<manufacturer> seen;
-  for (const auto& d : *disengagements_) seen.insert(d.maker);
-  for (const auto& m : *mileage_) seen.insert(m.maker);
-  return {seen.begin(), seen.end()};
-}
-
-double failure_database::total_miles() const {
-  double t = 0;
-  for (const auto& m : *mileage_) t += m.miles;
-  return t;
-}
-
-double failure_database::total_miles(manufacturer maker) const {
-  double t = 0;
-  for (const auto& m : *mileage_) {
-    if (m.maker == maker) t += m.miles;
-  }
-  return t;
-}
-
-long long failure_database::total_disengagements() const {
-  return static_cast<long long>(disengagements_->size());
-}
-
-long long failure_database::total_disengagements(manufacturer maker) const {
-  long long t = 0;
-  for (const auto& d : *disengagements_) {
-    if (d.maker == maker) ++t;
-  }
-  return t;
-}
-
-long long failure_database::total_accidents() const {
-  return static_cast<long long>(accidents_->size());
-}
-
-long long failure_database::total_accidents(manufacturer maker) const {
-  long long t = 0;
-  for (const auto& a : *accidents_) {
-    if (a.maker == maker) ++t;
-  }
-  return t;
-}
-
-std::vector<vehicle_month> failure_database::vehicle_months() const {
-  // The attribution join lives in database_view (the filtered serve path
-  // runs it over selections); an unrestricted view reproduces the
-  // historical whole-database behavior exactly.
-  return database_view(*this).vehicle_months();
-}
-
-std::vector<failure_database::vehicle_total> failure_database::vehicle_totals() const {
-  return database_view(*this).vehicle_totals();
-}
-
-void failure_database::share_disengagements_from(const failure_database& other) {
-  disengagements_ = other.disengagements_;
-  disengagement_ids_ = other.disengagement_ids_;
-  version_.disengagements = other.version_.disengagements;
-}
-
-void failure_database::share_mileage_from(const failure_database& other) {
-  mileage_ = other.mileage_;
-  mileage_ids_ = other.mileage_ids_;
-  version_.mileage = other.version_.mileage;
-}
-
-void failure_database::share_accidents_from(const failure_database& other) {
-  accidents_ = other.accidents_;
-  accident_ids_ = other.accident_ids_;
-  version_.accidents = other.version_.accidents;
-}
-
-std::vector<double> failure_database::reaction_times(std::optional<manufacturer> maker) const {
-  std::vector<double> out;
-  for (const auto& d : *disengagements_) {
-    if (maker && d.maker != *maker) continue;
-    if (d.reaction_time_s) out.push_back(*d.reaction_time_s);
-  }
-  return out;
 }
 
 }  // namespace avtk::dataset

@@ -1,8 +1,12 @@
 // avtk/dataset/database.h
 //
 // The consolidated AV failure database (step 4 of Fig. 1): normalized
-// disengagements, mileage and accidents merged into one queryable store.
-// All Stage IV analyses read from this type.
+// disengagements, mileage and accidents merged into one store. This type
+// is storage and mutation only — appends, Stage III's in-place relabel,
+// record ids and version counters. Every derived read (totals, per-maker
+// scans, the vehicle-month join, reaction times) lives once, on
+// dataset::database_view (dataset/view.h), which every Stage IV analysis
+// reads through; `database_view(db)` is the whole-database view.
 //
 // Storage is copy-on-write per domain: each record array lives behind a
 // shared_ptr, so copying a database is three refcount bumps plus the
@@ -17,10 +21,8 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "dataset/records.h"
@@ -34,6 +36,15 @@ struct vehicle_month {
   year_month month;
   double miles = 0.0;
   long long disengagements = 0;
+};
+
+/// Per-vehicle total miles and disengagements (for per-car DPM).
+struct vehicle_total {
+  manufacturer maker = manufacturer::waymo;
+  std::string vehicle_id;
+  double miles = 0;
+  long long disengagements = 0;
+  double dpm() const { return miles > 0 ? static_cast<double>(disengagements) / miles : 0.0; }
 };
 
 /// Per-domain monotonic version counters, bumped on every ingest. Consumers
@@ -102,55 +113,6 @@ class failure_database {
   const std::vector<disengagement_record>& disengagements() const { return *disengagements_; }
   const std::vector<mileage_record>& mileage() const { return *mileage_; }
   const std::vector<accident_record>& accidents() const { return *accidents_; }
-
-  /// Disengagements matching a predicate.
-  std::vector<const disengagement_record*> query_disengagements(
-      const std::function<bool(const disengagement_record&)>& pred) const;
-
-  /// All disengagements / accidents of one manufacturer.
-  std::vector<const disengagement_record*> disengagements_of(manufacturer maker) const;
-  std::vector<const accident_record*> accidents_of(manufacturer maker) const;
-
-  /// Manufacturers present in the disengagement data.
-  std::vector<manufacturer> manufacturers_present() const;
-
-  /// Total autonomous miles (optionally for one manufacturer).
-  double total_miles() const;
-  double total_miles(manufacturer maker) const;
-
-  long long total_disengagements() const;
-  long long total_disengagements(manufacturer maker) const;
-  long long total_accidents() const;
-  long long total_accidents(manufacturer maker) const;
-
-  /// Joins mileage and disengagements into per-(vehicle, month) aggregates.
-  /// Disengagements without a resolvable month or vehicle are attributed
-  /// pro-rata at the manufacturer level (the paper's monthly aggregation
-  /// faces the same redaction problem); specifically, they are assigned to
-  /// the vehicle-months of that manufacturer in proportion to miles.
-  std::vector<vehicle_month> vehicle_months() const;
-
-  /// Per-vehicle total miles and disengagements (for per-car DPM).
-  struct vehicle_total {
-    manufacturer maker;
-    std::string vehicle_id;
-    double miles = 0;
-    long long disengagements = 0;
-    double dpm() const { return miles > 0 ? static_cast<double>(disengagements) / miles : 0.0; }
-  };
-  std::vector<vehicle_total> vehicle_totals() const;
-
-  /// Reaction-time samples (seconds) for one manufacturer / all.
-  std::vector<double> reaction_times(std::optional<manufacturer> maker = std::nullopt) const;
-
-  /// Structurally adopt one domain from `other`: the array is shared (a
-  /// refcount bump, no element copies) and the domain's version component
-  /// is taken along, so cache keys derived from the shared domain match.
-  /// serve's naive filter path uses these for domains a query leaves
-  /// unrestricted, instead of re-adding records one by one.
-  void share_disengagements_from(const failure_database& other);
-  void share_mileage_from(const failure_database& other);
-  void share_accidents_from(const failure_database& other);
 
  private:
   /// Clones `arr` iff it is shared (copy-on-write), returning a mutable

@@ -3,25 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <map>
-#include <set>
 #include <tuple>
 
 namespace avtk::dataset {
 
-std::vector<const disengagement_record*> database_view::query_disengagements(
-    const std::function<bool(const disengagement_record&)>& pred) const {
-  std::vector<const disengagement_record*> out;
-  for (const auto& d : disengagements()) {
-    if (pred(d)) out.push_back(&d);
-  }
-  return out;
-}
-
 std::vector<const disengagement_record*> database_view::disengagements_of(
     manufacturer maker) const {
-  // Direct loop, not query_disengagements: this is the per-maker scan every
-  // serve payload builder sits on, and the std::function indirection costs
-  // more than the comparison it wraps.
   std::vector<const disengagement_record*> out;
   out.reserve(disengagements().size());
   for (const auto& d : disengagements()) {
@@ -90,12 +77,9 @@ long long database_view::total_accidents(manufacturer maker) const {
   return t;
 }
 
-// Canonical home of the monthly attribution join. failure_database::
-// vehicle_months() delegates here through an unrestricted view, so the
-// algorithm stays single-sourced and the golden equivalence digests pin
-// both paths at once. See database.h for the attribution semantics
-// (equal-share within a known month, miles-proportional fallback,
-// fractional-remainder distribution with content-hash tie breaks).
+// The monthly attribution join (semantics in view.h): equal-share within a
+// known month, miles-proportional fallback, fractional-remainder
+// distribution with content-hash tie breaks.
 std::vector<vehicle_month> database_view::vehicle_months() const {
   // Key: (maker, vehicle, month index).
   std::map<std::tuple<manufacturer, std::string, std::int64_t>, vehicle_month> cells;
@@ -187,8 +171,8 @@ std::vector<vehicle_month> database_view::vehicle_months() const {
   return out;
 }
 
-std::vector<failure_database::vehicle_total> database_view::vehicle_totals() const {
-  std::map<std::pair<manufacturer, std::string>, failure_database::vehicle_total> totals;
+std::vector<vehicle_total> database_view::vehicle_totals() const {
+  std::map<std::pair<manufacturer, std::string>, vehicle_total> totals;
   for (const auto& vm : vehicle_months()) {
     auto& t = totals[{vm.maker, vm.vehicle_id}];
     t.maker = vm.maker;
@@ -196,7 +180,7 @@ std::vector<failure_database::vehicle_total> database_view::vehicle_totals() con
     t.miles += vm.miles;
     t.disengagements += vm.disengagements;
   }
-  std::vector<failure_database::vehicle_total> out;
+  std::vector<vehicle_total> out;
   out.reserve(totals.size());
   for (auto& [key, t] : totals) out.push_back(std::move(t));
   return out;

@@ -1,8 +1,12 @@
 // avtk/dataset/view.h
 //
 // Non-owning, optionally filtered read view over a failure_database — the
-// currency every Stage-IV builder (core/{metrics,tables,figures,context,
-// analysis,exposure}, reliability/events) computes from.
+// database's only read surface. Every derived read (totals, per-maker
+// scans, the vehicle-month join, per-vehicle totals, reaction times) is
+// implemented here once; failure_database itself holds storage and
+// mutation only. Every Stage-IV builder (core/{metrics,tables,figures,
+// context,analysis,exposure}, reliability/events), the Stage II filter and
+// the serve engine compute from a view.
 //
 // A view is a pointer to the database plus, per domain, an optional
 // *selection*: an ascending list of record indices. No selection means the
@@ -19,7 +23,8 @@
 //
 // `database_view` is implicitly constructible from `failure_database`, so
 // every builder taking a view accepts a plain database at zero cost (an
-// unrestricted view of all three domains).
+// unrestricted view of all three domains); a caller holding a database
+// reads an aggregate as `database_view(db).total_miles()`.
 //
 // A third, *composed* mode backs each domain with a list of record
 // pointers instead of one array: the sharded snapshot store concatenates
@@ -30,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -122,20 +126,16 @@ class database_view {
   /// caller merged them (the sharded store concatenates per-shard records
   /// back into ascending global-id — i.e. original corpus — order). There
   /// is no backing failure_database: the pointers may span several shard
-  /// databases, so base() must not be called on a composed view. Pointer
-  /// storage and the records it points into are borrowed; the caller keeps
-  /// both alive (serve holds the shard snapshot pins inside its merge
-  /// plan).
+  /// databases. Pointer storage and the records it points into are
+  /// borrowed; the caller keeps both alive (serve holds the shard snapshot
+  /// pins inside its merge plan).
   database_view(std::span<const disengagement_record* const> disengagements,
                 std::span<const mileage_record* const> mileage,
                 std::span<const accident_record* const> accidents)
       : dis_ptrs_(disengagements), mil_ptrs_(mileage), acc_ptrs_(accidents), composed_(true) {}
 
-  const failure_database& base() const { return *db_; }
   /// True when any domain carries a selection.
   bool restricted() const { return dis_.has_value() || mil_.has_value() || acc_.has_value(); }
-  /// True for a pointer-composed view (no single backing database).
-  bool composed() const { return composed_; }
 
   record_range<disengagement_record> disengagements() const {
     if (composed_) return record_range<disengagement_record>(dis_ptrs_);
@@ -153,15 +153,14 @@ class database_view {
                 : record_range<accident_record>(db_->accidents());
   }
 
-  // The read surface the Stage-IV builders consume — same names, same
-  // semantics, same iteration order as the failure_database originals
-  // (which delegate the aggregation-heavy ones here).
-  std::vector<const disengagement_record*> query_disengagements(
-      const std::function<bool(const disengagement_record&)>& pred) const;
+  /// All disengagements / accidents of one manufacturer, in corpus order.
   std::vector<const disengagement_record*> disengagements_of(manufacturer maker) const;
   std::vector<const accident_record*> accidents_of(manufacturer maker) const;
+  /// Manufacturers present in the disengagement or mileage data, in enum
+  /// order.
   std::vector<manufacturer> manufacturers_present() const;
 
+  /// Totals over the view (optionally for one manufacturer).
   double total_miles() const;
   double total_miles(manufacturer maker) const;
   long long total_disengagements() const;
@@ -169,8 +168,16 @@ class database_view {
   long long total_accidents() const;
   long long total_accidents(manufacturer maker) const;
 
+  /// Joins mileage and disengagements into per-(vehicle, month)
+  /// aggregates. Disengagements without a resolvable month or vehicle are
+  /// attributed pro-rata at the manufacturer level (the paper's monthly
+  /// aggregation faces the same redaction problem): equal shares among
+  /// the maker's vehicles active in the event's month, else in proportion
+  /// to miles over the maker's whole history.
   std::vector<vehicle_month> vehicle_months() const;
-  std::vector<failure_database::vehicle_total> vehicle_totals() const;
+  /// vehicle_months() summed per (maker, vehicle), for per-car DPM.
+  std::vector<vehicle_total> vehicle_totals() const;
+  /// Reaction-time samples (seconds) for one manufacturer / all.
   std::vector<double> reaction_times(std::optional<manufacturer> maker = std::nullopt) const;
 
  private:

@@ -54,7 +54,7 @@ class phrase_automaton {
   /// One pass over `stems` (interned ids; stem_interner::npos entries can
   /// never match and simply reset to the root). For every phrase occurrence
   /// ending anywhere in the stream, increments counts[global_phrase_id] —
-  /// overlapping occurrences all count, exactly like count_phrase_matches.
+  /// overlapping occurrences all count, as in a sliding-window scan.
   /// `counts` must hold phrase_count() zeroed entries.
   void count_matches(std::span<const std::uint32_t> stems,
                      std::span<std::size_t> counts) const;

@@ -4,28 +4,12 @@
 #include <thread>
 
 #include "obs/metrics.h"
-#include "nlp/stemmer.h"
-#include "nlp/stopwords.h"
-#include "nlp/tokenizer.h"
 #include "util/strings.h"
 
 namespace avtk::nlp {
 
-std::string_view labeling_backend_name(labeling_backend backend) {
-  switch (backend) {
-    case labeling_backend::naive:
-      return "naive";
-    case labeling_backend::automaton:
-      return "automaton";
-  }
-  return "automaton";
-}
-
-keyword_voting_classifier::keyword_voting_classifier(failure_dictionary dictionary,
-                                                     labeling_backend backend)
-    : dictionary_(std::move(dictionary)),
-      backend_(backend),
-      automaton_(dictionary_, interner_) {
+keyword_voting_classifier::keyword_voting_classifier(failure_dictionary dictionary)
+    : dictionary_(std::move(dictionary)), automaton_(dictionary_, interner_) {
   phrase_texts_.reserve(automaton_.phrase_count());
   for (const auto& block : automaton_.tag_blocks()) {
     for (const auto& phrase : dictionary_.phrases(block.tag)) {
@@ -34,81 +18,13 @@ keyword_voting_classifier::keyword_voting_classifier(failure_dictionary dictiona
   }
 }
 
-std::size_t count_phrase_matches(const std::vector<std::string>& stems,
-                                 const std::vector<std::string>& phrase) {
-  if (phrase.empty() || stems.empty() || phrase.size() > stems.size()) return 0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i + phrase.size() <= stems.size(); ++i) {
-    bool match = true;
-    for (std::size_t j = 0; j < phrase.size(); ++j) {
-      if (stems[i + j] != phrase[j]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) ++count;
-  }
-  return count;
-}
-
-namespace {
-
-// Stage III's shared preprocessing: tokenize, drop stop words and log
-// boilerplate, stem. (The automaton backend fuses this into
-// interned_stem_ids instead.)
-std::vector<std::string> description_stems(std::string_view description) {
-  auto words = tokenize_words(description);
-  words = remove_stopwords(words);
-  return stem_all(words);
-}
-
-// Winner = max score; tie broken by enum order for determinism (tags() and
-// tag_blocks() iterate the ordered dictionary map, and strict > keeps the
-// first maximum). Shared verbatim by both backends.
-classification finalize_scores(const tag_scores& scores) {
-  classification out;
-  fault_tag best = fault_tag::unknown;
-  double best_score = 0;
-  for (const auto& [tag, score] : scores) {
-    if (score > best_score) {
-      best = tag;
-      best_score = score;
-    }
-  }
-  double runner_up = 0;
-  for (const auto& [tag, score] : scores) {
-    if (tag != best) runner_up = std::max(runner_up, score);
-  }
-  out.tag = best;
-  out.category = category_of(best);
-  out.score = best_score;
-  out.runner_up = runner_up;
-  out.confidence = best_score > 0 ? (best_score - runner_up) / best_score : 0.0;
-  return out;
-}
-
-}  // namespace
-
-tag_scores keyword_voting_classifier::score_stems(const std::vector<std::string>& stems) const {
-  tag_scores scores;
-  for (const auto tag : dictionary_.tags()) {
-    double total = 0;
-    for (const auto& phrase : dictionary_.phrases(tag)) {
-      const auto hits = count_phrase_matches(stems, phrase.stems);
-      total += static_cast<double>(hits) * phrase.weight;
-    }
-    if (total > 0) scores[tag] = total;
-  }
-  return scores;
-}
-
 void keyword_voting_classifier::score_interned(std::string_view description, scratch& s) const {
   interned_stem_ids(description, interner_, s.stem_ids, s.tokens);
   s.counts.assign(automaton_.phrase_count(), 0);
   automaton_.count_matches(s.stem_ids, s.counts);
 
-  // Accumulate per tag in (tag, phrase index) order — the same float
-  // addition order as the naive scorer, so totals are bit-identical.
+  // Accumulate per tag in (tag, phrase index) order — the reference
+  // scorer's float addition order, so totals are bit-identical to it.
   const auto& phrases = automaton_.phrases();
   const auto& blocks = automaton_.tag_blocks();
   s.block_totals.assign(blocks.size(), 0.0);
@@ -128,30 +44,11 @@ classification keyword_voting_classifier::classify_with(std::string_view descrip
   static obs::counter& unknown = obs::metrics().get_counter("nlp.unknown_tags");
   classified.add();
 
-  if (backend_ == labeling_backend::naive) {
-    const auto stems = description_stems(description);
-    const auto scores = score_stems(stems);
-    if (scores.empty()) {
-      unknown.add();
-      return {};  // Unknown-T / Unknown-C defaults
-    }
-    auto out = finalize_scores(scores);
-    // Record which of the winner's phrases matched, for auditability (the
-    // paper's authors manually verified dictionary assignments). The stems
-    // computed for scoring are reused — the description is not re-tokenized.
-    for (const auto& phrase : dictionary_.phrases(out.tag)) {
-      if (count_phrase_matches(stems, phrase.stems) > 0) {
-        out.matched_phrases.push_back(str::join(phrase.stems, " "));
-      }
-    }
-    return out;
-  }
-
   score_interned(description, s);
-  // Flat-array replay of finalize_scores: tag_blocks iterate in the same
-  // ordered-map tag order the naive tag_scores map does, strict > keeps
-  // the first maximum, and non-positive totals can never win or place —
-  // exactly the naive selection rule, without a map allocation per call.
+  // Winner = max score; ties go to the first tag in enum order (tag_blocks
+  // iterate the ordered dictionary map and strict > keeps the first
+  // maximum). Non-positive totals can never win or place, so a description
+  // matching no phrase is Unknown-T / Unknown-C.
   const auto& blocks = automaton_.tag_blocks();
   fault_tag best = fault_tag::unknown;
   double best_score = 0;
@@ -194,9 +91,6 @@ classification keyword_voting_classifier::classify(std::string_view description)
 }
 
 tag_scores keyword_voting_classifier::score_all(std::string_view description) const {
-  if (backend_ == labeling_backend::naive) {
-    return score_stems(description_stems(description));
-  }
   thread_local scratch s;
   score_interned(description, s);
   tag_scores scores;

@@ -6,13 +6,13 @@
 // for its tag; the highest-scoring tag wins. Descriptions matching no
 // phrase are tagged "Unknown-T" and categorized "Unknown-C".
 //
-// Two scorer backends produce bit-identical classifications (tag, category,
-// score, runner_up, confidence, matched_phrases — tested differentially):
-//
-//   naive      the original per-phrase sliding-window scan,
-//              O(stems x phrases x phrase_len) per description.
-//   automaton  (default) one Aho-Corasick pass over the description's
-//              interned stem ids; cost is independent of dictionary size.
+// Scoring is one Aho-Corasick pass over the description's interned stem
+// ids, so its cost is independent of dictionary size. The original
+// per-phrase sliding-window scan, O(stems x phrases x phrase_len), is a
+// test reference (tests/nlp/nlp_reference.h): every classification field
+// (tag, category, score, runner_up, confidence, matched_phrases) must be
+// bit-identical to it, which the differential suite and the
+// refactor-equivalence goldens check.
 //
 // The automaton, its stem interner, and the dictionary are immutable after
 // construction, so one classifier is safely shared read-only by any number
@@ -32,12 +32,6 @@
 
 namespace avtk::nlp {
 
-/// Which Stage-III scorer runs (see the header comment).
-enum class labeling_backend { naive, automaton };
-
-/// Stable spelling ("naive", "automaton").
-std::string_view labeling_backend_name(labeling_backend backend);
-
 /// The classifier's verdict for one description.
 struct classification {
   fault_tag tag = fault_tag::unknown;
@@ -53,8 +47,7 @@ using tag_scores = std::map<fault_tag, double>;
 
 class keyword_voting_classifier {
  public:
-  explicit keyword_voting_classifier(failure_dictionary dictionary,
-                                     labeling_backend backend = labeling_backend::automaton);
+  explicit keyword_voting_classifier(failure_dictionary dictionary);
 
   /// Classifies one free-text description.
   classification classify(std::string_view description) const;
@@ -69,11 +62,10 @@ class keyword_voting_classifier {
   std::vector<classification> classify_all(std::span<const std::string_view> descriptions,
                                            unsigned parallelism = 1) const;
 
-  labeling_backend backend() const { return backend_; }
   const failure_dictionary& dictionary() const { return dictionary_; }
 
  private:
-  /// Reusable per-worker buffers for the automaton path.
+  /// Reusable per-worker scoring buffers.
   struct scratch {
     token_scratch tokens;
     std::vector<std::uint32_t> stem_ids;
@@ -81,27 +73,20 @@ class keyword_voting_classifier {
     std::vector<double> block_totals;  ///< vote total per tag block
   };
 
-  /// Vote totals for an already tokenized/stemmed description (naive path).
-  tag_scores score_stems(const std::vector<std::string>& stems) const;
-
-  /// Automaton path: one matching pass over `description`, leaving
-  /// per-phrase hit counts in s.counts and per-tag vote totals (accumulated
-  /// in the naive scorer's float addition order) in s.block_totals.
+  /// One matching pass over `description`, leaving per-phrase hit counts
+  /// in s.counts and per-tag vote totals (accumulated in (tag, phrase)
+  /// dictionary order, the reference scorer's float addition order) in
+  /// s.block_totals.
   void score_interned(std::string_view description, scratch& s) const;
 
   classification classify_with(std::string_view description, scratch& s) const;
 
   failure_dictionary dictionary_;
-  labeling_backend backend_;
   stem_interner interner_;      ///< frozen after automaton construction
   phrase_automaton automaton_;  ///< compiled over every dictionary phrase
   /// phrase stems joined by ' ', indexed by global phrase id — precomputed
   /// so the hot path copies instead of re-joining per match.
   std::vector<std::string> phrase_texts_;
 };
-
-/// Counts contiguous occurrences of `phrase` in `stems`.
-std::size_t count_phrase_matches(const std::vector<std::string>& stems,
-                                 const std::vector<std::string>& phrase);
 
 }  // namespace avtk::nlp

@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "dataset/database.h"
+#include "dataset/view.h"
 
 namespace avtk::parse {
 
@@ -18,11 +18,11 @@ struct filter_config {
 };
 
 /// Manufacturers in `db` that pass the filter.
-std::vector<dataset::manufacturer> analyzed_manufacturers(const dataset::failure_database& db,
+std::vector<dataset::manufacturer> analyzed_manufacturers(const dataset::database_view& db,
                                                           const filter_config& config = {});
 
 /// True when the manufacturer passes.
-bool passes_filter(const dataset::failure_database& db, dataset::manufacturer maker,
+bool passes_filter(const dataset::database_view& db, dataset::manufacturer maker,
                    const filter_config& config = {});
 
 }  // namespace avtk::parse

@@ -75,17 +75,6 @@ arg_list::arg_list(std::vector<std::string> args) {
   }
 }
 
-std::string arg_list::value_of(const std::string& flag, const std::string& fallback) {
-  for (std::size_t i = 0; i + 1 < args_.size(); ++i) {
-    if (args_[i] == flag) {
-      consumed_.insert(i);
-      consumed_.insert(i + 1);
-      return args_[i + 1];
-    }
-  }
-  return fallback;
-}
-
 std::optional<std::string> arg_list::maybe_value_of(const std::string& flag) {
   for (std::size_t i = 0; i < args_.size(); ++i) {
     if (args_[i] != flag) continue;

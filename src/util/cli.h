@@ -49,16 +49,12 @@ class arg_list {
   arg_list(int argc, char** argv, int first);
   explicit arg_list(std::vector<std::string> args);
 
-  /// Value following `flag`, or `fallback` when the flag is absent or has
-  /// no following token. (Prefer maybe_value_of for flags whose malformed
-  /// or missing value must be a usage error.)
-  std::string value_of(const std::string& flag, const std::string& fallback = "");
-
-  /// Strict accessor: nullopt when `flag` is absent; otherwise the token
-  /// after it ("" when the flag is the last token). Unlike value_of this
-  /// returns whatever follows VERBATIM — even another --flag — so a strict
-  /// parser can reject `--vehicles --driverless` instead of silently
-  /// skipping the value.
+  /// The one accessor for flags that take a value: nullopt when `flag` is
+  /// absent; otherwise the flag is consumed along with the token after it,
+  /// which is returned VERBATIM — even another --flag — or "" when the
+  /// flag is the last token. A strict caller can therefore reject both
+  /// `--vehicles --driverless` and a trailing `--csv` as a missing value
+  /// instead of skipping it or reporting an unknown flag.
   std::optional<std::string> maybe_value_of(const std::string& flag);
 
   bool has(const std::string& flag);

@@ -49,7 +49,7 @@ const pipeline_fixture& clean() {
 }
 
 TEST(PipelineClean, ExactEventAndAccidentCounts) {
-  const auto& db = clean().result.database;
+  const dataset::database_view db(clean().result.database);
   EXPECT_EQ(db.total_disengagements(), gt::k_total_disengagements);
   EXPECT_EQ(db.total_accidents(), gt::k_total_accidents);
   EXPECT_NEAR(db.total_miles(), gt::k_total_miles, gt::k_total_miles * 0.001);

@@ -3,9 +3,10 @@
 // restructuring of run_pipeline). The golden hashes below were captured
 // from the pre-extraction monolithic run_pipeline; the thin batch driver
 // built on ingest::document_processor must reproduce them exactly for
-// every on_error policy x labeling backend x parallelism combination,
-// including which documents a chaos run quarantines and the stage-timings
-// schema.
+// every on_error policy x labeler x parallelism combination, including
+// which documents a chaos run quarantines and the stage-timings schema.
+// The naive rows relabel the pipeline's database with the test-only
+// reference scorer (nlp_reference.h) and must land on the same digest.
 //
 // If one of these hashes ever changes, the pipeline's output changed —
 // that is a behavior change, not a refactor, and needs its own review.
@@ -21,6 +22,7 @@
 #include "dataset/csv_io.h"
 #include "dataset/generator.h"
 #include "inject/corruptor.h"
+#include "nlp_reference.h"
 
 namespace {
 
@@ -57,16 +59,30 @@ dataset::generated_corpus make_corpus(bool injected) {
   return corpus;
 }
 
+enum class labeler { automaton, naive };
+
+const char* labeler_name(labeler l) { return l == labeler::naive ? "naive" : "automaton"; }
+
 // Everything the run exports, folded into one hash: the three analysis
 // CSVs, the quarantine report (under the quarantine policy), and the
 // stage-timings schema (names in order; never the wall-clock values).
+// Under labeler::naive every disengagement is relabeled with the reference
+// scorer and unknown_tags recounted before hashing.
 std::string run_digest(const dataset::generated_corpus& corpus, core::error_policy policy,
-                       nlp::labeling_backend backend, unsigned parallelism) {
+                       labeler labels, unsigned parallelism) {
   core::pipeline_config cfg;
   cfg.on_error = policy;
-  cfg.labeling = backend;
   cfg.parallelism = parallelism;
-  const auto result = core::run_pipeline(corpus.documents, corpus.pristine_documents, cfg);
+  auto result = core::run_pipeline(corpus.documents, corpus.pristine_documents, cfg);
+  if (labels == labeler::naive) {
+    result.stats.unknown_tags = 0;
+    for (std::size_t i = 0; i < result.database.disengagements().size(); ++i) {
+      const auto c = nlp::testing::reference_classify(
+          cfg.dictionary, result.database.disengagements()[i].description);
+      result.database.relabel_disengagement(i, c.tag, c.category);
+      if (c.tag == nlp::fault_tag::unknown) ++result.stats.unknown_tags;
+    }
+  }
 
   const auto csv = dataset::export_csv(result.database);
   std::uint64_t h = 14695981039346656037ull;
@@ -87,24 +103,24 @@ std::string run_digest(const dataset::generated_corpus& corpus, core::error_poli
 // injection that policy aborts by design).
 struct golden_row {
   core::error_policy policy;
-  nlp::labeling_backend backend;
+  labeler labels;
   unsigned parallelism;
   const char* digest;
 };
 
 const golden_row k_golden[] = {
-    {core::error_policy::fail_fast, nlp::labeling_backend::automaton, 1, "3f0df60abf2bacf5"},
-    {core::error_policy::fail_fast, nlp::labeling_backend::automaton, 4, "3f0df60abf2bacf5"},
-    {core::error_policy::fail_fast, nlp::labeling_backend::naive, 1, "3f0df60abf2bacf5"},
-    {core::error_policy::fail_fast, nlp::labeling_backend::naive, 4, "3f0df60abf2bacf5"},
-    {core::error_policy::skip, nlp::labeling_backend::automaton, 1, "67edc56b6afe8110"},
-    {core::error_policy::skip, nlp::labeling_backend::automaton, 4, "67edc56b6afe8110"},
-    {core::error_policy::skip, nlp::labeling_backend::naive, 1, "67edc56b6afe8110"},
-    {core::error_policy::skip, nlp::labeling_backend::naive, 4, "67edc56b6afe8110"},
-    {core::error_policy::quarantine, nlp::labeling_backend::automaton, 1, "9e18def73f6b8675"},
-    {core::error_policy::quarantine, nlp::labeling_backend::automaton, 4, "9e18def73f6b8675"},
-    {core::error_policy::quarantine, nlp::labeling_backend::naive, 1, "9e18def73f6b8675"},
-    {core::error_policy::quarantine, nlp::labeling_backend::naive, 4, "9e18def73f6b8675"},
+    {core::error_policy::fail_fast, labeler::automaton, 1, "3f0df60abf2bacf5"},
+    {core::error_policy::fail_fast, labeler::automaton, 4, "3f0df60abf2bacf5"},
+    {core::error_policy::fail_fast, labeler::naive, 1, "3f0df60abf2bacf5"},
+    {core::error_policy::fail_fast, labeler::naive, 4, "3f0df60abf2bacf5"},
+    {core::error_policy::skip, labeler::automaton, 1, "67edc56b6afe8110"},
+    {core::error_policy::skip, labeler::automaton, 4, "67edc56b6afe8110"},
+    {core::error_policy::skip, labeler::naive, 1, "67edc56b6afe8110"},
+    {core::error_policy::skip, labeler::naive, 4, "67edc56b6afe8110"},
+    {core::error_policy::quarantine, labeler::automaton, 1, "9e18def73f6b8675"},
+    {core::error_policy::quarantine, labeler::automaton, 4, "9e18def73f6b8675"},
+    {core::error_policy::quarantine, labeler::naive, 1, "9e18def73f6b8675"},
+    {core::error_policy::quarantine, labeler::naive, 4, "9e18def73f6b8675"},
 };
 
 TEST(RefactorEquivalence, BatchOutputMatchesPreExtractionGoldens) {
@@ -113,22 +129,22 @@ TEST(RefactorEquivalence, BatchOutputMatchesPreExtractionGoldens) {
   for (const auto& row : k_golden) {
     const bool strict = row.policy != core::error_policy::fail_fast;
     const auto& corpus = strict ? chaos : clean;
-    const auto digest = run_digest(corpus, row.policy, row.backend, row.parallelism);
+    const auto digest = run_digest(corpus, row.policy, row.labels, row.parallelism);
     EXPECT_EQ(digest, row.digest)
         << "policy=" << core::error_policy_name(row.policy)
-        << " backend=" << nlp::labeling_backend_name(row.backend)
+        << " labeler=" << labeler_name(row.labels)
         << " parallelism=" << row.parallelism;
   }
 }
 
 // The policy x parallelism grid must agree with itself: for a fixed
-// backend, skip and quarantine produce identical analysis output (the
+// labeler, skip and quarantine produce identical analysis output (the
 // quarantine report is extra, not different), and any thread count
 // produces identical bytes.
 TEST(RefactorEquivalence, PoliciesAgreeOnSurvivingDocuments) {
   const auto chaos = make_corpus(/*injected=*/true);
-  const auto skip_1 = run_digest(chaos, core::error_policy::skip, nlp::labeling_backend::automaton, 1);
-  const auto skip_4 = run_digest(chaos, core::error_policy::skip, nlp::labeling_backend::automaton, 4);
+  const auto skip_1 = run_digest(chaos, core::error_policy::skip, labeler::automaton, 1);
+  const auto skip_4 = run_digest(chaos, core::error_policy::skip, labeler::automaton, 4);
   EXPECT_EQ(skip_1, skip_4);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dataset/view.h"
+
 namespace avtk::dataset {
 namespace {
 
@@ -30,11 +32,11 @@ TEST(Database, TotalsByManufacturer) {
   db.add_mileage(make_mileage(manufacturer::waymo, "A", {2016, 1}, 100));
   db.add_mileage(make_mileage(manufacturer::nissan, "B", {2016, 1}, 50));
   db.add_disengagement(make_event(manufacturer::waymo, "A", date::make(2016, 1, 5)));
-  EXPECT_DOUBLE_EQ(db.total_miles(), 150);
-  EXPECT_DOUBLE_EQ(db.total_miles(manufacturer::waymo), 100);
-  EXPECT_EQ(db.total_disengagements(manufacturer::waymo), 1);
-  EXPECT_EQ(db.total_disengagements(manufacturer::nissan), 0);
-  EXPECT_EQ(db.manufacturers_present().size(), 2u);
+  EXPECT_DOUBLE_EQ(database_view(db).total_miles(), 150);
+  EXPECT_DOUBLE_EQ(database_view(db).total_miles(manufacturer::waymo), 100);
+  EXPECT_EQ(database_view(db).total_disengagements(manufacturer::waymo), 1);
+  EXPECT_EQ(database_view(db).total_disengagements(manufacturer::nissan), 0);
+  EXPECT_EQ(database_view(db).manufacturers_present().size(), 2u);
 }
 
 TEST(Database, DirectAttributionByVehicleAndMonth) {
@@ -42,7 +44,7 @@ TEST(Database, DirectAttributionByVehicleAndMonth) {
   db.add_mileage(make_mileage(manufacturer::nissan, "A", {2016, 1}, 100));
   db.add_mileage(make_mileage(manufacturer::nissan, "A", {2016, 2}, 100));
   db.add_disengagement(make_event(manufacturer::nissan, "A", date::make(2016, 2, 10)));
-  const auto vms = db.vehicle_months();
+  const auto vms = database_view(db).vehicle_months();
   ASSERT_EQ(vms.size(), 2u);
   for (const auto& vm : vms) {
     if (vm.month == (year_month{2016, 2})) {
@@ -67,7 +69,7 @@ TEST(Database, MonthOnlyEventsSplitEquallyWithinMonth) {
   }
   long long a = 0;
   long long b = 0;
-  for (const auto& vm : db.vehicle_months()) {
+  for (const auto& vm : database_view(db).vehicle_months()) {
     if (vm.vehicle_id == "A") a = vm.disengagements;
     if (vm.vehicle_id == "B") b = vm.disengagements;
   }
@@ -81,7 +83,7 @@ TEST(Database, UnmatchableVehicleFallsBackToMonthPool) {
   db.add_mileage(make_mileage(manufacturer::nissan, "A", {2016, 1}, 100));
   // Event names a vehicle with no mileage record.
   db.add_disengagement(make_event(manufacturer::nissan, "GHOST", date::make(2016, 1, 3)));
-  const auto vms = db.vehicle_months();
+  const auto vms = database_view(db).vehicle_months();
   ASSERT_EQ(vms.size(), 1u);
   EXPECT_EQ(vms[0].disengagements, 1);
 }
@@ -94,7 +96,7 @@ TEST(Database, NoMonthEventsSpreadByMiles) {
     db.add_disengagement(make_event(manufacturer::tesla, "", std::nullopt));
   }
   long long a = 0;
-  for (const auto& vm : db.vehicle_months()) {
+  for (const auto& vm : database_view(db).vehicle_months()) {
     if (vm.vehicle_id == "A") a = vm.disengagements;
   }
   EXPECT_EQ(a, 9);  // miles-proportional
@@ -112,7 +114,7 @@ TEST(Database, AttributionConservesEventCount) {
     db.add_disengagement(d);
   }
   long long total = 0;
-  for (const auto& vm : db.vehicle_months()) total += vm.disengagements;
+  for (const auto& vm : database_view(db).vehicle_months()) total += vm.disengagements;
   EXPECT_EQ(total, 7);
 }
 
@@ -125,7 +127,7 @@ TEST(Database, EventInMonthWithNoMileageFallsBackToHistory) {
   d.description = "x";
   db.add_disengagement(d);
   long long total = 0;
-  for (const auto& vm : db.vehicle_months()) total += vm.disengagements;
+  for (const auto& vm : database_view(db).vehicle_months()) total += vm.disengagements;
   EXPECT_EQ(total, 1);
 }
 
@@ -135,7 +137,7 @@ TEST(Database, VehicleTotalsAggregateAcrossMonths) {
   db.add_mileage(make_mileage(manufacturer::delphi, "D1", {2015, 2}, 200));
   db.add_disengagement(make_event(manufacturer::delphi, "D1", date::make(2015, 1, 2)));
   db.add_disengagement(make_event(manufacturer::delphi, "D1", date::make(2015, 2, 2)));
-  const auto totals = db.vehicle_totals();
+  const auto totals = database_view(db).vehicle_totals();
   ASSERT_EQ(totals.size(), 1u);
   EXPECT_DOUBLE_EQ(totals[0].miles, 300);
   EXPECT_EQ(totals[0].disengagements, 2);
@@ -152,28 +154,16 @@ TEST(Database, ReactionTimesFilterByManufacturer) {
   db.add_disengagement(d1);
   db.add_disengagement(d2);
   db.add_disengagement(d3);
-  EXPECT_EQ(db.reaction_times().size(), 2u);
-  EXPECT_EQ(db.reaction_times(manufacturer::waymo).size(), 1u);
-  EXPECT_DOUBLE_EQ(db.reaction_times(manufacturer::waymo)[0], 0.8);
-}
-
-TEST(Database, QueryPredicate) {
-  failure_database db;
-  auto d = make_event(manufacturer::waymo, "A", date::make(2016, 1, 1));
-  d.mode = modality::manual;
-  db.add_disengagement(d);
-  d.mode = modality::automatic;
-  db.add_disengagement(d);
-  const auto manual = db.query_disengagements(
-      [](const disengagement_record& r) { return r.mode == modality::manual; });
-  EXPECT_EQ(manual.size(), 1u);
+  EXPECT_EQ(database_view(db).reaction_times().size(), 2u);
+  EXPECT_EQ(database_view(db).reaction_times(manufacturer::waymo).size(), 1u);
+  EXPECT_DOUBLE_EQ(database_view(db).reaction_times(manufacturer::waymo)[0], 0.8);
 }
 
 TEST(Database, DuplicateMileageCellsMerge) {
   failure_database db;
   db.add_mileage(make_mileage(manufacturer::ford, "F", {2016, 9}, 10));
   db.add_mileage(make_mileage(manufacturer::ford, "F", {2016, 9}, 15));
-  const auto vms = db.vehicle_months();
+  const auto vms = database_view(db).vehicle_months();
   ASSERT_EQ(vms.size(), 1u);
   EXPECT_DOUBLE_EQ(vms[0].miles, 25);
 }

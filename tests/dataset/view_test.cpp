@@ -1,11 +1,13 @@
-// database_view: the non-owning read surface the serve tier's indexed
-// executor runs builders over. An unrestricted view must agree with the
-// owning database on every aggregate; a restricted view must iterate
-// exactly the selected records in ascending original order; and the
-// structural-sharing adopters must share arrays, not copy them.
+// database_view: the failure database's only read surface, which every
+// Stage-IV builder and the serve tier's indexed executor run over. An
+// unrestricted view must agree with a view selecting every record on
+// every aggregate; a restricted view must iterate exactly the selected
+// records in ascending original order; and database copies must share
+// untouched domain arrays, not copy them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -70,19 +72,35 @@ TEST(DatabaseView, UnrestrictedViewMatchesDatabaseAggregates) {
   const auto db = make_db();
   const database_view view(db);
   EXPECT_FALSE(view.restricted());
-  EXPECT_EQ(view.total_disengagements(), db.total_disengagements());
-  EXPECT_EQ(view.total_accidents(), db.total_accidents());
-  EXPECT_DOUBLE_EQ(view.total_miles(), db.total_miles());
-  EXPECT_DOUBLE_EQ(view.total_miles(manufacturer::waymo), db.total_miles(manufacturer::waymo));
+  EXPECT_EQ(view.total_disengagements(), 4);
+  EXPECT_EQ(view.total_accidents(), 2);
+  EXPECT_DOUBLE_EQ(view.total_miles(), 350.0);
+  EXPECT_DOUBLE_EQ(view.total_miles(manufacturer::waymo), 300.0);
   EXPECT_EQ(view.disengagements().size(), db.disengagements().size());
 
+  // Selecting every record must read exactly like no selection.
+  selection all_dis(db.disengagements().size());
+  selection all_mil(db.mileage().size());
+  selection all_acc(db.accidents().size());
+  std::iota(all_dis.begin(), all_dis.end(), 0u);
+  std::iota(all_mil.begin(), all_mil.end(), 0u);
+  std::iota(all_acc.begin(), all_acc.end(), 0u);
+  const database_view full(db, std::span<const std::uint32_t>(all_dis),
+                           std::span<const std::uint32_t>(all_mil),
+                           std::span<const std::uint32_t>(all_acc));
+  EXPECT_TRUE(full.restricted());
+  EXPECT_EQ(full.total_disengagements(), view.total_disengagements());
+  EXPECT_EQ(full.total_accidents(), view.total_accidents());
+  EXPECT_DOUBLE_EQ(full.total_miles(), view.total_miles());
+  EXPECT_DOUBLE_EQ(full.total_miles(manufacturer::waymo), view.total_miles(manufacturer::waymo));
+
   const auto view_vm = view.vehicle_months();
-  const auto db_vm = db.vehicle_months();
-  ASSERT_EQ(view_vm.size(), db_vm.size());
+  const auto full_vm = full.vehicle_months();
+  ASSERT_EQ(view_vm.size(), full_vm.size());
   for (std::size_t i = 0; i < view_vm.size(); ++i) {
-    EXPECT_EQ(view_vm[i].maker, db_vm[i].maker);
-    EXPECT_DOUBLE_EQ(view_vm[i].miles, db_vm[i].miles);
-    EXPECT_EQ(view_vm[i].disengagements, db_vm[i].disengagements);
+    EXPECT_EQ(view_vm[i].maker, full_vm[i].maker);
+    EXPECT_DOUBLE_EQ(view_vm[i].miles, full_vm[i].miles);
+    EXPECT_EQ(view_vm[i].disengagements, full_vm[i].disengagements);
   }
 }
 
@@ -134,19 +152,23 @@ TEST(DatabaseView, ManufacturersPresentIsEnumOrdered) {
 
 TEST(DatabaseView, StructuralAdoptersShareArraysAndVersion) {
   const auto db = make_db();
-  failure_database other;
+  // A copy adopts every domain structurally; a write clones only the
+  // domain it touches.
+  failure_database other = db;
   other.add_disengagement(
       make_disengagement(manufacturer::waymo, 2016, 6, nlp::fault_tag::sensor));
-  other.share_mileage_from(db);
-  other.share_accidents_from(db);
-  // Shared domains alias the source arrays — same address, no copy.
+  // Untouched domains alias the source arrays — same address, no copy.
   EXPECT_EQ(other.mileage().data(), db.mileage().data());
   EXPECT_EQ(other.accidents().data(), db.accidents().data());
+  EXPECT_NE(other.disengagements().data(), db.disengagements().data());
   EXPECT_EQ(other.version().mileage, db.version().mileage);
   EXPECT_EQ(other.version().accidents, db.version().accidents);
-  // The non-shared domain is its own.
-  EXPECT_EQ(other.total_disengagements(), 1);
-  EXPECT_DOUBLE_EQ(other.total_miles(), db.total_miles());
+  EXPECT_EQ(other.version().disengagements, db.version().disengagements + 1);
+  // The written domain is its own; views over both read the shared ones.
+  const database_view mine(other);
+  const database_view theirs(db);
+  EXPECT_EQ(mine.total_disengagements(), theirs.total_disengagements() + 1);
+  EXPECT_DOUBLE_EQ(mine.total_miles(), theirs.total_miles());
 }
 
 }  // namespace

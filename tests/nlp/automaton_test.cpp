@@ -1,8 +1,8 @@
-// The Aho-Corasick backend's load-bearing contract: for ANY input, its
-// classification is bit-identical to the naive per-phrase scanner's — same
-// tag, category, matched phrases, and the exact same doubles for score /
-// runner_up / confidence (the automaton replays the naive float addition
-// order). The differential corpus mixes generator output, RFC 4180
+// The Aho-Corasick classifier's load-bearing contract: for ANY input, its
+// classification is bit-identical to the naive per-phrase reference scan's
+// (nlp_reference.h) — same tag, category, matched phrases, and the exact
+// same doubles for score / runner_up / confidence (the automaton replays
+// the reference's float addition order). The differential corpus mixes generator output, RFC 4180
 // adversarial strings, and OCR-degraded text.
 #include "nlp/automaton.h"
 
@@ -18,6 +18,7 @@
 #include "nlp/stemmer.h"
 #include "nlp/stopwords.h"
 #include "nlp/tokenizer.h"
+#include "nlp_reference.h"
 #include "ocr/noise.h"
 #include "util/rng.h"
 
@@ -25,7 +26,7 @@ namespace avtk::nlp {
 namespace {
 
 // Bit-identical comparison: EXPECT_EQ on doubles is exact equality, which
-// for the non-NaN values both backends produce means identical bits.
+// for the non-NaN values both scorers produce means identical bits.
 void expect_identical(const classification& a, const classification& b, std::string_view text) {
   EXPECT_EQ(a.tag, b.tag) << text;
   EXPECT_EQ(a.category, b.category) << text;
@@ -36,12 +37,11 @@ void expect_identical(const classification& a, const classification& b, std::str
 }
 
 void expect_backends_agree(const std::vector<std::string>& corpus) {
-  const keyword_voting_classifier naive(failure_dictionary::builtin(), labeling_backend::naive);
-  const keyword_voting_classifier fast(failure_dictionary::builtin(),
-                                       labeling_backend::automaton);
+  const auto dict = failure_dictionary::builtin();
+  const keyword_voting_classifier fast(dict);
   for (const auto& text : corpus) {
-    expect_identical(naive.classify(text), fast.classify(text), text);
-    EXPECT_EQ(naive.score_all(text), fast.score_all(text)) << text;
+    expect_identical(testing::reference_classify(dict, text), fast.classify(text), text);
+    EXPECT_EQ(testing::reference_scores(dict, text), fast.score_all(text)) << text;
   }
 }
 
@@ -78,6 +78,8 @@ TEST(AutomatonDifferential, Rfc4180AdversarialDescriptions) {
       "\"\"",
       "",
       "software module froze, \"watchdog\" error\r\nplanner hang",
+      // A phrase repeated within one description votes once per hit.
+      "watchdog error, then watchdog error again; software module froze",
   });
 }
 
@@ -113,16 +115,17 @@ TEST(AutomatonDifferential, BatchMatchesSingleAtAnyParallelism) {
 }
 
 TEST(AutomatonDifferential, EmptyInputsBothBackends) {
-  for (const auto backend : {labeling_backend::naive, labeling_backend::automaton}) {
-    const keyword_voting_classifier cls(failure_dictionary::builtin(), backend);
-    const auto c = cls.classify("");
+  const auto dict = failure_dictionary::builtin();
+  const keyword_voting_classifier cls(dict);
+  for (const auto& c : {testing::reference_classify(dict, ""), cls.classify("")}) {
     EXPECT_EQ(c.tag, fault_tag::unknown);
     EXPECT_EQ(c.score, 0.0);
     EXPECT_TRUE(c.matched_phrases.empty());
-    EXPECT_TRUE(cls.score_all("").empty());
-    EXPECT_TRUE(cls.classify_all({}).empty());
-    EXPECT_TRUE(cls.classify_all({}, 8).empty());
   }
+  EXPECT_TRUE(testing::reference_scores(dict, "").empty());
+  EXPECT_TRUE(cls.score_all("").empty());
+  EXPECT_TRUE(cls.classify_all({}).empty());
+  EXPECT_TRUE(cls.classify_all({}, 8).empty());
 }
 
 TEST(Interner, RoundTripAndDenseIds) {
@@ -144,7 +147,7 @@ TEST(Interner, RoundTripAndDenseIds) {
 
 TEST(Interner, FusedPassMatchesThreeStagePipeline) {
   // interned_stem_ids must produce ids for exactly the stem sequence the
-  // naive three-stage pass yields, npos marking out-of-vocabulary stems.
+  // reference's three-stage pass yields, npos marking out-of-vocabulary stems.
   stem_interner interner;
   phrase_automaton automaton(failure_dictionary::builtin(), interner);
   token_scratch scratch;
@@ -234,7 +237,7 @@ std::vector<std::size_t> naive_counts(const failure_dictionary& dict, std::strin
   std::vector<std::size_t> counts;
   for (const auto tag : dict.tags()) {
     for (const auto& phrase : dict.phrases(tag)) {
-      counts.push_back(count_phrase_matches(stems, phrase.stems));
+      counts.push_back(testing::count_phrase_matches(stems, phrase.stems));
     }
   }
   return counts;

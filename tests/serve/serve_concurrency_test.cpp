@@ -29,7 +29,7 @@ constexpr int k_threads = 4;
 
 TEST(ConcurrencyAudit, AnalysesAreThreadSafeOnConstDatabase) {
   const auto db = testing::make_test_database();
-  const auto makers = db.manufacturers_present();
+  const auto makers = dataset::database_view(db).manufacturers_present();
 
   // Single-threaded reference answers, compared against every thread's.
   const auto q1_ref = core::answer_q1(db, makers).median_dpm_spread;

@@ -18,11 +18,6 @@ dataset::failure_database filter_database(const dataset::failure_database& db, c
   for (const auto& d : db.disengagements()) {
     if (matches(d, q)) out.add_disengagement(d);
   }
-  if (!q.maker && !q.year) {
-    out.share_mileage_from(db);
-    out.share_accidents_from(db);
-    return out;
-  }
   for (const auto& m : db.mileage()) {
     if (q.maker && m.maker != *q.maker) continue;
     if (q.year && m.month.year != *q.year) continue;

@@ -21,8 +21,7 @@ bool matches(const dataset::disengagement_record& d, const query& q);
 
 /// The filtered copy `q` reads. Mileage and accidents are restricted by
 /// maker/year only: a tag or category filter narrows the event set, not
-/// the exposure it is normalized by — so under a tag/category-only filter
-/// those domains are adopted structurally (no element copies).
+/// the exposure it is normalized by.
 dataset::failure_database filter_database(const dataset::failure_database& db, const query& q);
 
 /// render_payload over filter_database(db, q).

@@ -80,10 +80,10 @@ arg_list make_args(std::vector<std::string> tokens) { return arg_list(std::move(
 
 TEST(CliArgs, ValueOfAndEqualsForm) {
   auto args = make_args({"--vehicles", "7", "--months=9", "--driverless"});
-  EXPECT_EQ(args.value_of("--vehicles"), "7");
-  EXPECT_EQ(args.value_of("--months"), "9");
+  EXPECT_EQ(args.maybe_value_of("--vehicles"), "7");
+  EXPECT_EQ(args.maybe_value_of("--months"), "9");
   EXPECT_TRUE(args.has("--driverless"));
-  EXPECT_EQ(args.value_of("--seed", "42"), "42");
+  EXPECT_EQ(args.maybe_value_of("--seed").value_or("42"), "42");
 }
 
 TEST(CliArgs, MaybeValueOfIsVerbatim) {
@@ -111,6 +111,19 @@ TEST(CliArgs, MaybeValueOfEqualsFormAndEmptyValue) {
   EXPECT_TRUE(quality->empty());
 }
 
+TEST(CliArgs, TrailingValueFlagIsConsumedWithAnEmptyValue) {
+  // `avtk run --csv`: the flag is known, so it must be consumed (no
+  // "unknown flag") and come back present-but-empty for the caller to
+  // report as a missing value.
+  auto args = make_args({"--seed", "7", "--csv"});
+  EXPECT_EQ(args.maybe_value_of("--seed"), "7");
+  const auto csv = args.maybe_value_of("--csv");
+  ASSERT_TRUE(csv.has_value());
+  EXPECT_TRUE(csv->empty());
+  EXPECT_FALSE(args.unknown_flag().has_value());
+  EXPECT_TRUE(args.positional().empty());
+}
+
 TEST(CliArgs, ValueIfPresentForOptionalValueFlags) {
   // --parallel [N]: nullopt absent, "" bare or before another flag, else N.
   EXPECT_FALSE(make_args({}).value_if_present("--parallel").has_value());
@@ -121,7 +134,7 @@ TEST(CliArgs, ValueIfPresentForOptionalValueFlags) {
 
 TEST(CliArgs, PositionalSkipsConsumedFlagValues) {
   auto args = make_args({"{\"query\": \"metrics\"}", "--seed", "9"});
-  (void)args.value_of("--seed");
+  (void)args.maybe_value_of("--seed");
   const auto pos = args.positional();
   ASSERT_EQ(pos.size(), 1u);
   EXPECT_EQ(pos[0], "{\"query\": \"metrics\"}");
@@ -129,9 +142,9 @@ TEST(CliArgs, PositionalSkipsConsumedFlagValues) {
 
 TEST(CliArgs, UnknownFlagIsTheFirstUnconsumedFlag) {
   auto args = make_args({"{\"query\": \"tags\"}", "--shards", "4", "--bogus", "x", "--also"});
-  (void)args.value_of("--shards");
+  (void)args.maybe_value_of("--shards");
   EXPECT_EQ(args.unknown_flag(), "--bogus");
-  (void)args.value_of("--bogus");
+  (void)args.maybe_value_of("--bogus");
   EXPECT_EQ(args.unknown_flag(), "--also");
   (void)args.has("--also");
   EXPECT_FALSE(args.unknown_flag().has_value());  // the JSON word is no flag

@@ -214,6 +214,20 @@ bool flag_fraction(arg_list& args, const char* flag, const char* cmd, double* ou
   return true;
 }
 
+// A flag that takes a string value (a path, a name, a list) must get one:
+// given last, or followed by another --flag, it is a usage error rather
+// than a silently empty value.
+bool flag_string(arg_list& args, const char* flag, const char* cmd, std::string* out) {
+  const auto value = args.maybe_value_of(flag);
+  if (!value) return true;
+  if (value->empty() || value->starts_with("--")) {
+    std::fprintf(stderr, "%s: %s expects a value\n", cmd, flag);
+    return false;
+  }
+  *out = *value;
+  return true;
+}
+
 // --shards N: snapshot-store shards (serve/store.h), default 1; payloads
 // are byte-identical at any N.
 bool flag_shards(arg_list& args, const char* cmd, std::size_t* out) {
@@ -230,18 +244,28 @@ bool no_unknown_flag(const arg_list& args, const char* cmd) {
 
 // --------------------------------------------------------------------------
 
-ocr::scan_quality quality_from(const std::string& name) {
+std::optional<ocr::scan_quality> quality_from(const std::string& name) {
   if (name == "clean") return ocr::scan_quality::clean;
   if (name == "good") return ocr::scan_quality::good;
+  if (name == "fair") return ocr::scan_quality::fair;
   if (name == "poor") return ocr::scan_quality::poor;
-  return ocr::scan_quality::fair;
+  return std::nullopt;
 }
 
 std::optional<dataset::generator_config> make_generator_config(arg_list& args, const char* cmd) {
   dataset::generator_config cfg;
-  if (!flag_u64(args, "--seed", cmd, &cfg.seed)) return std::nullopt;
-  const auto quality = args.value_of("--quality", "fair");
-  cfg.quality = quality_from(quality);
+  std::string name = "fair";
+  if (!flag_u64(args, "--seed", cmd, &cfg.seed) ||
+      !flag_string(args, "--quality", cmd, &name)) {
+    return std::nullopt;
+  }
+  const auto quality = quality_from(name);
+  if (!quality) {
+    std::fprintf(stderr, "%s: unknown --quality '%s' (clean, good, fair, poor)\n", cmd,
+                 name.c_str());
+    return std::nullopt;
+  }
+  cfg.quality = *quality;
   cfg.corrupt_documents = cfg.quality != ocr::scan_quality::clean;
   return cfg;
 }
@@ -298,7 +322,11 @@ std::pair<inject::injection_config, bool> make_injection_config(arg_list& args, 
     *ok = false;
     return {cfg, requested};
   }
-  const auto faults = args.value_of("--inject-faults");
+  std::string faults;
+  if (!flag_string(args, "--inject-faults", cmd, &faults)) {
+    *ok = false;
+    return {cfg, requested};
+  }
   if (!faults.empty()) {
     const auto kinds = parse_fault_kinds(faults);
     if (!kinds) {
@@ -333,7 +361,8 @@ std::size_t write_corpus(const dataset::generated_corpus& corpus, const std::str
 }
 
 int cmd_generate(arg_list args) {
-  const auto out_dir = args.value_of("--out");
+  std::string out_dir;
+  if (!flag_string(args, "--out", "generate", &out_dir)) return 2;
   if (out_dir.empty()) {
     std::fputs("generate: --out DIR is required\n", stderr);
     return 2;
@@ -350,11 +379,20 @@ int cmd_generate(arg_list args) {
 int cmd_run(arg_list args) {
   const auto cfg = make_generator_config(args, "run");
   if (!cfg) return 2;
-  const auto trace_path = args.value_of("--trace-json");
-  const auto metrics_path = args.value_of("--metrics-json");
+  std::string trace_path, metrics_path, on_error, quarantine_path, manifest_path, drop_spec;
+  std::string csv_dir, fig_dir;
+  if (!flag_string(args, "--trace-json", "run", &trace_path) ||
+      !flag_string(args, "--metrics-json", "run", &metrics_path) ||
+      !flag_string(args, "--on-error", "run", &on_error) ||
+      !flag_string(args, "--quarantine-json", "run", &quarantine_path) ||
+      !flag_string(args, "--inject-manifest", "run", &manifest_path) ||
+      !flag_string(args, "--drop-docs", "run", &drop_spec) ||
+      !flag_string(args, "--csv", "run", &csv_dir) ||
+      !flag_string(args, "--figures", "run", &fig_dir)) {
+    return 2;
+  }
 
   core::pipeline_config pcfg;
-  const auto on_error = args.value_of("--on-error");
   if (!on_error.empty()) {
     const auto policy = core::error_policy_from_name(on_error);
     if (!policy) {
@@ -364,13 +402,11 @@ int cmd_run(arg_list args) {
     }
     pcfg.on_error = *policy;
   }
-  const auto quarantine_path = args.value_of("--quarantine-json");
-  const auto manifest_path = args.value_of("--inject-manifest");
   bool inject_flags_ok = true;
   const auto [inject_cfg, inject_requested] = make_injection_config(args, "run", &inject_flags_ok);
   if (!inject_flags_ok) return 2;
   std::optional<std::set<std::size_t>> drop;
-  if (const auto drop_spec = args.value_of("--drop-docs"); !drop_spec.empty()) {
+  if (!drop_spec.empty()) {
     drop = parse_index_list(drop_spec, "--drop-docs", "run");
     if (!drop) return 2;
   }
@@ -389,8 +425,6 @@ int cmd_run(arg_list args) {
     pcfg.parallelism = n != 0 ? n : std::max(std::thread::hardware_concurrency(), 1u);
   }
   const bool full = args.has("--full");
-  const auto csv_dir = args.value_of("--csv");
-  const auto fig_dir = args.value_of("--figures");
   if (!no_unknown_flag(args, "run")) return 2;
 
   std::printf("generating corpus (seed %llu) and running the pipeline...\n",
@@ -520,9 +554,12 @@ int cmd_inject(arg_list args) {
       make_injection_config(args, "inject", &inject_flags_ok);
   if (!inject_flags_ok) return 2;
   (void)inject_requested;  // inject always injects; the flags just tune it
-  const auto out_dir = args.value_of("--out");
-  const auto manifest_path = args.value_of("--manifest");
-  if (!no_unknown_flag(args, "inject")) return 2;
+  std::string out_dir, manifest_path;
+  if (!flag_string(args, "--out", "inject", &out_dir) ||
+      !flag_string(args, "--manifest", "inject", &manifest_path) ||
+      !no_unknown_flag(args, "inject")) {
+    return 2;
+  }
 
   std::printf("generating corpus (seed %llu) and injecting faults (inject seed %llu, fraction %g)...\n",
               static_cast<unsigned long long>(cfg->seed),
@@ -566,8 +603,11 @@ int cmd_simulate(arg_list args) {
   }
   cfg.vehicle.driverless = args.has("--driverless");
   cfg.miles_per_vehicle_month = 1200;
-  const auto trace_path = args.value_of("--trace-json");
-  if (!no_unknown_flag(args, "simulate")) return 2;
+  std::string trace_path;
+  if (!flag_string(args, "--trace-json", "simulate", &trace_path) ||
+      !no_unknown_flag(args, "simulate")) {
+    return 2;
+  }
   obs::trace trace;
   if (!trace_path.empty()) cfg.trace = &trace;
 
@@ -596,6 +636,7 @@ int cmd_soak(arg_list args) {
   wcfg.chaos_fraction = 0.15;
   soak::soak_options opts;
   unsigned query_threads = opts.query_threads;
+  std::string json_path;
   if (!flag_positive_int(args, "--vehicles", "soak", &wcfg.fleet.vehicles) ||
       !flag_positive_int(args, "--months", "soak", &wcfg.fleet.months) ||
       !flag_u64(args, "--seed", "soak", &wcfg.fleet.seed) ||
@@ -606,11 +647,10 @@ int cmd_soak(arg_list args) {
       !flag_fraction(args, "--duty-cycle", "soak", &opts.duty_cycle) ||
       !flag_uint(args, "--threads", "soak", &opts.engine_threads) ||
       !flag_positive_size(args, "--cache-capacity", "soak", &opts.cache_capacity) ||
-      !flag_shards(args, "soak", &opts.shards)) {
+      !flag_shards(args, "soak", &opts.shards) ||
+      !flag_string(args, "--json", "soak", &json_path) || !no_unknown_flag(args, "soak")) {
     return 2;
   }
-  std::string json_path = args.value_of("--json");
-  if (!no_unknown_flag(args, "soak")) return 2;
   if (query_threads < 1 || !(opts.duty_cycle > 0.0)) {
     std::fputs("soak: --query-threads must be >= 1 and --duty-cycle in (0, 1]\n", stderr);
     return 2;
@@ -660,23 +700,24 @@ serve::query_engine make_engine(const dataset::generator_config& gen_cfg,
                static_cast<unsigned long long>(gen_cfg.seed));
   const auto corpus = dataset::generate_corpus(gen_cfg);
   auto result = core::run_pipeline(corpus.documents, corpus.pristine_documents);
+  const dataset::database_view view(result.database);
   std::fprintf(stderr, "serve: database ready (%lld disengagements, %lld accidents, %.0f miles)\n",
-               result.database.total_disengagements(), result.database.total_accidents(),
-               result.database.total_miles());
+               view.total_disengagements(), view.total_accidents(), view.total_miles());
   return serve::query_engine(std::move(result.database), cfg);
 }
 
 int cmd_serve(arg_list args) {
   serve::engine_config cfg;
+  std::string metrics_path, input_path, on_error;
   if (!flag_uint(args, "--threads", "serve", &cfg.threads) ||
       !flag_positive_size(args, "--cache-capacity", "serve", &cfg.cache_capacity) ||
-      !flag_shards(args, "serve", &cfg.shards)) {
+      !flag_shards(args, "serve", &cfg.shards) ||
+      !flag_string(args, "--metrics-json", "serve", &metrics_path) ||
+      !flag_string(args, "--input", "serve", &input_path) ||
+      !flag_string(args, "--on-error", "serve", &on_error)) {
     return 2;
   }
-  const auto metrics_path = args.value_of("--metrics-json");
-  const auto input_path = args.value_of("--input");
   serve::serve_loop_options options;
-  const auto on_error = args.value_of("--on-error");
   if (!on_error.empty()) {
     const auto policy = ingest::error_policy_from_name(on_error);
     if (!policy) {
