@@ -4,20 +4,17 @@
 // descriptions — descriptions/sec, ns/description, and the
 // automaton-over-naive speedup ratio.
 //
-// Like bench_serve_throughput this emits a custom perf record —
-// BENCH_nlp_classifier.json under AVTK_BENCH_JSON_DIR — because the
-// interesting numbers are the per-scorer labeling rates, not the
-// pipeline stage timings.
+// Its perf record, BENCH_nlp_classifier.json under AVTK_BENCH_JSON_DIR,
+// carries the per-scorer labeling rates as `labeling`.
 #include "bench/common.h"
 
-#include <cstdlib>
+#include <sstream>
 #include <string_view>
 #include <vector>
 
 #include "nlp/classifier.h"
 #include "nlp_reference.h"
 #include "obs/clock.h"
-#include "obs/export.h"
 #include "obs/json.h"
 
 namespace {
@@ -117,7 +114,6 @@ BENCHMARK(BM_AutomatonBuild);
 int main(int argc, char** argv) {
   namespace json = avtk::obs::json;
 
-  std::cout << "==== nlp classifier throughput (naive vs automaton) ====\n";
   constexpr int k_passes = 5;
   const auto dict = failure_dictionary::builtin();
   const keyword_voting_classifier cls(dict);
@@ -126,38 +122,21 @@ int main(int argc, char** argv) {
   const double speedup =
       naive.per_second() > 0 ? automaton.per_second() / naive.per_second() : 0;
 
-  std::cout << "workload: " << workload().size() << " descriptions x " << k_passes
-            << " passes\n"
-            << "naive:     " << naive.per_second() << " desc/s ("
-            << naive.ns_per_description() << " ns/desc)\n"
-            << "automaton: " << automaton.per_second() << " desc/s ("
-            << automaton.ns_per_description() << " ns/desc)\n"
-            << "automaton/naive: " << speedup << "x\n\n";
-
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-
-  if (const char* dir = std::getenv("AVTK_BENCH_JSON_DIR"); dir != nullptr && *dir != '\0') {
-    const json::value record(json::object{
-        {"schema", json::value("avtk.bench.v1")},
-        {"experiment", json::value("nlp_classifier")},
-        {"labeling", json::value(json::object{
-                         {"workload_descriptions", json::value(workload().size())},
-                         {"passes", json::value(static_cast<std::size_t>(k_passes))},
-                         {"naive", scorer_json(naive)},
-                         {"automaton", scorer_json(automaton)},
-                         {"automaton_over_naive", json::value(speedup)},
-                     })},
-        {"metrics", avtk::obs::snapshot_to_json_value(avtk::obs::metrics().snapshot())},
-    });
-    const std::string path = std::string(dir) + "/BENCH_nlp_classifier.json";
-    if (!avtk::obs::write_text_file(path, record.dump(2) + "\n")) {
-      std::cerr << "bench: failed to write perf record under " << dir << "\n";
-      return 1;
-    }
-    std::cout << "perf record written to " << path << "\n";
-  }
-  return 0;
+  std::ostringstream rows;
+  rows << "naive vs automaton labeling throughput\n"
+       << "workload: " << workload().size() << " descriptions x " << k_passes << " passes\n"
+       << "naive:     " << naive.per_second() << " desc/s (" << naive.ns_per_description()
+       << " ns/desc)\n"
+       << "automaton: " << automaton.per_second() << " desc/s ("
+       << automaton.ns_per_description() << " ns/desc)\n"
+       << "automaton/naive: " << speedup << "x\n";
+  return avtk::bench::run_experiment(
+      "nlp_classifier", rows.str(), argc, argv,
+      {{"labeling", json::value(json::object{
+                        {"workload_descriptions", json::value(workload().size())},
+                        {"passes", json::value(static_cast<std::size_t>(k_passes))},
+                        {"naive", scorer_json(naive)},
+                        {"automaton", scorer_json(automaton)},
+                        {"automaton_over_naive", json::value(speedup)},
+                    })}});
 }

@@ -3,9 +3,8 @@
 // database, benched against the existing Weibull reaction-time fit path
 // (the `fit` query's core::build_fig11) as the established baseline.
 //
-// Like bench_serve_throughput this emits a custom perf record —
-// BENCH_reliability.json under AVTK_BENCH_JSON_DIR — because the
-// interesting numbers are the estimator timings plus the statistical
+// Its perf record, BENCH_reliability.json under AVTK_BENCH_JSON_DIR,
+// carries as `reliability` the estimator timings plus the statistical
 // ground-truth checks CI gates on: a synthetic homogeneous-Poisson fleet
 // whose fitted power-law shape must come back ~1, and the real-corpus
 // NHPP fits whose optimized likelihoods must not fall below the HPP
@@ -13,11 +12,10 @@
 #include "bench/common.h"
 
 #include <cmath>
-#include <cstdlib>
+#include <sstream>
 #include <vector>
 
 #include "obs/clock.h"
-#include "obs/export.h"
 #include "obs/json.h"
 #include "reliability/events.h"
 #include "reliability/mcf.h"
@@ -117,7 +115,6 @@ double median_seconds(int repeats, Fn&& fn) {
 int main(int argc, char** argv) {
   namespace json = avtk::obs::json;
 
-  std::cout << "==== reliability (MCF + NHPP trend engine) ====\n";
   const auto& all = processes();
   const auto& heavy = largest_fleet();
 
@@ -138,78 +135,61 @@ int main(int argc, char** argv) {
   const auto hpp_fleet = synthetic_hpp_fleet(0.02, 20000.0, 8, 12345);
   const auto hpp_trend = reliability::fit_trend(hpp_fleet);
 
-  std::cout << "fleets: " << all.size() << " makers; heaviest "
-            << avtk::dataset::manufacturer_id(heavy.maker) << " (" << heavy.vehicles.size()
-            << " vehicles, " << heavy.vehicle_events() << " events)\n"
-            << "mcf (bands, 200 replicates): " << mcf_seconds * 1e3 << " ms; "
-            << mcf.points.size() << " points\n"
-            << "nhpp (3 fits + laplace): " << nhpp_seconds * 1e3 << " ms; preferred "
-            << trend.preferred() << "\n"
-            << "weibull fit baseline: " << weibull_seconds * 1e3 << " ms\n"
-            << "synthetic hpp shape: " << hpp_trend.power_law.shape << " (true 1.0)\n\n";
+  std::ostringstream rows;
+  rows << "MCF + NHPP trend engine\n"
+       << "fleets: " << all.size() << " makers; heaviest "
+       << avtk::dataset::manufacturer_id(heavy.maker) << " (" << heavy.vehicles.size()
+       << " vehicles, " << heavy.vehicle_events() << " events)\n"
+       << "mcf (bands, 200 replicates): " << mcf_seconds * 1e3 << " ms; "
+       << mcf.points.size() << " points\n"
+       << "nhpp (3 fits + laplace): " << nhpp_seconds * 1e3 << " ms; preferred "
+       << trend.preferred() << "\n"
+       << "weibull fit baseline: " << weibull_seconds * 1e3 << " ms\n"
+       << "synthetic hpp shape: " << hpp_trend.power_law.shape << " (true 1.0)\n";
 
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-
-  if (const char* dir = std::getenv("AVTK_BENCH_JSON_DIR"); dir != nullptr && *dir != '\0') {
-    json::array rows;
-    for (const auto& mp : all) {
-      const auto a = reliability::fit_trend(std::span(&mp.fleet, 1));
-      rows.emplace_back(json::object{
-          {"maker", json::value(std::string(avtk::dataset::manufacturer_id(mp.maker)))},
-          {"events", json::value(a.events)},
-          {"exposure_miles", json::value(a.exposure)},
-          {"hpp_log_likelihood", json::value(a.hpp.log_likelihood)},
-          {"power_law_log_likelihood", json::value(a.power_law.log_likelihood)},
-          {"power_law_shape", json::value(a.power_law.shape)},
-          {"power_law_converged", json::value(a.power_law.converged)},
-          {"log_linear_log_likelihood", json::value(a.log_linear.log_likelihood)},
-          {"preferred", json::value(std::string(a.preferred()))},
-      });
-    }
-    const json::value record(json::object{
-        {"schema", json::value("avtk.bench.v1")},
-        {"experiment", json::value("reliability")},
-        {"reliability",
-         json::value(json::object{
-             {"makers", json::value(all.size())},
-             {"mcf", json::value(json::object{
-                         {"maker", json::value(std::string(
-                                       avtk::dataset::manufacturer_id(heavy.maker)))},
-                         {"units", json::value(mcf.units)},
-                         {"events", json::value(mcf.total_events)},
-                         {"points", json::value(mcf.points.size())},
-                         {"seconds", json::value(mcf_seconds)},
-                     })},
-             {"nhpp", json::value(json::object{
-                          {"seconds", json::value(nhpp_seconds)},
-                          {"rows", json::value(std::move(rows))},
-                      })},
-             {"weibull_fit_baseline_seconds", json::value(weibull_seconds)},
-             {"synthetic_hpp",
-              json::value(json::object{
-                  {"true_shape", json::value(1.0)},
-                  {"true_rate", json::value(0.02)},
-                  {"events", json::value(hpp_trend.events)},
-                  {"fitted_shape", json::value(hpp_trend.power_law.shape)},
-                  {"shape_abs_error",
-                   json::value(std::fabs(hpp_trend.power_law.shape - 1.0))},
-                  {"converged", json::value(hpp_trend.power_law.converged)},
-                  {"hpp_log_likelihood", json::value(hpp_trend.hpp.log_likelihood)},
-                  {"power_law_log_likelihood",
-                   json::value(hpp_trend.power_law.log_likelihood)},
-              })},
-         })},
-        {"metrics", avtk::obs::snapshot_to_json_value(avtk::obs::metrics().snapshot())},
+  json::array nhpp_rows;
+  for (const auto& mp : all) {
+    const auto a = reliability::fit_trend(std::span(&mp.fleet, 1));
+    nhpp_rows.emplace_back(json::object{
+        {"maker", json::value(std::string(avtk::dataset::manufacturer_id(mp.maker)))},
+        {"events", json::value(a.events)},
+        {"exposure_miles", json::value(a.exposure)},
+        {"hpp_log_likelihood", json::value(a.hpp.log_likelihood)},
+        {"power_law_log_likelihood", json::value(a.power_law.log_likelihood)},
+        {"power_law_shape", json::value(a.power_law.shape)},
+        {"power_law_converged", json::value(a.power_law.converged)},
+        {"log_linear_log_likelihood", json::value(a.log_linear.log_likelihood)},
+        {"preferred", json::value(std::string(a.preferred()))},
     });
-    const std::string path = std::string(dir) + "/BENCH_reliability.json";
-    if (!avtk::obs::write_text_file(path, record.dump(2) + "\n")) {
-      std::cerr << "bench: failed to write perf record under " << dir << "\n";
-      return 1;
-    }
-    std::cout << "perf record written to " << path << "\n";
   }
-  return 0;
+  return avtk::bench::run_experiment(
+      "reliability", rows.str(), argc, argv,
+      {{"reliability",
+        json::value(json::object{
+            {"makers", json::value(all.size())},
+            {"mcf", json::value(json::object{
+                        {"maker",
+                         json::value(std::string(avtk::dataset::manufacturer_id(heavy.maker)))},
+                        {"units", json::value(mcf.units)},
+                        {"events", json::value(mcf.total_events)},
+                        {"points", json::value(mcf.points.size())},
+                        {"seconds", json::value(mcf_seconds)},
+                    })},
+            {"nhpp", json::value(json::object{
+                         {"seconds", json::value(nhpp_seconds)},
+                         {"rows", json::value(std::move(nhpp_rows))},
+                     })},
+            {"weibull_fit_baseline_seconds", json::value(weibull_seconds)},
+            {"synthetic_hpp",
+             json::value(json::object{
+                 {"true_shape", json::value(1.0)},
+                 {"true_rate", json::value(0.02)},
+                 {"events", json::value(hpp_trend.events)},
+                 {"fitted_shape", json::value(hpp_trend.power_law.shape)},
+                 {"shape_abs_error", json::value(std::fabs(hpp_trend.power_law.shape - 1.0))},
+                 {"converged", json::value(hpp_trend.power_law.converged)},
+                 {"hpp_log_likelihood", json::value(hpp_trend.hpp.log_likelihood)},
+                 {"power_law_log_likelihood", json::value(hpp_trend.power_law.log_likelihood)},
+             })},
+        })}});
 }

@@ -12,13 +12,12 @@
 #include "bench/common.h"
 
 #include <cstdint>
-#include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "nlp/ontology.h"
 #include "obs/clock.h"
-#include "obs/export.h"
 #include "obs/json.h"
 #include "obs/latency.h"
 #include "serve/engine.h"
@@ -143,7 +142,7 @@ avtk::obs::json::value pass_json(const pass_stats& s) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   namespace json = avtk::obs::json;
 
   // The same filtered slicing mix through the naive reference and a cold
@@ -152,7 +151,6 @@ int main() {
   // first: it triggers the once-per-epoch index build (amortized across
   // every filtered query in steady state, not a per-query cost) without
   // warming any workload cache entry.
-  std::cout << "==== filtered cold queries (reference vs indexed) ====\n";
   const auto filtered_workload = build_filtered_workload();
   query prime;
   prime.kind = query_kind::metrics;
@@ -177,38 +175,27 @@ int main() {
   };
   const double speedup_p50 = speedup(filtered_reference, filtered_indexed, 0.50);
   const double speedup_p99 = speedup(filtered_reference, filtered_indexed, 0.99);
-  std::cout << "workload: " << filtered_workload.size() << " filtered queries\n"
-            << "reference: " << filtered_reference.qps() << " q/s (p50 "
-            << filtered_reference.percentile_ns(0.5) / 1000 << " us, p99 "
-            << filtered_reference.percentile_ns(0.99) / 1000 << " us)\n"
-            << "indexed:   " << filtered_indexed.qps() << " q/s (p50 "
-            << filtered_indexed.percentile_ns(0.5) / 1000 << " us, p99 "
-            << filtered_indexed.percentile_ns(0.99) / 1000 << " us)\n"
-            << "indexed speedup: p50 " << speedup_p50 << "x, p99 " << speedup_p99 << "x\n"
-            << "payloads identical: " << (payloads_identical ? "yes" : "NO") << "\n\n";
-
-  if (const char* dir = std::getenv("AVTK_BENCH_JSON_DIR"); dir != nullptr && *dir != '\0') {
-    const json::value record(json::object{
-        {"schema", json::value("avtk.bench.v1")},
-        {"experiment", json::value("serve_throughput")},
-        {"serve", json::value(json::object{
-                      {"filtered", json::value(json::object{
-                                       {"workload_queries", json::value(filtered_workload.size())},
-                                       {"reference", pass_json(filtered_reference)},
-                                       {"indexed", pass_json(filtered_indexed)},
-                                       {"indexed_speedup_p50", json::value(speedup_p50)},
-                                       {"indexed_speedup_p99", json::value(speedup_p99)},
-                                       {"payloads_identical", json::value(payloads_identical)},
-                                   })},
-                  })},
-        {"metrics", avtk::obs::snapshot_to_json_value(avtk::obs::metrics().snapshot())},
-    });
-    const std::string path = std::string(dir) + "/BENCH_serve_throughput.json";
-    if (!avtk::obs::write_text_file(path, record.dump(2) + "\n")) {
-      std::cerr << "bench: failed to write perf record under " << dir << "\n";
-      return 1;
-    }
-    std::cout << "perf record written to " << path << "\n";
-  }
-  return 0;
+  std::ostringstream rows;
+  rows << "filtered cold queries (reference vs indexed)\n"
+       << "workload: " << filtered_workload.size() << " filtered queries\n"
+       << "reference: " << filtered_reference.qps() << " q/s (p50 "
+       << filtered_reference.percentile_ns(0.5) / 1000 << " us, p99 "
+       << filtered_reference.percentile_ns(0.99) / 1000 << " us)\n"
+       << "indexed:   " << filtered_indexed.qps() << " q/s (p50 "
+       << filtered_indexed.percentile_ns(0.5) / 1000 << " us, p99 "
+       << filtered_indexed.percentile_ns(0.99) / 1000 << " us)\n"
+       << "indexed speedup: p50 " << speedup_p50 << "x, p99 " << speedup_p99 << "x\n"
+       << "payloads identical: " << (payloads_identical ? "yes" : "NO") << "\n";
+  return avtk::bench::run_experiment(
+      "serve_throughput", rows.str(), argc, argv,
+      {{"serve", json::value(json::object{
+                     {"filtered", json::value(json::object{
+                                      {"workload_queries", json::value(filtered_workload.size())},
+                                      {"reference", pass_json(filtered_reference)},
+                                      {"indexed", pass_json(filtered_indexed)},
+                                      {"indexed_speedup_p50", json::value(speedup_p50)},
+                                      {"indexed_speedup_p99", json::value(speedup_p99)},
+                                      {"payloads_identical", json::value(payloads_identical)},
+                                  })},
+                 })}});
 }

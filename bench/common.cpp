@@ -30,6 +30,34 @@ std::string slugify(const std::string& experiment_id) {
   return out.empty() ? "experiment" : out;
 }
 
+// The avtk.bench.v1 perf record for this process (JSON text).
+std::string bench_record_json(const std::string& experiment_id, obs::json::object extra) {
+  const auto& s = state();
+  namespace json = obs::json;
+
+  json::object stages;
+  for (const auto& t : s.pipeline.stats.stage_timings) {
+    stages.emplace_back(t.stage, json::value(t.seconds));
+  }
+  json::object record{
+      {"schema", json::value("avtk.bench.v1")},
+      {"experiment", json::value(experiment_id)},
+      {"pipeline",
+       json::value(json::object{
+           {"documents_in", json::value(s.pipeline.stats.documents_in)},
+           {"disengagements", json::value(s.pipeline.stats.disengagements)},
+           {"accidents", json::value(s.pipeline.stats.accidents)},
+           {"unknown_tags", json::value(s.pipeline.stats.unknown_tags)},
+           {"generate_seconds", json::value(s.generate_seconds)},
+           {"total_seconds", json::value(s.pipeline_seconds)},
+           {"stage_seconds", json::value(std::move(stages))},
+       })},
+  };
+  for (auto& member : extra) record.push_back(std::move(member));
+  record.emplace_back("metrics", obs::snapshot_to_json_value(obs::metrics().snapshot()));
+  return json::value(std::move(record)).dump(2) + "\n";
+}
+
 }  // namespace
 
 const shared_state& state() {
@@ -47,55 +75,26 @@ const shared_state& state() {
   return s;
 }
 
-std::string bench_record_json(const std::string& experiment_id) {
-  const auto& s = state();
-  namespace json = obs::json;
-
-  json::object stages;
-  for (const auto& t : s.pipeline.stats.stage_timings) {
-    stages.emplace_back(t.stage, json::value(t.seconds));
-  }
-  const json::value record(json::object{
-      {"schema", json::value("avtk.bench.v1")},
-      {"experiment", json::value(experiment_id)},
-      {"pipeline",
-       json::value(json::object{
-           {"documents_in", json::value(s.pipeline.stats.documents_in)},
-           {"disengagements", json::value(s.pipeline.stats.disengagements)},
-           {"accidents", json::value(s.pipeline.stats.accidents)},
-           {"unknown_tags", json::value(s.pipeline.stats.unknown_tags)},
-           {"generate_seconds", json::value(s.generate_seconds)},
-           {"total_seconds", json::value(s.pipeline_seconds)},
-           {"stage_seconds", json::value(std::move(stages))},
-       })},
-      {"metrics", obs::snapshot_to_json_value(obs::metrics().snapshot())},
-  });
-  return record.dump(2) + "\n";
-}
-
-std::string write_bench_record(const std::string& experiment_id, const std::string& dir) {
-  const std::string path = dir + "/BENCH_" + slugify(experiment_id) + ".json";
-  if (!obs::write_text_file(path, bench_record_json(experiment_id))) return "";
-  return path;
+std::string banner(const std::string& experiment_id) {
+  return "==== " + experiment_id + " ====\n";
 }
 
 int run_experiment(const std::string& experiment_id, const std::string& rendered, int argc,
-                   char** argv) {
-  std::cout << "==== " << experiment_id << " ====\n";
-  std::cout << rendered << "\n";
+                   char** argv, obs::json::object extra) {
+  std::cout << banner(experiment_id) << rendered << "\n";
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
 
-  if (const char* dir = std::getenv("AVTK_BENCH_JSON_DIR"); dir != nullptr && *dir != '\0') {
-    const auto path = write_bench_record(experiment_id, dir);
-    if (path.empty()) {
-      std::cerr << "bench: failed to write perf record under " << dir << "\n";
-      return 1;
-    }
-    std::cout << "perf record written to " << path << "\n";
+  const char* dir = std::getenv("AVTK_BENCH_JSON_DIR");
+  if (dir == nullptr || *dir == '\0') return 0;
+  const auto path = std::string(dir) + "/BENCH_" + slugify(experiment_id) + ".json";
+  if (!obs::write_text_file(path, bench_record_json(experiment_id, std::move(extra)))) {
+    std::cerr << "bench: failed to write perf record under " << dir << "\n";
+    return 1;
   }
+  std::cout << "perf record written to " << path << "\n";
   return 0;
 }
 

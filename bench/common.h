@@ -1,15 +1,16 @@
 // bench/common.h
 //
-// Shared state for the per-table/per-figure bench binaries: every binary
-// regenerates the corpus, runs the pipeline once, prints its experiment's
-// paper-vs-measured rows, then times the underlying computation with
-// google-benchmark.
+// Shared state and driver for the bench binaries: the canonical corpus and
+// its pipeline run (built once per process), and run_experiment, which
+// prints an experiment's paper-vs-measured rows and then times the
+// underlying computation with google-benchmark.
 //
-// When the AVTK_BENCH_JSON_DIR environment variable is set, every bench
+// When the AVTK_BENCH_JSON_DIR environment variable is set, run_experiment
 // additionally drops a machine-readable BENCH_<experiment>.json perf record
 // there (schema avtk.bench.v1: end-to-end pipeline wall-clock, per-stage
-// timings, and the obs metric snapshot) so CI can track the performance
-// trajectory across PRs from artifacts instead of log scraping.
+// timings, the bench's own members, and the obs metric snapshot) so CI can
+// track the performance trajectory across PRs from artifacts instead of
+// log scraping.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -21,6 +22,7 @@
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "dataset/generator.h"
+#include "obs/json.h"
 
 namespace avtk::bench {
 
@@ -39,17 +41,15 @@ struct shared_state {
 /// Lazily builds (and caches) the canonical corpus + pipeline run.
 const shared_state& state();
 
-/// The avtk.bench.v1 perf record for this process (JSON text).
-std::string bench_record_json(const std::string& experiment_id);
-
-/// Writes BENCH_<experiment>.json under `dir`; returns the path ("" on
-/// failure).
-std::string write_bench_record(const std::string& experiment_id, const std::string& dir);
+/// "==== <experiment> ====\n": the line each experiment's rows open with.
+std::string banner(const std::string& experiment_id);
 
 /// Prints the experiment banner and the rendered reproduction rows, then
-/// hands control to google-benchmark; finally emits the perf record when
-/// AVTK_BENCH_JSON_DIR is set. Returns the process exit code.
-int run_experiment(const std::string& experiment_id, const std::string& rendered,
-                   int argc, char** argv);
+/// hands control to google-benchmark; finally, when AVTK_BENCH_JSON_DIR is
+/// set, writes the perf record with `extra` as top-level members between
+/// the pipeline block and the metric snapshot. Returns the process exit
+/// code.
+int run_experiment(const std::string& experiment_id, const std::string& rendered, int argc,
+                   char** argv, obs::json::object extra = {});
 
 }  // namespace avtk::bench

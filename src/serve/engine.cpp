@@ -43,6 +43,14 @@ void report_state(Response& out, const composite_snapshot& comp) {
   out.epochs = comp.epochs;
 }
 
+// A one-record batch for the single-record appends.
+template <typename Record>
+std::vector<Record> one_record(Record rec) {
+  std::vector<Record> out;
+  out.push_back(std::move(rec));
+  return out;
+}
+
 }  // namespace
 
 query_engine::query_engine(dataset::failure_database db, engine_config config)
@@ -165,33 +173,16 @@ std::future<query_response> query_engine::submit_miss(query_lookup miss) {
       [this, miss = std::move(miss)]() mutable { return run_miss(std::move(miss)); });
 }
 
-// Appends route to the one shard the record's maker lives in and commit
-// under that shard's writer mutex alone — appends for different shards
-// proceed in parallel. The global id is allocated *before* the commit: the
-// allocation order is the cross-shard merge order.
 void query_engine::append_disengagement(dataset::disengagement_record rec) {
-  const std::size_t shard = store_.shard_for(rec.maker);
-  const std::uint64_t id = store_.next_disengagement_id();
-  store_.commit(shard,
-                [&](dataset::failure_database& db) { db.add_disengagement(std::move(rec), id); });
-  appends_.add();
-  invalidate_dependents('d', shard);
+  commit_records(one_record(std::move(rec)), {}, {});
 }
 
 void query_engine::append_mileage(dataset::mileage_record rec) {
-  const std::size_t shard = store_.shard_for(rec.maker);
-  const std::uint64_t id = store_.next_mileage_id();
-  store_.commit(shard, [&](dataset::failure_database& db) { db.add_mileage(std::move(rec), id); });
-  appends_.add();
-  invalidate_dependents('m', shard);
+  commit_records({}, one_record(std::move(rec)), {});
 }
 
 void query_engine::append_accident(dataset::accident_record rec) {
-  const std::size_t shard = store_.shard_for(rec.maker);
-  const std::uint64_t id = store_.next_accident_id();
-  store_.commit(shard, [&](dataset::failure_database& db) { db.add_accident(std::move(rec), id); });
-  appends_.add();
-  invalidate_dependents('a', shard);
+  commit_records({}, {}, one_record(std::move(rec)));
 }
 
 ingest_response query_engine::ingest_document(const ocr::document& delivered,
@@ -231,31 +222,47 @@ ingest_response query_engine::ingest_document(const ocr::document& delivered,
   const std::size_t records =
       out.disengagements_added + out.mileage_added + out.accidents_added;
 
-  // Group the document's records by shard, with global ids allocated in
-  // document order — the per-domain order every layout appends in.
+  report_state(out, commit_records(std::move(processed.disengagements),
+                                    std::move(processed.mileage),
+                                    std::move(processed.accidents)));
+  ingest_records_.add(records);
+
+  out.latency_ns = watch.elapsed_ns();
+  ingest_ns_.add(static_cast<std::uint64_t>(out.latency_ns));
+  span.close();
+  return out;
+}
+
+// Records route to the shard their maker lives in and commit under that
+// shard's writer mutex alone, so writes to different shards proceed in
+// parallel. Global ids are allocated in document order *before* the
+// commits: the allocation order is the cross-shard merge order, and the
+// per-domain order every layout appends in. One commit per touched shard
+// keeps a batch atomic per shard: a query observes none or all of its
+// records there. An empty batch still publishes one (empty) epoch on shard
+// 0. The result holds the snapshots these commits published, never a
+// later writer's, and the untouched shards' current snapshots.
+composite_snapshot query_engine::commit_records(std::vector<dataset::disengagement_record> dis,
+                                                std::vector<dataset::mileage_record> mil,
+                                                std::vector<dataset::accident_record> acc) {
+  const std::size_t records = dis.size() + mil.size() + acc.size();
   struct shard_batch {
     std::vector<std::pair<dataset::disengagement_record, std::uint64_t>> dis;
     std::vector<std::pair<dataset::mileage_record, std::uint64_t>> mil;
     std::vector<std::pair<dataset::accident_record, std::uint64_t>> acc;
   };
   std::vector<shard_batch> batches(store_.shards());
-  for (auto& d : processed.disengagements) {
+  for (auto& d : dis) {
     batches[store_.shard_for(d.maker)].dis.emplace_back(std::move(d),
                                                         store_.next_disengagement_id());
   }
-  for (auto& m : processed.mileage) {
+  for (auto& m : mil) {
     batches[store_.shard_for(m.maker)].mil.emplace_back(std::move(m), store_.next_mileage_id());
   }
-  for (auto& a : processed.accidents) {
+  for (auto& a : acc) {
     batches[store_.shard_for(a.maker)].acc.emplace_back(std::move(a), store_.next_accident_id());
   }
 
-  // One commit per touched shard, so the document is atomic per shard: a
-  // query observes none or all of its records there. An accepted document
-  // publishes at least one epoch; with no surviving record it commits an
-  // empty one on shard 0. The response reports the snapshots these commits
-  // published — never a later writer's — and the untouched shards' current
-  // snapshots.
   std::vector<snapshot_ptr> reported(batches.size());
   for (std::size_t s = 0; s < batches.size(); ++s) {
     auto& b = batches[s];
@@ -269,22 +276,16 @@ ingest_response query_engine::ingest_document(const ocr::document& delivered,
   for (std::size_t s = 0; s < reported.size(); ++s) {
     if (!reported[s]) reported[s] = store_.pin_shard(s);
   }
-  report_state(out, composite_snapshot::of(std::move(reported)));
   appends_.add(records);
-  ingest_records_.add(records);
 
-  // Only the (domain, shard) pairs the document touched got a version
-  // bump, so only their dependents go stale.
+  // Only the (domain, shard) pairs the batch touched got a version bump,
+  // so only their dependents go stale.
   for (std::size_t s = 0; s < batches.size(); ++s) {
     if (!batches[s].dis.empty()) invalidate_dependents('d', s);
     if (!batches[s].mil.empty()) invalidate_dependents('m', s);
     if (!batches[s].acc.empty()) invalidate_dependents('a', s);
   }
-
-  out.latency_ns = watch.elapsed_ns();
-  ingest_ns_.add(static_cast<std::uint64_t>(out.latency_ns));
-  span.close();
-  return out;
+  return composite_snapshot::of(std::move(reported));
 }
 
 // A key goes stale only if its version suffix carries the bumped domain's

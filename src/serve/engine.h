@@ -209,6 +209,13 @@ class query_engine {
  private:
   /// The miss half of a query (what submit_miss runs on a worker).
   query_response run_miss(query_lookup miss);
+  /// The one record write path (the appends and ingest_document): one
+  /// commit per touched shard, serve.appends counted, the touched (domain,
+  /// shard) pairs' cache dependents dropped. Returns the snapshots the
+  /// batch was published in.
+  composite_snapshot commit_records(std::vector<dataset::disengagement_record> dis,
+                                    std::vector<dataset::mileage_record> mil,
+                                    std::vector<dataset::accident_record> acc);
   void invalidate_dependents(char domain_letter, std::size_t shard);
 
   sharded_store store_;

@@ -6,7 +6,9 @@
 // every on_error policy x labeler x parallelism combination, including
 // which documents a chaos run quarantines and the stage-timings schema.
 // The naive rows relabel the pipeline's database with the test-only
-// reference scorer (nlp_reference.h) and must land on the same digest.
+// reference scorer (nlp_reference.h) and must land on the same digest,
+// with every reference verdict's score, runner-up, confidence and matched
+// phrases equal to the production classifier's.
 //
 // If one of these hashes ever changes, the pipeline's output changed —
 // that is a behavior change, not a refactor, and needs its own review.
@@ -22,6 +24,7 @@
 #include "dataset/csv_io.h"
 #include "dataset/generator.h"
 #include "inject/corruptor.h"
+#include "nlp/classifier.h"
 #include "nlp_reference.h"
 
 namespace {
@@ -75,10 +78,22 @@ std::string run_digest(const dataset::generated_corpus& corpus, core::error_poli
   cfg.parallelism = parallelism;
   auto result = core::run_pipeline(corpus.documents, corpus.pristine_documents, cfg);
   if (labels == labeler::naive) {
+    // The CSV export carries each winner but no score, so every verdict
+    // is also checked whole against the production classifier's.
+    const nlp::keyword_voting_classifier production(cfg.dictionary);
     result.stats.unknown_tags = 0;
     for (std::size_t i = 0; i < result.database.disengagements().size(); ++i) {
-      const auto c = nlp::testing::reference_classify(
-          cfg.dictionary, result.database.disengagements()[i].description);
+      const auto& description = result.database.disengagements()[i].description;
+      const auto c = nlp::testing::reference_classify(cfg.dictionary, description);
+      const auto p = production.classify(description);
+      if (c.score != p.score || c.runner_up != p.runner_up || c.confidence != p.confidence ||
+          c.matched_phrases != p.matched_phrases) {
+        ADD_FAILURE() << "reference verdict differs from production on disengagement " << i
+                      << ": score " << c.score << " vs " << p.score << ", runner-up "
+                      << c.runner_up << " vs " << p.runner_up << ", confidence "
+                      << c.confidence << " vs " << p.confidence;
+        return "reference-mismatch";
+      }
       result.database.relabel_disengagement(i, c.tag, c.category);
       if (c.tag == nlp::fault_tag::unknown) ++result.stats.unknown_tags;
     }

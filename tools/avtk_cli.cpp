@@ -1,42 +1,5 @@
-// avtk — command-line driver for the toolkit.
-//
-//   avtk generate --out DIR [--seed N] [--quality clean|good|fair|poor]
-//       Render the raw DMV-style report corpus to text files.
-//   avtk run [--seed N] [--quality Q] [--csv DIR] [--figures DIR] [--full]
-//            [--parallel N] [--trace-json PATH] [--metrics-json PATH]
-//            [--on-error POLICY] [--quarantine-json PATH] [--inject-* ...]
-//       Run the Stage I-IV pipeline; print headline claims (or the full
-//       report with --full); optionally export the consolidated database
-//       as CSV, the figures as gnuplot bundles, the stage-span trace as
-//       JSON (avtk.trace.v1), the metric registry as JSON, and (under
-//       --on-error quarantine) the refused documents as an
-//       avtk.quarantine.v1 report. The --inject-* flags corrupt a seeded
-//       fraction of the corpus first for chaos testing.
-//   avtk inject [--seed N] [--quality Q] [--inject-seed N]
-//               [--inject-fraction F] [--inject-faults K,...]
-//               [--out DIR] [--manifest PATH]
-//       Generate + corrupt the corpus; write the damaged files and the
-//       avtk.inject.v1 manifest.
-//   avtk simulate [--vehicles N] [--months M] [--driverless] [--seed N]
-//                 [--trace-json PATH]
-//       Run the STPA fleet simulator and print the summary + overlay.
-//   avtk serve [--seed N] [--quality Q] [--threads N] [--cache-capacity N]
-//              [--input PATH] [--metrics-json PATH]
-//       Run the pipeline once, then answer line-delimited JSON analytics
-//       queries (from --input or stdin) on a worker pool with a memoized
-//       result cache. One response line per request, in request order.
-//   avtk soak [--vehicles N] [--months M] [--seed N] [--chaos-fraction F]
-//             [--query-threads N] [--duty-cycle F] [--json PATH]
-//       Simulate a fleet, render its monthly filings, and stream them into
-//       a live serve loop at a paced duty cycle while concurrent client
-//       threads run the full weighted query mix; verify exact quarantine
-//       accounting and snapshot invariants, emit the BENCH_soak record.
-//   avtk query JSON [--seed N] [--quality Q]
-//       One-shot: build the database and answer a single query, e.g.
-//       avtk query '{"query": "metrics", "maker": "waymo"}'
-//   avtk classify TEXT...
-//       Classify a disengagement description with the builtin dictionary.
-//   avtk help
+// avtk — command-line driver for the toolkit. usage() below is the one
+// description of the subcommands and their flags (`avtk help` prints it).
 //
 // Numeric flags parse STRICTLY (util/cli.h): the whole value must be a
 // number of the advertised shape, so `--vehicles banana` or `--months -3`
