@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "core/figures.h"
 #include "core/metrics.h"
 #include "core/pipeline.h"
 #include "nlp/classifier.h"
@@ -58,27 +59,19 @@ int main(int argc, char** argv) {
   std::printf("Median per-car DPM: %s\n\n",
               metrics.median_dpm ? format_number(*metrics.median_dpm, 3).c_str() : "-");
 
-  std::map<std::int64_t, std::pair<double, long long>> monthly;
-  for (const auto& vm : dataset::database_view(result.database).vehicle_months()) {
-    auto& cell = monthly[vm.month.index()];
-    cell.first += vm.miles;
-    cell.second += vm.disengagements;
-  }
   std::vector<double> cum_miles;
   std::vector<double> dpm;
   double cum = 0;
   text_table table({"Month", "Miles", "Disengagements", "DPM"});
   table.set_title("Monthly burn-in curve");
-  for (const auto& [idx, cell] : monthly) {
-    cum += cell.first;
-    const double month_dpm =
-        cell.first > 0 ? static_cast<double>(cell.second) / cell.first : 0.0;
-    if (cell.first > 0 && cell.second > 0) {
+  for (const auto& cell : core::build_monthly_trend(result.database, cfg.maker)) {
+    cum += cell.miles;
+    if (cell.miles > 0 && cell.disengagements > 0) {
       cum_miles.push_back(cum);
-      dpm.push_back(month_dpm);
+      dpm.push_back(cell.dpm());
     }
-    table.add_row({year_month::from_index(idx).to_string(), format_number(cell.first, 5),
-                   std::to_string(cell.second), format_number(month_dpm, 3)});
+    table.add_row({cell.month.to_string(), format_number(cell.miles, 5),
+                   std::to_string(cell.disengagements), format_number(cell.dpm(), 3)});
   }
   std::cout << table.render();
   if (cum_miles.size() >= 2) {

@@ -68,7 +68,7 @@ int main() {
   // Kalra & Paddock: how far must a fleet drive to *demonstrate* given
   // reliability levels with 95% confidence?
   std::puts("Kalra-Paddock: failure-free miles needed to demonstrate a rate (95%):");
-  for (const auto [label, rate] :
+  for (const auto& [label, rate] :
        std::vector<std::pair<const char*, double>>{
            {"human crash rate (2e-6 / mile)", gt::k_human_apm},
            {"Waymo's measured APM", 2.3e-5},

@@ -1,7 +1,6 @@
 #include "core/exposure.h"
 
 #include <algorithm>
-#include <map>
 
 #include "util/table.h"
 
@@ -12,39 +11,30 @@ using dataset::manufacturer;
 std::vector<stats::survival_observation> miles_to_disengagement_spells(
     const dataset::database_view& db, manufacturer maker) {
   // Vehicle-months carry the attribution already (including the pro-rata
-  // handling of Waymo-style monthly aggregates).
-  struct cell {
-    double miles = 0;
-    long long events = 0;
-  };
-  std::map<std::string, std::map<std::int64_t, cell>> per_vehicle;
-  for (const auto& vm : db.vehicle_months()) {
-    if (vm.maker != maker) continue;
-    auto& c = per_vehicle[vm.vehicle_id][vm.month.index()];
-    c.miles += vm.miles;
-    c.events += vm.disengagements;
-  }
-
+  // handling of Waymo-style monthly aggregates), sorted by (vehicle, month).
+  const auto cells = db.vehicle_months(maker);
   std::vector<stats::survival_observation> spells;
-  for (const auto& [vid, months] : per_vehicle) {
-    double open_spell = 0;  // exposure since the last event
-    for (const auto& [idx, c] : months) {
-      if (c.events <= 0) {
-        open_spell += c.miles;
-        continue;
-      }
+  double open_spell = 0;  // exposure since the vehicle's last event
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto& c = cells[i];
+    if (c.disengagements <= 0) {
+      open_spell += c.miles;
+    } else {
       // Split the month uniformly across its k events: k completed spells
       // of m/(k+1) miles each (the first absorbs the carried exposure),
       // then carry the final fragment forward.
-      const double fragment = c.miles / static_cast<double>(c.events + 1);
-      for (long long e = 0; e < c.events; ++e) {
+      const double fragment = c.miles / static_cast<double>(c.disengagements + 1);
+      for (long long e = 0; e < c.disengagements; ++e) {
         const double spell = open_spell + fragment;
         open_spell = 0;
         if (spell > 0) spells.push_back({spell, true});
       }
       open_spell = fragment;
     }
-    if (open_spell > 0) spells.push_back({open_spell, false});  // censored tail
+    if (i + 1 == cells.size() || cells[i + 1].vehicle_id != c.vehicle_id) {
+      if (open_spell > 0) spells.push_back({open_spell, false});  // censored tail
+      open_spell = 0;
+    }
   }
   return spells;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
 
 #include "core/metrics.h"
 #include "stats/tests.h"
@@ -11,19 +12,29 @@ namespace avtk::core {
 
 using dataset::manufacturer;
 
+namespace {
+
+// Month-end cumulative fleet miles, keyed by month index, over one maker's
+// fleet months (dataset::fleet_months).
+std::map<std::int64_t, double> cumulative_fleet_miles(
+    std::span<const dataset::vehicle_month> months) {
+  std::map<std::int64_t, double> out;
+  double cum = 0;
+  for (const auto& month : months) {
+    cum += month.miles;
+    out.emplace_hint(out.end(), month.month.index(), cum);
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<monthly_point> build_monthly_trend(const dataset::database_view& db,
                                                manufacturer maker) {
-  std::map<std::int64_t, monthly_point> cells;
-  for (const auto& vm : db.vehicle_months()) {
-    if (vm.maker != maker) continue;
-    auto& c = cells[vm.month.index()];
-    c.month = vm.month;
-    c.miles += vm.miles;
-    c.disengagements += vm.disengagements;
-  }
   std::vector<monthly_point> out;
-  out.reserve(cells.size());
-  for (auto& [index, cell] : cells) out.push_back(cell);
+  for (const auto& month : dataset::fleet_months(db.vehicle_months(maker))) {
+    out.push_back({month.month, month.miles, month.disengagements});
+  }
   return out;
 }
 
@@ -74,7 +85,7 @@ std::vector<fig7_series> build_fig7(const dataset::database_view& db,
     fig7_series s;
     s.maker = maker;
     for (const int year : {2014, 2015, 2016}) {
-      const auto dpms = per_car_dpm_in_year(db, maker, year);
+      const auto dpms = per_car_dpm(db, maker, year);
       if (!dpms.empty()) s.by_year.emplace(year, stats::summarize_box(dpms));
     }
     if (!s.by_year.empty()) out.push_back(std::move(s));
@@ -86,19 +97,12 @@ fig8_data build_fig8(const dataset::database_view& db,
                      const std::vector<manufacturer>& makers) {
   fig8_data out;
   for (const auto maker : makers) {
-    // Fleet cumulative miles indexed by month.
-    std::map<std::int64_t, double> fleet_cum;
-    {
-      double cum = 0;
-      for (const auto& cell : build_monthly_trend(db, maker)) {
-        cum += cell.miles;
-        fleet_cum[cell.month.index()] = cum;
-      }
-    }
-    for (const auto& vm : db.vehicle_months()) {
-      if (vm.maker != maker || !(vm.miles > 0) || vm.disengagements <= 0) continue;
+    const auto cells = db.vehicle_months(maker);
+    const auto fleet_cum = cumulative_fleet_miles(dataset::fleet_months(cells));
+    for (const auto& vm : cells) {
+      if (!(vm.miles > 0) || vm.disengagements <= 0) continue;
       const double dpm = static_cast<double>(vm.disengagements) / vm.miles;
-      const double cum = fleet_cum[vm.month.index()];
+      const double cum = fleet_cum.at(vm.month.index());
       if (cum > 0) {
         out.log_cumulative_miles.push_back(std::log(cum));
         out.log_dpm.push_back(std::log(dpm));
@@ -201,15 +205,7 @@ std::vector<reaction_correlation> build_reaction_correlations(
     std::size_t min_samples) {
   std::vector<reaction_correlation> out;
   for (const auto maker : makers) {
-    // Fleet cumulative miles at each month.
-    std::map<std::int64_t, double> fleet_cum;
-    {
-      double cum = 0;
-      for (const auto& cell : build_monthly_trend(db, maker)) {
-        cum += cell.miles;
-        fleet_cum[cell.month.index()] = cum;
-      }
-    }
+    const auto fleet_cum = cumulative_fleet_miles(dataset::fleet_months(db.vehicle_months(maker)));
     std::vector<double> miles;
     std::vector<double> rts;
     for (const auto* d : db.disengagements_of(maker)) {

@@ -1,7 +1,5 @@
 #include "core/metrics.h"
 
-#include <map>
-
 #include "dataset/ground_truth.h"
 #include "stats/descriptive.h"
 
@@ -10,31 +8,20 @@ namespace avtk::core {
 namespace gt = dataset::ground_truth;
 
 std::vector<double> per_car_dpm(const dataset::database_view& db,
-                                dataset::manufacturer maker) {
+                                dataset::manufacturer maker, std::optional<int> year) {
+  const auto cells = db.vehicle_months(maker);
   std::vector<double> out;
-  for (const auto& vt : db.vehicle_totals()) {
-    if (vt.maker != maker || !(vt.miles > 0)) continue;
-    out.push_back(static_cast<double>(vt.disengagements) / vt.miles);
-  }
-  return out;
-}
-
-std::vector<double> per_car_dpm_in_year(const dataset::database_view& db,
-                                        dataset::manufacturer maker, int year) {
-  struct totals {
+  // Cells are sorted by (vehicle, month), so each car is one run.
+  for (auto it = cells.begin(); it != cells.end();) {
+    const auto& vehicle = it->vehicle_id;
     double miles = 0;
     long long events = 0;
-  };
-  std::map<std::string, totals> per_car;
-  for (const auto& vm : db.vehicle_months()) {
-    if (vm.maker != maker || vm.month.year != year) continue;
-    auto& t = per_car[vm.vehicle_id];
-    t.miles += vm.miles;
-    t.events += vm.disengagements;
-  }
-  std::vector<double> out;
-  for (const auto& [vid, t] : per_car) {
-    if (t.miles > 0) out.push_back(static_cast<double>(t.events) / t.miles);
+    for (; it != cells.end() && it->vehicle_id == vehicle; ++it) {
+      if (year && it->month.year != *year) continue;
+      miles += it->miles;
+      events += it->disengagements;
+    }
+    if (miles > 0) out.push_back(static_cast<double>(events) / miles);
   }
   return out;
 }

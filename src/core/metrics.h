@@ -38,14 +38,12 @@ manufacturer_metrics compute_metrics(const dataset::database_view& db,
 /// Metrics for every manufacturer present in `db`.
 std::vector<manufacturer_metrics> compute_all_metrics(const dataset::database_view& db);
 
-/// Per-car DPM samples for one manufacturer (Fig. 4's box material).
+/// Per-car DPM samples for one manufacturer, in vehicle-id order, over
+/// cars with positive mileage: Fig. 4's box material, or with `year` only
+/// the months of that calendar year (Fig. 7's yearly boxes).
 std::vector<double> per_car_dpm(const dataset::database_view& db,
-                                dataset::manufacturer maker);
-
-/// Per-car DPM samples restricted to months in calendar year `year`
-/// (Fig. 7's yearly boxes).
-std::vector<double> per_car_dpm_in_year(const dataset::database_view& db,
-                                        dataset::manufacturer maker, int year);
+                                dataset::manufacturer maker,
+                                std::optional<int> year = std::nullopt);
 
 /// Corpus-wide aggregates (§III-C).
 struct corpus_aggregates {

@@ -38,15 +38,6 @@ struct vehicle_month {
   long long disengagements = 0;
 };
 
-/// Per-vehicle total miles and disengagements (for per-car DPM).
-struct vehicle_total {
-  manufacturer maker = manufacturer::waymo;
-  std::string vehicle_id;
-  double miles = 0;
-  long long disengagements = 0;
-  double dpm() const { return miles > 0 ? static_cast<double>(disengagements) / miles : 0.0; }
-};
-
 /// Per-domain monotonic version counters, bumped on every ingest. Consumers
 /// that cache derived results (avtk::serve) key them on the versions of the
 /// domains a computation actually reads, so appending an accident does not

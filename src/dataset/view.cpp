@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <map>
-#include <tuple>
+#include <string_view>
 
 namespace avtk::dataset {
 
@@ -77,43 +78,54 @@ long long database_view::total_accidents(manufacturer maker) const {
   return t;
 }
 
-// The monthly attribution join (semantics in view.h): equal-share within a
-// known month, miles-proportional fallback, fractional-remainder
-// distribution with content-hash tie breaks.
-std::vector<vehicle_month> database_view::vehicle_months() const {
-  // Key: (maker, vehicle, month index).
-  std::map<std::tuple<manufacturer, std::string, std::int64_t>, vehicle_month> cells;
+// The monthly attribution join (semantics in view.h), over one maker's
+// records: equal-share within a known month, miles-proportional fallback,
+// fractional-remainder distribution with content-hash tie breaks.
+std::vector<vehicle_month> database_view::vehicle_months(manufacturer maker) const {
+  // Cell order: (vehicle id, month index).
+  const auto before = [](const vehicle_month& cell, std::string_view vehicle,
+                         std::int64_t month) {
+    const int by_vehicle = cell.vehicle_id.compare(vehicle);
+    return by_vehicle != 0 ? by_vehicle < 0 : cell.month.index() < month;
+  };
+  std::vector<vehicle_month> rows;
   for (const auto& m : mileage()) {
-    auto& cell = cells[{m.maker, m.vehicle_id, m.month.index()}];
-    cell.maker = m.maker;
-    cell.vehicle_id = m.vehicle_id;
-    cell.month = m.month;
-    cell.miles += m.miles;
+    if (m.maker == maker) rows.push_back({maker, m.vehicle_id, m.month, m.miles, 0});
+  }
+  // Stable, so the rows of one cell sum their miles in corpus order.
+  std::stable_sort(rows.begin(), rows.end(), [&](const vehicle_month& a, const vehicle_month& b) {
+    return before(a, b.vehicle_id, b.month.index());
+  });
+  std::vector<vehicle_month> cells;
+  for (auto& row : rows) {
+    if (cells.empty() || before(cells.back(), row.vehicle_id, row.month.index())) {
+      cells.push_back({maker, std::move(row.vehicle_id), row.month, 0.0, 0});
+    }
+    cells.back().miles += row.miles;
   }
 
-  std::map<std::pair<manufacturer, std::int64_t>, long long> unattributed;  // month -1 = any
+  std::map<std::int64_t, long long> unattributed;  // month -1 = any
   for (const auto& d : disengagements()) {
+    if (d.maker != maker) continue;
     const auto bucket = d.month_bucket();
-    bool attributed = false;
     if (bucket && !d.vehicle_id.empty()) {
-      const auto it = cells.find({d.maker, d.vehicle_id, bucket->index()});
-      if (it != cells.end()) {
-        ++it->second.disengagements;
-        attributed = true;
+      const auto month = bucket->index();
+      const auto it = std::partition_point(cells.begin(), cells.end(), [&](const auto& cell) {
+        return before(cell, d.vehicle_id, month);
+      });
+      if (it != cells.end() && it->vehicle_id == d.vehicle_id && it->month.index() == month) {
+        ++it->disengagements;
+        continue;
       }
     }
-    if (!attributed) {
-      ++unattributed[{d.maker, bucket ? bucket->index() : -1}];
-    }
+    ++unattributed[bucket ? bucket->index() : -1];
   }
 
-  for (const auto& [key, count] : unattributed) {
-    const auto [maker, month_index] = key;
+  for (const auto& [month_index, count] : unattributed) {
     bool equal_share = month_index >= 0;
     std::vector<vehicle_month*> mine;
     double miles_total = 0;
-    for (auto& [cell_key, cell] : cells) {
-      if (cell.maker != maker) continue;
+    for (auto& cell : cells) {
       if (month_index >= 0 && cell.month.index() != month_index) continue;
       if (!(cell.miles > 0)) continue;
       mine.push_back(&cell);
@@ -125,8 +137,7 @@ std::vector<vehicle_month> database_view::vehicle_months() const {
       equal_share = false;
       mine.clear();
       miles_total = 0;
-      for (auto& [cell_key, cell] : cells) {
-        if (cell.maker != maker) continue;
+      for (auto& cell : cells) {
         if (!(cell.miles > 0)) continue;
         mine.push_back(&cell);
         miles_total += cell.miles;
@@ -165,24 +176,35 @@ std::vector<vehicle_month> database_view::vehicle_months() const {
     for (std::size_t i = 0; i < mine.size(); ++i) mine[i]->disengagements += assigned[i];
   }
 
+  return cells;
+}
+
+std::vector<vehicle_month> database_view::vehicle_months() const {
   std::vector<vehicle_month> out;
-  out.reserve(cells.size());
-  for (auto& [key, cell] : cells) out.push_back(std::move(cell));
+  for (const auto maker : k_all_manufacturers) {
+    auto cells = vehicle_months(maker);
+    out.insert(out.end(), std::make_move_iterator(cells.begin()),
+               std::make_move_iterator(cells.end()));
+  }
   return out;
 }
 
-std::vector<vehicle_total> database_view::vehicle_totals() const {
-  std::map<std::pair<manufacturer, std::string>, vehicle_total> totals;
-  for (const auto& vm : vehicle_months()) {
-    auto& t = totals[{vm.maker, vm.vehicle_id}];
-    t.maker = vm.maker;
-    t.vehicle_id = vm.vehicle_id;
-    t.miles += vm.miles;
-    t.disengagements += vm.disengagements;
+std::vector<vehicle_month> fleet_months(std::span<const vehicle_month> cells) {
+  std::vector<const vehicle_month*> by_month;
+  by_month.reserve(cells.size());
+  for (const auto& cell : cells) by_month.push_back(&cell);
+  // Stable, so each month keeps its cells in vehicle-id order.
+  std::stable_sort(by_month.begin(), by_month.end(), [](const auto* a, const auto* b) {
+    return a->month.index() < b->month.index();
+  });
+  std::vector<vehicle_month> out;
+  for (const auto* cell : by_month) {
+    if (out.empty() || out.back().month.index() != cell->month.index()) {
+      out.push_back({cell->maker, {}, cell->month, 0.0, 0});
+    }
+    out.back().miles += cell->miles;
+    out.back().disengagements += cell->disengagements;
   }
-  std::vector<vehicle_total> out;
-  out.reserve(totals.size());
-  for (auto& [key, t] : totals) out.push_back(std::move(t));
   return out;
 }
 

@@ -2,11 +2,11 @@
 //
 // Non-owning, optionally filtered read view over a failure_database — the
 // database's only read surface. Every derived read (totals, per-maker
-// scans, the vehicle-month join, per-vehicle totals, reaction times) is
-// implemented here once; failure_database itself holds storage and
-// mutation only. Every Stage-IV builder (core/{metrics,tables,figures,
-// context,analysis,exposure}, reliability/events), the Stage II filter and
-// the serve engine compute from a view.
+// scans, the per-maker vehicle-month join, reaction times) is implemented
+// here once; failure_database itself holds storage and mutation only.
+// Every Stage-IV builder (core/{metrics,tables,figures,context,analysis,
+// exposure}, reliability/events), the Stage II filter and the serve engine
+// compute from a view.
 //
 // A view is a pointer to the database plus, per domain, an optional
 // *selection*: an ascending list of record indices. No selection means the
@@ -168,15 +168,22 @@ class database_view {
   long long total_accidents() const;
   long long total_accidents(manufacturer maker) const;
 
-  /// Joins mileage and disengagements into per-(vehicle, month)
-  /// aggregates. Disengagements without a resolvable month or vehicle are
-  /// attributed pro-rata at the manufacturer level (the paper's monthly
-  /// aggregation faces the same redaction problem): equal shares among
-  /// the maker's vehicles active in the event's month, else in proportion
-  /// to miles over the maker's whole history.
+  /// Joins one manufacturer's mileage and disengagements into
+  /// per-(vehicle, month) cells, sorted by (vehicle id, month); duplicate
+  /// mileage rows of a cell merge. Disengagements without a resolvable
+  /// month or vehicle are attributed pro-rata within the manufacturer (the
+  /// paper's monthly aggregation faces the same redaction problem): equal
+  /// shares among the maker's vehicles active in the event's month, else
+  /// in proportion to miles over the maker's whole history, with the
+  /// remainder going to the largest fractional shares (content-hash tie
+  /// break). Attribution is per manufacturer — no rule reads another
+  /// maker's records — so a per-car, per-month or per-VIN builder reads
+  /// exactly its maker's cells, and the cells equal that maker's slice of
+  /// vehicle_months().
+  std::vector<vehicle_month> vehicle_months(manufacturer maker) const;
+  /// Every manufacturer's vehicle_months(maker), concatenated in enum
+  /// order: the whole view's cells sorted by (maker, vehicle id, month).
   std::vector<vehicle_month> vehicle_months() const;
-  /// vehicle_months() summed per (maker, vehicle), for per-car DPM.
-  std::vector<vehicle_total> vehicle_totals() const;
   /// Reaction-time samples (seconds) for one manufacturer / all.
   std::vector<double> reaction_times(std::optional<manufacturer> maker = std::nullopt) const;
 
@@ -190,5 +197,11 @@ class database_view {
   std::span<const accident_record* const> acc_ptrs_;
   bool composed_ = false;
 };
+
+/// Rolls one manufacturer's vehicle_months(maker) cells up into fleet
+/// months: one cell per month present (empty vehicle id), month-ascending.
+/// Within a month, miles sum in the cells' vehicle-id order. The monthly
+/// trend (Figs. 5, 8, 9) and the fleet event process both read this.
+std::vector<vehicle_month> fleet_months(std::span<const vehicle_month> cells);
 
 }  // namespace avtk::dataset

@@ -1,8 +1,6 @@
 #include "reliability/events.h"
 
 #include <algorithm>
-#include <map>
-#include <tuple>
 #include <utility>
 
 namespace avtk::reliability {
@@ -36,47 +34,6 @@ bool finalize(event_process& process) {
   return process.exposure > 0;
 }
 
-maker_processes build_maker(manufacturer maker,
-                            const std::vector<const vehicle_month*>& cells) {
-  maker_processes out;
-  out.maker = maker;
-  out.fleet.unit_id = std::string(dataset::manufacturer_id(maker));
-
-  // Per-VIN: cells arrive sorted by (vehicle, month), so one linear pass
-  // builds each vehicle's cumulative-mileage clock.
-  event_process current;
-  bool open = false;
-  const auto flush = [&] {
-    if (open && finalize(current)) out.vehicles.push_back(std::move(current));
-    current = event_process{};
-    open = false;
-  };
-  for (const auto* cell : cells) {
-    if (!open || cell->vehicle_id != current.unit_id) {
-      flush();
-      current.unit_id = cell->vehicle_id;
-      open = true;
-    }
-    append_month(current, *cell);
-  }
-  flush();
-
-  // Fleet: the same cells re-grouped by month onto one shared clock. The
-  // month totals are accumulated first so the within-month spread uses the
-  // whole fleet's mileage span for that month.
-  std::map<std::int64_t, vehicle_month> months;
-  for (const auto* cell : cells) {
-    auto& m = months[cell->month.index()];
-    m.maker = maker;
-    m.month = cell->month;
-    m.miles += cell->miles;
-    m.disengagements += cell->disengagements;
-  }
-  for (const auto& [index, cell] : months) append_month(out.fleet, cell);
-  finalize(out.fleet);
-  return out;
-}
-
 }  // namespace
 
 std::size_t maker_processes::vehicle_events() const {
@@ -85,28 +42,47 @@ std::size_t maker_processes::vehicle_events() const {
   return n;
 }
 
-std::vector<maker_processes> extract_processes(const dataset::database_view& db) {
-  // vehicle_months() is keyed (maker, vehicle, month) and already carries
-  // the attribution of vehicle-less / month-less events; its map order
-  // makes the whole extraction deterministic.
-  const auto cells = db.vehicle_months();
-  std::map<manufacturer, std::vector<const vehicle_month*>> by_maker;
-  for (const auto& cell : cells) by_maker[cell.maker].push_back(&cell);
+std::optional<maker_processes> extract_processes(const dataset::database_view& db,
+                                                 manufacturer maker) {
+  // Cells carry the attribution of vehicle-less / month-less events and
+  // arrive sorted by (vehicle, month), which makes the extraction
+  // deterministic.
+  const auto cells = db.vehicle_months(maker);
+  maker_processes out;
+  out.maker = maker;
+  out.fleet.unit_id = std::string(dataset::manufacturer_id(maker));
 
-  std::vector<maker_processes> out;
-  for (const auto& [maker, maker_cells] : by_maker) {
-    auto built = build_maker(maker, maker_cells);
-    if (built.fleet.exposure > 0) out.push_back(std::move(built));
+  // Per-VIN: one linear pass builds each vehicle's cumulative-mileage clock.
+  event_process current;
+  bool open = false;
+  const auto flush = [&] {
+    if (open && finalize(current)) out.vehicles.push_back(std::move(current));
+    current = event_process{};
+    open = false;
+  };
+  for (const auto& cell : cells) {
+    if (!open || cell.vehicle_id != current.unit_id) {
+      flush();
+      current.unit_id = cell.vehicle_id;
+      open = true;
+    }
+    append_month(current, cell);
   }
+  flush();
+
+  // Fleet: the fleet months on one shared clock, so the within-month spread
+  // uses the whole fleet's mileage span for that month.
+  for (const auto& month : dataset::fleet_months(cells)) append_month(out.fleet, month);
+  if (!finalize(out.fleet)) return std::nullopt;
   return out;
 }
 
-std::optional<maker_processes> extract_processes(const dataset::database_view& db,
-                                                 dataset::manufacturer maker) {
-  for (auto& p : extract_processes(db)) {
-    if (p.maker == maker) return std::move(p);
+std::vector<maker_processes> extract_processes(const dataset::database_view& db) {
+  std::vector<maker_processes> out;
+  for (const auto maker : dataset::k_all_manufacturers) {
+    if (auto processes = extract_processes(db, maker)) out.push_back(std::move(*processes));
   }
-  return std::nullopt;
+  return out;
 }
 
 }  // namespace avtk::reliability

@@ -8,10 +8,12 @@
 // models, and per-VIN processes (each vehicle's own cumulative miles) for
 // the mean-cumulative-function estimator.
 //
-// The extraction rides on `failure_database::vehicle_months()`, so events
+// The extraction rides on `database_view::vehicle_months(maker)`, so events
 // without a resolvable vehicle or month inherit its documented attribution
 // (equal shares across the month's active vehicles, miles-proportional as
-// the fallback) instead of inventing a second attribution scheme. Within a
+// the fallback) instead of inventing a second attribution scheme; the fleet
+// process reads the same cells rolled up by `dataset::fleet_months`, the
+// month roll-up the monthly trend (core/figures.h) reads too. Within a
 // month, a cell's d events are spread deterministically at fractions
 // (j+1)/(d+1) of the month's mileage span — no randomness, so repeated
 // extractions (and therefore cached serve payloads) are byte-stable.
@@ -45,20 +47,22 @@ struct maker_processes {
   event_process fleet;
   /// Per-VIN processes (one per vehicle with positive mileage), each on its
   /// own cumulative-miles clock — the input to the MCF estimator. Vehicles
-  /// whose ids the reports redact are merged by `vehicle_months()` into the
-  /// empty-id vehicle and appear here as one unit.
+  /// whose ids the reports redact are merged by
+  /// `database_view::vehicle_months()` into the empty-id vehicle and appear
+  /// here as one unit.
   std::vector<event_process> vehicles;
 
   std::size_t vehicle_events() const;
 };
 
-/// Extracts processes for every manufacturer present in the disengagement
-/// data (enum order, like `manufacturers_present()`); makers with no
-/// positive mileage are skipped — a process needs an exposure clock.
-std::vector<maker_processes> extract_processes(const dataset::database_view& db);
-
-/// Single-maker extraction; nullopt when the maker has no positive mileage.
+/// Extracts one manufacturer's processes from its vehicle-month cells;
+/// nullopt when the maker has no positive mileage — a process needs an
+/// exposure clock.
 std::optional<maker_processes> extract_processes(const dataset::database_view& db,
                                                  dataset::manufacturer maker);
+
+/// Every manufacturer's extraction, in enum order (like
+/// `manufacturers_present()`), skipping the nullopt ones.
+std::vector<maker_processes> extract_processes(const dataset::database_view& db);
 
 }  // namespace avtk::reliability

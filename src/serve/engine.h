@@ -83,7 +83,7 @@ struct engine_config {
   /// Raw-document ingestion path (ingest_document). `strict` and `trace`
   /// are overridden at construction: a live append always scans strictly,
   /// and the processor shares the engine's trace.
-  ingest::processor_config ingest;
+  ingest::processor_config ingest{};
   /// Snapshot-store shards (serve/store.h). K > 1 partitions records by
   /// manufacturer so ingests for different makers commit in parallel
   /// (ShardedStore.CommitsOnDistinctShardsDoNotSerialize). Payloads are

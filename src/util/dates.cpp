@@ -102,7 +102,7 @@ std::string date_time::to_string() const {
   const int h = seconds_of_day / 3600;
   const int m = (seconds_of_day / 60) % 60;
   const int s = seconds_of_day % 60;
-  char buf[16];
+  char buf[40];
   std::snprintf(buf, sizeof(buf), " %02d:%02d:%02d", h, m, s);
   return day.to_string() + buf;
 }

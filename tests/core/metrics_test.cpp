@@ -112,8 +112,8 @@ TEST(Metrics, PerCarDpmInYearFiltersMonths) {
   d.description = "x";
   db.add_disengagement(d);
 
-  const auto in_2015 = per_car_dpm_in_year(db, manufacturer::delphi, 2015);
-  const auto in_2016 = per_car_dpm_in_year(db, manufacturer::delphi, 2016);
+  const auto in_2015 = per_car_dpm(db, manufacturer::delphi, 2015);
+  const auto in_2016 = per_car_dpm(db, manufacturer::delphi, 2016);
   ASSERT_EQ(in_2015.size(), 1u);
   EXPECT_NEAR(in_2015[0], 0.01, 1e-12);
   ASSERT_EQ(in_2016.size(), 1u);

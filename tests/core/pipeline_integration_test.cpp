@@ -160,7 +160,9 @@ TEST(PipelineNoisy, Table7SameWinnersAndFactors) {
   EXPECT_GT(*gm.vs_human, 1000.0);
   // Everyone with accidents is at least ~10x worse than human drivers.
   for (const auto& [maker, row] : by_maker) {
-    if (row.vs_human) EXPECT_GT(*row.vs_human, 9.0);
+    if (row.vs_human) {
+      EXPECT_GT(*row.vs_human, 9.0);
+    }
   }
 }
 

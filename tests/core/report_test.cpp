@@ -41,7 +41,9 @@ TEST(Report, Table7ShowsRatiosWithX) {
   EXPECT_TRUE(str::contains(text, "Waymo"));
   // Manufacturers without accidents show dashes.
   for (const auto& line : str::split(text, '\n')) {
-    if (str::contains(line, "Bosch")) EXPECT_TRUE(str::contains(line, "-"));
+    if (str::contains(line, "Bosch")) {
+      EXPECT_TRUE(str::contains(line, "-"));
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/metrics.h"
 #include "dataset/view.h"
 
 namespace avtk::dataset {
@@ -131,17 +132,26 @@ TEST(Database, EventInMonthWithNoMileageFallsBackToHistory) {
   EXPECT_EQ(total, 1);
 }
 
-TEST(Database, VehicleTotalsAggregateAcrossMonths) {
+TEST(Database, PerCarDpmAggregatesAcrossMonths) {
   failure_database db;
   db.add_mileage(make_mileage(manufacturer::delphi, "D1", {2015, 1}, 100));
   db.add_mileage(make_mileage(manufacturer::delphi, "D1", {2015, 2}, 200));
   db.add_disengagement(make_event(manufacturer::delphi, "D1", date::make(2015, 1, 2)));
   db.add_disengagement(make_event(manufacturer::delphi, "D1", date::make(2015, 2, 2)));
-  const auto totals = database_view(db).vehicle_totals();
-  ASSERT_EQ(totals.size(), 1u);
-  EXPECT_DOUBLE_EQ(totals[0].miles, 300);
-  EXPECT_EQ(totals[0].disengagements, 2);
-  EXPECT_NEAR(totals[0].dpm(), 2.0 / 300.0, 1e-12);
+  // One car: its two months' 300 miles and 2 events, not the mean of the
+  // monthly rates (1/100 and 1/200).
+  const auto dpms = core::per_car_dpm(db, manufacturer::delphi);
+  ASSERT_EQ(dpms.size(), 1u);
+  EXPECT_NEAR(dpms[0], 2.0 / 300.0, 1e-12);
+  double miles = 0;
+  long long events = 0;
+  for (const auto& vm : database_view(db).vehicle_months(manufacturer::delphi)) {
+    EXPECT_EQ(vm.vehicle_id, "D1");
+    miles += vm.miles;
+    events += vm.disengagements;
+  }
+  EXPECT_DOUBLE_EQ(miles, 300);
+  EXPECT_EQ(events, 2);
 }
 
 TEST(Database, ReactionTimesFilterByManufacturer) {

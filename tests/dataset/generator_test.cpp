@@ -179,7 +179,9 @@ TEST(Generator, AccidentSpeedsLowAndMostlyRearEnd) {
       ++with_rel;
       if (*rel < 10.0) ++low_rel;
     }
-    if (a.av_speed_mph) EXPECT_LE(*a.av_speed_mph, 30.0);
+    if (a.av_speed_mph) {
+      EXPECT_LE(*a.av_speed_mph, 30.0);
+    }
   }
   EXPECT_GT(rear, 21);  // "most were rear-end"
   ASSERT_GT(with_rel, 0);
