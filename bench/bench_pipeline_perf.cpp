@@ -1,11 +1,23 @@
-// Component micro-benchmarks: OCR corruption/recovery, per-format parsing,
-// stemming, and distribution sampling — the pipeline's hot paths.
+// Component micro-benchmarks: OCR corruption/recovery, lexicon lookup,
+// per-format parsing, stemming, and distribution sampling — the pipeline's
+// hot paths.
+//
+// Its perf record, BENCH_pipeline_perf.json under AVTK_BENCH_JSON_DIR,
+// carries the Stage II lexicon lookup rates as `ocr`: the production delete
+// index vs the test-only linear scan (tests/ocr/ocr_reference.h) over the
+// same one-edit-damaged words, and their ratio `indexed_over_scan`.
 #include "bench/common.h"
+
+#include <iostream>
+#include <sstream>
 
 #include "nlp/stemmer.h"
 #include "nlp/tokenizer.h"
 #include "ocr/engine.h"
 #include "ocr/noise.h"
+#include "ocr_reference.h"
+#include "obs/clock.h"
+#include "obs/json.h"
 #include "parse/disengagement_parser.h"
 #include "parse/formats/common.h"
 #include "util/rng.h"
@@ -35,6 +47,63 @@ void BM_OcrRecoverLine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OcrRecoverLine);
+
+const avtk::ocr::lexicon& builtin_lexicon() {
+  static const auto shared = avtk::ocr::lexicon::builtin();
+  return *shared;
+}
+
+// The lookup workload: every one-letter deletion and every one-letter
+// substitution (by the next letter) of every builtin word, so the queries
+// are the near misses post-correction exists for, and both outcomes of the
+// uniqueness rule (snap, refuse) occur.
+const std::vector<std::string>& damaged_words() {
+  static const std::vector<std::string> queries = [] {
+    std::vector<std::string> out;
+    for (const auto& w : builtin_lexicon().words()) {
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        out.push_back(w.substr(0, i) + w.substr(i + 1));
+        std::string substituted = w;
+        substituted[i] = substituted[i] == 'z' ? 'a' : static_cast<char>(substituted[i] + 1);
+        out.push_back(std::move(substituted));
+      }
+    }
+    return out;
+  }();
+  return queries;
+}
+
+std::string indexed_match(const std::string& word) {
+  return builtin_lexicon().best_match(word);
+}
+
+std::string scan_match(const std::string& word) {
+  return avtk::ocr::testing::reference_best_match(builtin_lexicon().words(), word);
+}
+
+void BM_LexiconBestMatch(benchmark::State& state, std::string (*match)(const std::string&)) {
+  const auto& queries = damaged_words();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(match(queries[i++ % queries.size()]));
+  }
+}
+BENCHMARK_CAPTURE(BM_LexiconBestMatch, indexed, &indexed_match);
+BENCHMARK_CAPTURE(BM_LexiconBestMatch, scan, &scan_match);
+
+// Seconds for `passes` passes of `match` over the workload, after one
+// warm-up pass; the answers of the last pass go to `answers`.
+double time_lookups(std::string (*match)(const std::string&), int passes,
+                    std::vector<std::string>& answers) {
+  for (const auto& q : damaged_words()) benchmark::DoNotOptimize(match(q));
+  const avtk::obs::stopwatch watch;
+  for (int pass = 0; pass < passes; ++pass) {
+    answers.clear();
+    for (const auto& q : damaged_words()) answers.push_back(match(q));
+    benchmark::DoNotOptimize(answers.data());
+  }
+  return watch.elapsed_seconds();
+}
 
 void BM_ParseNissanLine(benchmark::State& state) {
   for (auto _ : state) {
@@ -83,5 +152,39 @@ BENCHMARK(BM_ExpWeibullSample);
 }  // namespace
 
 int main(int argc, char** argv) {
-  return avtk::bench::run_experiment("Pipeline component micro-benchmarks", "", argc, argv);
+  namespace json = avtk::obs::json;
+
+  constexpr int k_passes = 3;
+  std::vector<std::string> indexed_answers;
+  std::vector<std::string> scan_answers;
+  const double indexed_s = time_lookups(&indexed_match, k_passes, indexed_answers);
+  const double scan_s = time_lookups(&scan_match, k_passes, scan_answers);
+  if (indexed_answers != scan_answers) {
+    std::cerr << "bench_pipeline_perf: the delete index and the linear scan disagree\n";
+    return 1;
+  }
+  const double lookups = static_cast<double>(damaged_words().size()) * k_passes;
+  const double indexed_ns = indexed_s * 1e9 / lookups;
+  const double scan_ns = scan_s * 1e9 / lookups;
+  const double speedup = indexed_s > 0 ? scan_s / indexed_s : 0;
+  const auto index_bytes = builtin_lexicon().footprint_bytes();
+
+  std::ostringstream rows;
+  rows << "lexicon lookup: delete index vs linear scan\n"
+       << "workload: " << damaged_words().size() << " one-edit-damaged builtin words x "
+       << k_passes << " passes\n"
+       << "scan:    " << scan_ns << " ns/lookup\n"
+       << "indexed: " << indexed_ns << " ns/lookup\n"
+       << "indexed/scan: " << speedup << "x\n"
+       << "builtin lexicon + index: " << index_bytes << " bytes\n";
+  return avtk::bench::run_experiment(
+      "pipeline_perf", rows.str(), argc, argv,
+      {{"ocr", json::value(json::object{
+                   {"workload_lookups", json::value(damaged_words().size())},
+                   {"passes", json::value(static_cast<std::size_t>(k_passes))},
+                   {"scan_ns_per_lookup", json::value(scan_ns)},
+                   {"indexed_ns_per_lookup", json::value(indexed_ns)},
+                   {"indexed_over_scan", json::value(speedup)},
+                   {"lexicon_bytes", json::value(index_bytes)},
+               })}});
 }

@@ -9,6 +9,7 @@
 // could not handle.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,8 +55,9 @@ struct engine_config {
 class mock_ocr_engine {
  public:
   /// The corrector's lexicon decides what "looks like a word" — pass the
-  /// pipeline's vocabulary (failure-dictionary stems + report keywords).
-  mock_ocr_engine(lexicon vocab, engine_config config = {});
+  /// pipeline's vocabulary (lexicon::builtin(), shared by every engine).
+  /// `vocab` must not be null.
+  mock_ocr_engine(std::shared_ptr<const lexicon> vocab, engine_config config = {});
 
   /// Recognizes a (corrupted) document.
   recognition_result recognize(const document& doc) const;
@@ -64,7 +66,7 @@ class mock_ocr_engine {
   recognized_line recognize_line(const std::string& line) const;
 
  private:
-  lexicon vocab_;
+  std::shared_ptr<const lexicon> vocab_;
   engine_config config_;
 };
 

@@ -1,5 +1,9 @@
 #include "ocr/postprocess.h"
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+
 #include "nlp/dictionary.h"
 #include "nlp/tokenizer.h"
 #include "util/strings.h"
@@ -35,44 +39,32 @@ std::string repair_numeric_token_mixed(std::string_view token) {
   return out;
 }
 
-}  // namespace
-
-lexicon::lexicon(std::vector<std::string> words) {
-  for (auto& w : words) add(w);
+std::uint32_t key_hash(std::string_view key) {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(key));
 }
 
-void lexicon::add(std::string_view word) {
-  if (word.empty()) return;
-  words_.insert(str::to_lower(word));
-}
-
-bool lexicon::contains(std::string_view word) const {
-  return words_.contains(str::to_lower(word));
-}
-
-std::string lexicon::best_match(std::string_view word) const {
-  const std::string lower = str::to_lower(word);
-  if (words_.contains(lower)) return lower;
-  if (lower.size() < 3) return {};  // too short to snap safely
-  std::string found;
-  for (const auto& candidate : words_) {
-    // Cheap length filter before the O(nm) distance.
-    const auto ls = lower.size();
-    const auto cs = candidate.size();
-    if (cs + 1 < ls || ls + 1 < cs) continue;
-    if (str::edit_distance(lower, candidate) <= 1) {
-      if (!found.empty()) return {};  // ambiguous: refuse to correct
-      found = candidate;
-    }
+// Calls `visit` on each distinct one-letter deletion of `word`, built in
+// `scratch`, until it returns false; returns false when it did. Deleting
+// any letter of a run of equal letters gives the same string, so only the
+// run's first letter is deleted.
+template <typename Visit>
+bool for_each_deletion(std::string_view word, std::string& scratch, Visit visit) {
+  for (std::size_t i = 0; i < word.size(); ++i) {
+    if (i > 0 && word[i] == word[i - 1]) continue;
+    scratch.assign(word.substr(0, i));
+    scratch.append(word.substr(i + 1));
+    if (!visit(std::string_view(scratch))) return false;
   }
-  return found;
+  return true;
 }
 
-lexicon lexicon::builtin() {
-  lexicon v;
+// The builtin vocabulary's words; the lexicon drops the duplicates.
+std::vector<std::string> builtin_words() {
+  std::vector<std::string> words;
+  const auto add = [&](std::string_view w) { words.emplace_back(w); };
   // Report schema keywords.
-  v.add("ads");  // "Initiated By: ADS" — must not be "corrected" to "as"
-  v.add("vin");
+  add("ads");  // "Initiated By: ADS" — must not be "corrected" to "as"
+  add("vin");
   for (const char* w :
        {"date", "time", "vin", "vehicle", "miles", "month", "disengagement", "disengagements",
         "disengage", "disengaged", "accident", "cause", "description", "location", "weather",
@@ -82,26 +74,26 @@ lexicon lexicon::builtin() {
         "clear", "fog", "city", "road", "conditions", "safely", "resumed", "control",
         "takeover", "request", "test", "speed", "mph", "rear", "front", "side", "collision",
         "intersection", "lane", "turn", "stop", "yield", "pedestrian", "cyclist", "passenger"}) {
-    v.add(w);
+    add(w);
   }
   // Month names and abbreviations.
   for (const char* w : {"january", "february", "march", "april", "may", "june", "july",
                         "august", "september", "october", "november", "december", "jan", "feb",
                         "mar", "apr", "jun", "jul", "aug", "sep", "sept", "oct", "nov", "dec"}) {
-    v.add(w);
+    add(w);
   }
   // Manufacturer names as they appear in reports.
   for (const char* w : {"waymo", "google", "bosch", "delphi", "nissan", "mercedes", "benz",
                         "tesla", "volkswagen", "cruise", "gm", "uber", "ford", "honda", "bmw",
                         "leaf", "prototype"}) {
-    v.add(w);
+    add(w);
   }
   // Failure-dictionary vocabulary: every stem plus the raw words of the
   // builtin phrases (stems alone miss inflected forms seen in logs).
   const auto dict = nlp::failure_dictionary::builtin();
   for (const auto tag : dict.tags()) {
     for (const auto& phrase : dict.phrases(tag)) {
-      for (const auto& s : phrase.stems) v.add(s);
+      for (const auto& s : phrase.stems) add(s);
     }
   }
   // Function words and report prose: these appear in nearly every line, so
@@ -113,7 +105,7 @@ lexicon lexicon::builtin() {
         "then", "this", "to",   "under", "up",    "was",   "were",     "with", "while",
         "again", "also", "after", "before", "during", "near", "over", "several", "twice",
         "late", "per",  "result", "immediate", "without", "incident", "assumed"}) {
-    v.add(w);
+    add(w);
   }
   // Vocabulary of the phrase-bank templates (the free-text cause lines).
   for (const char* w :
@@ -145,7 +137,7 @@ lexicon lexicon::builtin() {
         "dropped",    "packets",     "handled",     "rate",       "data",         "timeout",
         "scene",      "situation",   "involving",   "beyond",     "outside",      "domain",
         "operational", "corner",     "case",        "unhandled",  "encountered",  "user"}) {
-    v.add(w);
+    add(w);
   }
   for (const char* w :
        {"software", "module", "froze", "watchdog", "error", "processor", "overload", "lidar",
@@ -157,9 +149,89 @@ lexicon lexicon::builtin() {
         "memory", "crash", "hang", "bug", "system", "failure", "fault", "malfunction",
         "unforeseen", "situation", "designed", "limitation", "scenario", "glare", "debris",
         "incorrect", "untimely", "wrong", "vehicles"}) {
-    v.add(w);
+    add(w);
   }
-  return v;
+  return words;
+}
+
+}  // namespace
+
+lexicon::lexicon(std::vector<std::string> words) {
+  for (auto& w : words) w = str::to_lower(w);
+  std::erase(words, std::string());
+  std::ranges::sort(words);
+  words.erase(std::unique(words.begin(), words.end()), words.end());
+  words_ = std::move(words);
+
+  std::string scratch;
+  for (std::uint32_t id = 0; id < words_.size(); ++id) {
+    index_.push_back({key_hash(words_[id]), id});
+    for_each_deletion(words_[id], scratch, [&](std::string_view key) {
+      index_.push_back({key_hash(key), id});
+      return true;
+    });
+  }
+  std::ranges::sort(index_);
+  index_.erase(std::unique(index_.begin(), index_.end()), index_.end());
+  index_.shrink_to_fit();
+}
+
+std::span<const lexicon::posting> lexicon::postings(std::string_view key) const {
+  const auto range = std::ranges::equal_range(index_, key_hash(key), {}, &posting::key_hash);
+  return {range.begin(), range.end()};
+}
+
+bool lexicon::contains(std::string_view word) const {
+  const std::string lower = str::to_lower(word);
+  return std::ranges::any_of(postings(lower),
+                             [&](const posting& p) { return words_[p.id] == lower; });
+}
+
+std::size_t lexicon::footprint_bytes() const {
+  std::size_t bytes = sizeof(*this) + words_.capacity() * sizeof(std::string) +
+                      index_.capacity() * sizeof(posting);
+  const std::size_t inline_capacity = std::string().capacity();
+  for (const auto& w : words_) {
+    if (w.capacity() > inline_capacity) bytes += w.capacity() + 1;
+  }
+  return bytes;
+}
+
+std::string lexicon::best_match(std::string_view word) const {
+  std::string lower = str::to_lower(word);
+  const auto own = postings(lower);
+  if (std::ranges::any_of(own, [&](const posting& p) { return words_[p.id] == lower; })) {
+    return lower;
+  }
+  if (lower.size() < 3) return {};  // too short to snap safely
+
+  // Every word within distance 1 shares a key with the query: a
+  // substitution leaves the same deletion of both, an insertion or a
+  // deletion leaves one word a deletion of the other. Shared deletions also
+  // admit distance-2 pairs (a transposition: "wyamo" and "waymo" both lose
+  // a letter to "wamo"), so each candidate is confirmed. Snapping needs
+  // exactly one distinct word within distance 1, whatever the visit order.
+  constexpr auto k_none = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t found = k_none;
+  const auto admit = [&](std::span<const posting> candidates) {
+    for (const auto& p : candidates) {
+      if (p.id == found || !str::within_edit_distance(lower, words_[p.id], 1)) continue;
+      if (found != k_none) return false;  // ambiguous: refuse to correct
+      found = p.id;
+    }
+    return true;
+  };
+  std::string scratch;
+  if (!admit(own) ||
+      !for_each_deletion(lower, scratch, [&](std::string_view key) { return admit(postings(key)); })) {
+    return {};
+  }
+  return found == k_none ? std::string() : words_[found];
+}
+
+std::shared_ptr<const lexicon> lexicon::builtin() {
+  static const auto shared = std::make_shared<const lexicon>(builtin_words());
+  return shared;
 }
 
 std::string repair_numeric_token(std::string_view token) {
@@ -219,8 +291,10 @@ std::string correct_line(std::string_view line, const lexicon& vocab) {
       out += repair_numeric_token_mixed(token);
       continue;
     }
+    // best_match returns a member as itself, so a result equal to the
+    // token (ignoring case) means "already a word": keep its spelling.
     const auto fixed = vocab.best_match(token);
-    if (!fixed.empty() && !vocab.contains(token)) {
+    if (!fixed.empty() && !str::iequals(token, fixed)) {
       // Preserve the original word's leading capitalization.
       std::string replacement = fixed;
       if (str::is_alpha(token[0]) && token[0] >= 'A' && token[0] <= 'Z' &&

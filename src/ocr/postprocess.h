@@ -6,33 +6,61 @@
 // downstream parsers and the NLP tagger robust to residual scan noise.
 #pragma once
 
+#include <compare>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 namespace avtk::ocr {
 
-/// The correction vocabulary (lower-cased words).
+/// The correction vocabulary (lower-cased words), indexed for distance-1
+/// lookups by symmetric deletes: every word and each of its one-letter
+/// deletions map to the word's id, so the words within distance 1 of a
+/// query are among those sharing a key with the query or one of its
+/// one-letter deletions. Immutable once built, so one instance can be
+/// shared by every engine and thread.
 class lexicon {
  public:
-  lexicon() = default;
   explicit lexicon(std::vector<std::string> words);
 
-  void add(std::string_view word);
   bool contains(std::string_view word) const;
   std::size_t size() const { return words_.size(); }
 
+  /// The lower-cased words, sorted and unique.
+  const std::vector<std::string>& words() const { return words_; }
+
+  /// Heap and inline bytes held by the words and the delete index.
+  std::size_t footprint_bytes() const;
+
   /// The unique lexicon word within edit distance 1 of `word`, or empty
-  /// when none or ambiguous. Exact members return themselves.
+  /// when none or ambiguous. Exact members return themselves (lower-cased);
+  /// words shorter than 3 letters only ever match exactly.
   std::string best_match(std::string_view word) const;
 
   /// Default vocabulary: report-schema keywords, month names, manufacturer
-  /// names, and the failure-dictionary vocabulary.
-  static lexicon builtin();
+  /// names, and the failure-dictionary vocabulary. Built once per process
+  /// and shared.
+  static std::shared_ptr<const lexicon> builtin();
 
  private:
-  std::unordered_set<std::string> words_;
+  /// One index posting: a key (a word or one of its one-letter deletions),
+  /// stored by hash only, and the id of the word it came from. A hash
+  /// collision only adds a candidate that the distance check rejects.
+  struct posting {
+    std::uint32_t key_hash = 0;
+    std::uint32_t id = 0;
+
+    auto operator<=>(const posting&) const = default;
+  };
+
+  /// The postings whose key hashes like `key`.
+  std::span<const posting> postings(std::string_view key) const;
+
+  std::vector<std::string> words_;
+  std::vector<posting> index_;  ///< sorted by (key_hash, id)
 };
 
 /// Repairs digit/letter confusions in tokens that are mostly digits

@@ -24,11 +24,9 @@ std::string canonical_key(std::string_view raw) {
   }
   std::string best;
   for (const char* k : known) {
-    const std::string_view kv = k;
-    if (key.size() + 2 < kv.size() || kv.size() + 2 < key.size()) continue;
-    if (str::edit_distance(key, kv) <= 2) {
+    if (str::within_edit_distance(key, k, 2)) {
       if (!best.empty()) return key;  // ambiguous: keep the raw key
-      best = kv;
+      best = k;
     }
   }
   return best.empty() ? key : best;

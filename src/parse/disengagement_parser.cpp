@@ -143,7 +143,7 @@ disengagement_parse_result parse_disengagement_report(const ocr::document& doc,
       std::string best;
       bool ambiguous = false;
       for (const auto& candidate : roster) {
-        if (str::edit_distance(e.vehicle_id, candidate) <= 2) {
+        if (str::within_edit_distance(e.vehicle_id, candidate, 2)) {
           if (!best.empty()) ambiguous = true;
           best = candidate;
         }

@@ -1,5 +1,7 @@
 #include "parse/formats/common.h"
 
+#include <algorithm>
+
 #include "nlp/tokenizer.h"
 #include "util/errors.h"
 #include "util/strings.h"
@@ -22,38 +24,32 @@ line_reader reader_for(manufacturer maker) {
   }
 }
 
-bool fuzzy_contains_word(std::string_view line, std::string_view word) {
-  const std::string target = str::to_lower(word);
-  for (const auto& t : nlp::tokenize(line)) {
-    if (t.text == target) return true;
-    if (t.text.size() + 1 >= target.size() && target.size() + 1 >= t.text.size() &&
-        str::edit_distance(t.text, target) <= 1) {
-      return true;
-    }
-  }
-  return false;
+namespace {
+
+// Section-marker and column-header words across all formats.
+constexpr std::string_view k_marker_words[] = {
+    "section", "mileage",  "disengagements", "disengagement", "takeover", "events",  "autonomous",
+    "monthly", "summary",  "miles",          "reporting",     "release",  "planned"};
+
+// True when `token` (lower-cased) is within edit distance 1 of a marker word.
+bool is_marker_word(std::string_view token) {
+  return std::ranges::any_of(k_marker_words, [&](std::string_view word) {
+    return str::within_edit_distance(token, word, 1);
+  });
 }
+
+}  // namespace
 
 bool is_structural_line(std::string_view line) {
   const auto trimmed = str::trim(line);
   if (trimmed.empty()) return true;
-  // Section markers and column headers across all formats.
-  for (const char* word :
-       {"section", "mileage", "disengagements", "disengagement", "takeover", "events",
-        "autonomous", "monthly", "summary", "miles", "reporting", "release", "planned"}) {
-    if (fuzzy_contains_word(trimmed, word)) {
-      // A data line also contains digits somewhere (dates, miles); a pure
-      // marker/header does not — except CSV headers like "Reaction Time (s)"
-      // which contain no digits either.
-      bool has_digit = false;
-      for (char c : trimmed) {
-        if (str::is_digit(c)) {
-          has_digit = true;
-          break;
-        }
-      }
-      if (!has_digit) return true;
-    }
+  // A data line contains digits somewhere (dates, miles); a pure marker or
+  // header does not — except CSV headers like "Reaction Time (s)" which
+  // contain no digits either.
+  if (std::ranges::none_of(trimmed, str::is_digit) &&
+      std::ranges::any_of(nlp::tokenize(trimmed),
+                          [](const nlp::token& t) { return is_marker_word(t.text); })) {
+    return true;
   }
   // Header block lines ("DMV Release: 2016", "Reporting Period: ...") carry
   // digits but START with these labels — data lines never do.
@@ -62,11 +58,7 @@ bool is_structural_line(std::string_view line) {
     if (!words.empty()) {
       const auto first_word = str::to_lower(words[0]);
       for (const char* label : {"dmv", "reporting"}) {
-        if (first_word == label || (first_word.size() + 1 >= std::string_view(label).size() &&
-                                    std::string_view(label).size() + 1 >= first_word.size() &&
-                                    str::edit_distance(first_word, label) <= 1)) {
-          return true;
-        }
+        if (str::within_edit_distance(first_word, label, 1)) return true;
       }
     }
   }

@@ -32,10 +32,6 @@ line_reader reader_for(dataset::manufacturer maker);
 /// format (fuzzy, OCR-tolerant).
 bool is_structural_line(std::string_view line);
 
-/// Fuzzy word containment: true when any word of `line` is within edit
-/// distance 1 of `word` (both lower-cased).
-bool fuzzy_contains_word(std::string_view line, std::string_view word);
-
 /// Parses "0.85 s" / "0.85" into seconds.
 std::optional<double> parse_reaction_seconds(std::string_view text);
 

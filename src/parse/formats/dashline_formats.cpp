@@ -78,7 +78,9 @@ std::optional<parsed_line> read_volkswagen_line(std::string_view line) {
   if (!date) return std::nullopt;
   if (!str::icontains(parts[2], "takeover")) {
     // Tolerate OCR damage in the marker: accept when it is at least close.
-    if (str::edit_distance(str::to_lower(parts[2]), "takeover-request") > 3) return std::nullopt;
+    if (!str::within_edit_distance(str::to_lower(parts[2]), "takeover-request", 3)) {
+      return std::nullopt;
+    }
   }
   disengagement_record d;
   d.event_date = *date;

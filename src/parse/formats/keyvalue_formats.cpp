@@ -25,10 +25,8 @@ std::optional<std::pair<std::string, std::string>> split_kv(std::string_view par
 }
 
 bool key_is(const std::string& key, std::string_view target) {
-  if (key == target) return true;
   // OCR tolerance on the short keys.
-  return key.size() + 1 >= target.size() && target.size() + 1 >= key.size() &&
-         str::edit_distance(key, target) <= 1;
+  return str::within_edit_distance(key, target, 1);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@ std::optional<manufacturer> fuzzy_manufacturer(std::string_view text) {
     for (const auto name : {dataset::manufacturer_name(m), dataset::manufacturer_short_name(m)}) {
       const std::string candidate = str::to_lower(name);
       const std::size_t limit = candidate.size() >= 6 ? 2 : 1;
-      if (str::edit_distance(lower, candidate) <= limit) {
+      if (str::within_edit_distance(lower, candidate, limit)) {
         if (found && *found != m) return std::nullopt;  // ambiguous
         found = m;
       }

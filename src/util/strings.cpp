@@ -1,6 +1,7 @@
 #include "util/strings.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
@@ -216,6 +217,55 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
     std::swap(prev, cur);
   }
   return prev[a.size()];
+}
+
+bool within_edit_distance(std::string_view a, std::string_view b, std::size_t k) {
+  if (a.size() > b.size()) std::swap(a, b);
+  if (b.size() - a.size() > k) return false;
+  // A common prefix or suffix never changes the distance.
+  while (!a.empty() && a.front() == b.front()) {
+    a.remove_prefix(1);
+    b.remove_prefix(1);
+  }
+  while (!a.empty() && a.back() == b.back()) {
+    a.remove_suffix(1);
+    b.remove_suffix(1);
+  }
+  const std::size_t n = a.size();
+  const std::size_t m = b.size();
+  if (m <= k) return true;  // the distance never exceeds the longer length
+
+  // Two DP rows over a's prefixes, saturated at k + 1. Row j only computes
+  // columns [j - k, j + k]; the cell just right of the band is set to the
+  // cap so the next row never reads a stale value from two rows back.
+  constexpr std::size_t k_stack_len = 64;
+  std::array<std::size_t, 2 * (k_stack_len + 1)> stack_rows{};
+  std::vector<std::size_t> heap_rows;
+  std::size_t* prev = stack_rows.data();
+  if (n > k_stack_len) {
+    heap_rows.resize(2 * (n + 1));
+    prev = heap_rows.data();
+  }
+  std::size_t* cur = prev + n + 1;
+  const std::size_t cap = k + 1;
+  for (std::size_t i = 0; i <= n; ++i) prev[i] = std::min(i, cap);
+  for (std::size_t j = 1; j <= m; ++j) {
+    const std::size_t lo = j > k ? j - k : 1;
+    const std::size_t hi = std::min(n, j + k);
+    cur[lo - 1] = lo == 1 ? std::min(j, cap) : cap;
+    std::size_t row_min = cur[lo - 1];
+    for (std::size_t i = lo; i <= hi; ++i) {
+      const std::size_t sub = prev[i - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
+      cur[i] = std::min({prev[i] + 1, cur[i - 1] + 1, sub, cap});
+      row_min = std::min(row_min, cur[i]);
+    }
+    if (hi < n) cur[hi + 1] = cap;
+    // Every alignment path crosses this row, and DP values never decrease
+    // along a path, so a row wholly above k decides the answer.
+    if (row_min > k) return false;
+    std::swap(prev, cur);
+  }
+  return prev[n] <= k;
 }
 
 }  // namespace avtk::str

@@ -62,6 +62,13 @@ std::optional<double> parse_number_lenient(std::string_view s);
 /// Levenshtein edit distance; O(|a|*|b|) time, O(min) space.
 std::size_t edit_distance(std::string_view a, std::string_view b);
 
+/// True when edit_distance(a, b) <= k. Strips the common prefix and suffix,
+/// then runs a DP over the 2k+1 diagonals around the main one,
+/// O(k*max(|a|,|b|)) time, that stops as soon as a whole row of the band
+/// exceeds k. It allocates only when the shorter remainder is longer than
+/// 64 characters. Use it for every threshold test.
+bool within_edit_distance(std::string_view a, std::string_view b, std::size_t k);
+
 /// True if `c` is an ASCII letter/digit.
 bool is_alpha(char c);
 bool is_digit(char c);

@@ -1,0 +1,22 @@
+// Stage II's test-only oracle: the original lexicon lookup, a linear scan
+// that runs the full edit distance against every word. It shares nothing
+// with the production delete index (ocr/postprocess.h) but the lexicon's
+// word list, so every production best_match must equal
+// reference_best_match over the same words.
+//
+// Linked by the ocr tests and bench_pipeline_perf only; the pipeline, the
+// CLI and perfbench never link it.
+#pragma once
+
+#include <string>
+#include <string_view>
+#include <vector>
+
+namespace avtk::ocr::testing {
+
+/// The unique word of `words` (lower-cased) within edit distance 1 of
+/// `word`, or empty when none or ambiguous; a member returns itself, and a
+/// non-member shorter than 3 letters never matches.
+std::string reference_best_match(const std::vector<std::string>& words, std::string_view word);
+
+}  // namespace avtk::ocr::testing

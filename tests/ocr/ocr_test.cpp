@@ -4,6 +4,7 @@
 #include "ocr/engine.h"
 #include "ocr/noise.h"
 #include "ocr/postprocess.h"
+#include "ocr_reference.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -106,9 +107,90 @@ TEST(Lexicon, BestMatchSnapsWithinDistanceOne) {
   EXPECT_EQ(v.best_match("xyz"), "");
 }
 
+TEST(Lexicon, BestMatchReturnsMembersLowerCased) {
+  lexicon v({"watchdog"});
+  EXPECT_EQ(v.best_match("WatchDog"), "watchdog");
+}
+
 TEST(Lexicon, AmbiguousMatchRefused) {
   lexicon v({"cart", "card"});
   EXPECT_EQ(v.best_match("carx"), "");  // distance 1 to both
+  EXPECT_EQ(testing::reference_best_match(v.words(), "carx"), "");
+}
+
+TEST(Lexicon, TranspositionIsNotSnapped) {
+  // "wyamo" and "waymo" share the deletion "wamo", but a transposition is
+  // distance 2: the shared key alone must not snap.
+  lexicon v({"waymo"});
+  EXPECT_EQ(v.best_match("wyamo"), "");
+  EXPECT_EQ(testing::reference_best_match(v.words(), "wyamo"), "");
+}
+
+TEST(Lexicon, WordAndItsDeletionBothInRange) {
+  // "cars" is one substitution from "cart" and one insertion from "car":
+  // two words within distance 1, so nothing snaps. "carts" is distance 1
+  // from "cart" only.
+  lexicon v({"cart", "car"});
+  EXPECT_EQ(v.best_match("cars"), "");
+  EXPECT_EQ(v.best_match("carts"), "cart");
+  for (const char* q : {"cars", "carts", "ca", "cat", "scar"}) {
+    EXPECT_EQ(v.best_match(q), testing::reference_best_match(v.words(), q)) << q;
+  }
+}
+
+TEST(Lexicon, BuiltinIsSharedPerProcess) {
+  EXPECT_EQ(lexicon::builtin().get(), lexicon::builtin().get());
+}
+
+// Every builtin word, and every deletion, adjacent transposition,
+// substitution and insertion of one of its letters: the delete index must
+// answer exactly as the linear scan over the same words.
+TEST(Lexicon, IndexedBestMatchEqualsReferenceOnOneEditDamage) {
+  const auto v = lexicon::builtin();
+  const auto& words = v->words();
+  std::size_t snapped = 0;
+  std::size_t refused = 0;
+  const auto check = [&](const std::string& query) {
+    const auto expected = testing::reference_best_match(words, query);
+    EXPECT_EQ(v->best_match(query), expected) << query;
+    ++(expected.empty() ? refused : snapped);
+  };
+  for (const auto& w : words) {
+    check(w);
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      check(w.substr(0, i) + w.substr(i + 1));
+      if (i + 1 < w.size()) {
+        std::string swapped = w;
+        std::swap(swapped[i], swapped[i + 1]);
+        check(swapped);
+      }
+      std::string substituted = w;
+      substituted[i] = substituted[i] == 'e' ? 'c' : 'e';
+      check(substituted);
+      check(w.substr(0, i) + "'" + w.substr(i));
+    }
+  }
+  // The sweep must exercise both outcomes of the uniqueness rule.
+  EXPECT_GT(snapped, words.size());
+  EXPECT_GT(refused, 100u);
+}
+
+// Whole lines of builtin vocabulary through the OCR noise model at every
+// scan quality (confusions, drops, duplicates, split and fused words).
+TEST(Lexicon, IndexedBestMatchEqualsReferenceOnCorruptedLines) {
+  const auto v = lexicon::builtin();
+  const auto line = str::join(v->words(), " ");
+  rng gen(95);
+  for (const auto q :
+       {scan_quality::clean, scan_quality::good, scan_quality::fair, scan_quality::poor}) {
+    const auto profile = noise_profile::for_quality(q);
+    for (int trial = 0; trial < 3; ++trial) {
+      for (const auto& token : str::split_whitespace(corrupt_line(line, profile, gen))) {
+        EXPECT_EQ(v->best_match(token), testing::reference_best_match(v->words(), token))
+            << token;
+      }
+    }
+  }
 }
 
 TEST(Lexicon, ShortWordsNotSnapped) {
@@ -120,7 +202,7 @@ TEST(Lexicon, BuiltinKnowsDomainVocabulary) {
   const auto v = lexicon::builtin();
   for (const char* w : {"watchdog", "lidar", "disengagement", "waymo", "mileage",
                         "pedestrian", "january"}) {
-    EXPECT_TRUE(v.contains(w)) << w;
+    EXPECT_TRUE(v->contains(w)) << w;
   }
 }
 
@@ -138,13 +220,14 @@ TEST(RepairNumericToken, LeavesWordsAlone) {
 
 TEST(CorrectLine, FixesWordsAndNumbers) {
   const auto v = lexicon::builtin();
-  EXPECT_EQ(correct_line("watchd0g error", v), "watchdog error");
-  EXPECT_EQ(correct_line("DMV Release: 2O16", v), "DMV Release: 2016");
+  EXPECT_EQ(correct_line("watchd0g error", *v), "watchdog error");
+  EXPECT_EQ(correct_line("DMV Release: 2O16", *v), "DMV Release: 2016");
 }
 
 TEST(CorrectLine, PreservesCapitalization) {
   lexicon v({"watchdog"});
   EXPECT_EQ(correct_line("Watchd0g", v), "Watchdog");
+  EXPECT_EQ(correct_line("WATCHDOG WatchDog", v), "WATCHDOG WatchDog");  // members verbatim
 }
 
 TEST(CorrectLine, LeavesUnknownWordsAlone) {

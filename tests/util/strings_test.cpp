@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.h"
+
 namespace avtk::str {
 namespace {
 
@@ -178,6 +180,64 @@ TEST(EditDistance, TriangleInequalitySpotCheck) {
   const auto bc = edit_distance("basch", "batch");
   const auto ac = edit_distance("bosch", "batch");
   EXPECT_LE(ac, ab + bc);
+}
+
+TEST(WithinEditDistance, KnownValues) {
+  EXPECT_TRUE(within_edit_distance("kitten", "sitting", 3));
+  EXPECT_FALSE(within_edit_distance("kitten", "sitting", 2));
+  EXPECT_TRUE(within_edit_distance("", "", 0));
+  EXPECT_TRUE(within_edit_distance("", "abc", 3));
+  EXPECT_FALSE(within_edit_distance("", "abc", 2));
+  EXPECT_FALSE(within_edit_distance("waymo", "wyamo", 1));  // a transposition is 2
+}
+
+// Seeded property sweep: the bounded check agrees with the full distance
+// for k = 0..3, on short strings over a small alphabet (so near misses are
+// common) and on long near-copies edited at both ends (so neither a common
+// prefix nor suffix shortens them below the stack buffer's 64 characters).
+TEST(WithinEditDistance, AgreesWithEditDistance) {
+  rng gen(2121);
+  const std::string alphabet = "ab'19";
+  const auto pick = [&] {
+    return alphabet[static_cast<std::size_t>(
+        gen.uniform_int(0, static_cast<std::int64_t>(alphabet.size()) - 1))];
+  };
+  const auto random_string = [&](std::int64_t lo, std::int64_t hi) {
+    std::string s(static_cast<std::size_t>(gen.uniform_int(lo, hi)), ' ');
+    for (auto& c : s) c = pick();
+    return s;
+  };
+  const auto edit = [&](std::string s, int edits) {
+    for (int e = 0; e < edits; ++e) {
+      const auto at = static_cast<std::size_t>(
+          gen.uniform_int(0, static_cast<std::int64_t>(s.size())));
+      switch (gen.uniform_int(0, 2)) {
+        case 0: s.insert(at, 1, pick()); break;
+        case 1: if (at < s.size()) s.erase(at, 1); break;
+        default: if (at < s.size()) s[at] = pick(); break;
+      }
+    }
+    return s;
+  };
+  const auto agree = [](const std::string& a, const std::string& b) {
+    const auto d = edit_distance(a, b);
+    for (std::size_t k = 0; k <= 3; ++k) {
+      ASSERT_EQ(within_edit_distance(a, b, k), d <= k)
+          << '"' << a << "\" vs \"" << b << "\" k=" << k << " d=" << d;
+    }
+  };
+  for (int trial = 0; trial < 3000; ++trial) {
+    const auto a = random_string(0, 8);
+    agree(a, trial % 2 == 0 ? random_string(0, 8) : edit(a, static_cast<int>(trial % 5)));
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto a = random_string(70, 120);
+    auto b = edit(a, static_cast<int>(trial % 4));
+    b.front() = b.front() == 'a' ? 'b' : 'a';
+    b.back() = b.back() == 'a' ? 'b' : 'a';
+    agree(a, b);
+    agree(b, a);
+  }
 }
 
 TEST(CharClasses, AlphaDigit) {
