@@ -3,14 +3,23 @@
 // filtered database, render), with p50/p99 per-query latency and a
 // byte-for-byte payload cross-check on every query.
 //
+// Commit scaling: the per-record cost of a snapshot commit plus its index
+// extension on a store seeded with 8x the corpus, over the same on 1x. A
+// commit copies chunk pointers and at most each domain's tail chunk, and an
+// index extension appends only the new records' postings, so the ratio
+// stays near 1; a commit or index build that walks every record makes it
+// near 8.
+//
 // The end-to-end wire path, warm hits and live ingest are perfbench's
-// (perfbench/README.md); this split is the one it does not measure. The
-// record — BENCH_serve_throughput.json under AVTK_BENCH_JSON_DIR — carries
-// `serve.filtered`, which .github/workflows/check_query_index.py gates.
+// (perfbench/README.md); these splits are the ones it does not measure.
+// The record — BENCH_serve_throughput.json under AVTK_BENCH_JSON_DIR —
+// carries `serve.filtered`, which .github/workflows/check_query_index.py
+// gates, and `serve.commit_scaling`, which the CI bench-smoke step gates.
 //
 // Run: AVTK_BENCH_JSON_DIR=DIR ./build/bench/bench_serve_throughput
 #include "bench/common.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -21,6 +30,8 @@
 #include "obs/json.h"
 #include "obs/latency.h"
 #include "serve/engine.h"
+#include "serve/index.h"
+#include "serve/store.h"
 #include "serve_reference.h"
 
 namespace {
@@ -140,6 +151,58 @@ avtk::obs::json::value pass_json(const pass_stats& s) {
   });
 }
 
+// The seed corpus repeated `copies` times, every record with its own id.
+avtk::dataset::failure_database replicated_corpus(int copies) {
+  const auto& seed = avtk::bench::state().db();
+  avtk::dataset::failure_database db;
+  for (int c = 0; c < copies; ++c) {
+    for (const auto& d : seed.disengagements()) db.add_disengagement(d);
+    for (const auto& m : seed.mileage()) db.add_mileage(m);
+    for (const auto& a : seed.accidents()) db.add_accident(a);
+  }
+  return db;
+}
+
+// Median over passes of the nanoseconds per appended record that a commit
+// plus its index extension take on a store seeded with `copies` x the
+// corpus. Each commit appends one filing-sized batch drawn round-robin from
+// the seed (16 disengagements, 4 mileage rows, 1 accident); the timed
+// span includes freeing the superseded epoch, which commit() does when no
+// reader pins it.
+double commit_ns_per_record(int copies) {
+  const auto& seed = avtk::bench::state().db();
+  constexpr int k_passes = 5;
+  constexpr int k_commits = 100;
+  constexpr std::size_t k_dis = 16, k_mil = 4, k_acc = 1;
+  std::vector<double> per_record;
+  for (int pass = 0; pass < k_passes; ++pass) {
+    avtk::serve::snapshot_store store(replicated_corpus(copies));
+    store.pin()->index();
+    std::size_t next_dis = 0, next_mil = 0, next_acc = 0;
+    std::int64_t ns = 0;
+    for (int c = 0; c < k_commits; ++c) {
+      const avtk::obs::stopwatch watch;
+      const auto snap = store.commit([&](avtk::dataset::failure_database& db) {
+        for (std::size_t i = 0; i < k_dis; ++i) {
+          db.add_disengagement(seed.disengagements()[next_dis++ % seed.disengagements().size()]);
+        }
+        for (std::size_t i = 0; i < k_mil; ++i) {
+          db.add_mileage(seed.mileage()[next_mil++ % seed.mileage().size()]);
+        }
+        for (std::size_t i = 0; i < k_acc; ++i) {
+          db.add_accident(seed.accidents()[next_acc++ % seed.accidents().size()]);
+        }
+      });
+      snap->index();
+      ns += watch.elapsed_ns();
+    }
+    per_record.push_back(static_cast<double>(ns) /
+                         static_cast<double>(k_commits * (k_dis + k_mil + k_acc)));
+  }
+  std::sort(per_record.begin(), per_record.end());
+  return per_record[per_record.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -175,6 +238,10 @@ int main(int argc, char** argv) {
   };
   const double speedup_p50 = speedup(filtered_reference, filtered_indexed, 0.50);
   const double speedup_p99 = speedup(filtered_reference, filtered_indexed, 0.99);
+
+  const double commit_1x_ns = commit_ns_per_record(1);
+  const double commit_8x_ns = commit_ns_per_record(8);
+  const double commit_scaling = commit_8x_ns / commit_1x_ns;
   std::ostringstream rows;
   rows << "filtered cold queries (reference vs indexed)\n"
        << "workload: " << filtered_workload.size() << " filtered queries\n"
@@ -185,7 +252,9 @@ int main(int argc, char** argv) {
        << filtered_indexed.percentile_ns(0.5) / 1000 << " us, p99 "
        << filtered_indexed.percentile_ns(0.99) / 1000 << " us)\n"
        << "indexed speedup: p50 " << speedup_p50 << "x, p99 " << speedup_p99 << "x\n"
-       << "payloads identical: " << (payloads_identical ? "yes" : "NO") << "\n";
+       << "payloads identical: " << (payloads_identical ? "yes" : "NO") << "\n"
+       << "commit + index extension per record: 1x corpus " << commit_1x_ns << " ns, 8x corpus "
+       << commit_8x_ns << " ns (8x/1x " << commit_scaling << ")\n";
   return avtk::bench::run_experiment(
       "serve_throughput", rows.str(), argc, argv,
       {{"serve", json::value(json::object{
@@ -197,5 +266,10 @@ int main(int argc, char** argv) {
                                       {"indexed_speedup_p99", json::value(speedup_p99)},
                                       {"payloads_identical", json::value(payloads_identical)},
                                   })},
+                     {"commit_scaling", json::value(json::object{
+                                            {"ns_per_record_1x", json::value(commit_1x_ns)},
+                                            {"ns_per_record_8x", json::value(commit_8x_ns)},
+                                            {"ratio_8x_over_1x", json::value(commit_scaling)},
+                                        })},
                  })}});
 }

@@ -1,5 +1,7 @@
 #include "dataset/database.h"
 
+#include <stdexcept>
+
 namespace avtk::dataset {
 
 std::string database_version::to_string() const {
@@ -7,54 +9,41 @@ std::string database_version::to_string() const {
          std::to_string(accidents);
 }
 
-// Copy-on-write guard: every mutator funnels through here. A shared array
-// (use_count > 1: some snapshot or copy still references it) is cloned
-// before the write; a uniquely owned one mutates in place, so a burst of
-// appends after one share pays a single clone. The use_count probe can
-// race only downward (a concurrent reader dropping its reference), so a
-// stale read merely clones unnecessarily — it can never mutate an array a
-// reader still sees.
-template <typename T>
-std::vector<T>& failure_database::owned(std::shared_ptr<std::vector<T>>& arr) {
-  if (arr.use_count() != 1) arr = std::make_shared<std::vector<T>>(*arr);
-  return *arr;
-}
-
 void failure_database::add_disengagement(disengagement_record rec) {
-  add_disengagement(std::move(rec), disengagement_ids_->size());
+  add_disengagement(std::move(rec), disengagements_.size());
 }
 
 void failure_database::add_disengagement(disengagement_record rec, std::uint64_t id) {
-  owned(disengagements_).push_back(std::move(rec));
-  owned(disengagement_ids_).push_back(id);
+  disengagements_.push_back(std::move(rec), id);
   ++version_.disengagements;
 }
 
 void failure_database::relabel_disengagement(std::size_t index, nlp::fault_tag tag,
                                              nlp::failure_category category) {
-  auto& records = owned(disengagements_);
-  records.at(index).tag = tag;
-  records.at(index).category = category;
+  if (index >= disengagements_.size()) {
+    throw std::out_of_range("relabel_disengagement: index out of range");
+  }
+  auto& record = disengagements_.modify(index);
+  record.tag = tag;
+  record.category = category;
   ++version_.disengagements;
 }
 
 void failure_database::add_mileage(mileage_record rec) {
-  add_mileage(std::move(rec), mileage_ids_->size());
+  add_mileage(std::move(rec), mileage_.size());
 }
 
 void failure_database::add_mileage(mileage_record rec, std::uint64_t id) {
-  owned(mileage_).push_back(std::move(rec));
-  owned(mileage_ids_).push_back(id);
+  mileage_.push_back(std::move(rec), id);
   ++version_.mileage;
 }
 
 void failure_database::add_accident(accident_record rec) {
-  add_accident(std::move(rec), accident_ids_->size());
+  add_accident(std::move(rec), accidents_.size());
 }
 
 void failure_database::add_accident(accident_record rec, std::uint64_t id) {
-  owned(accidents_).push_back(std::move(rec));
-  owned(accident_ids_).push_back(id);
+  accidents_.push_back(std::move(rec), id);
   ++version_.accidents;
 }
 

@@ -8,23 +8,25 @@
 // dataset::database_view (dataset/view.h), which every Stage IV analysis
 // reads through; `database_view(db)` is the whole-database view.
 //
-// Storage is copy-on-write per domain: each record array lives behind a
-// shared_ptr, so copying a database is three refcount bumps plus the
-// version vector, and a mutation clones only the domain it touches (the
-// other two stay structurally shared with every copy). This is what makes
-// serve's snapshot-isolated store (serve/store.h) cheap: publishing a new
-// epoch after an ingest shares the untouched domains with every older
-// epoch instead of deep-copying them. Readers of a shared database are
-// race-free by construction (the arrays they see are immutable); mutation
-// is single-owner as ever — writers serialize externally.
+// Storage is a persistent chunked array per domain (dataset/chunked_array.h):
+// records and their global ids live in fixed-size chunks behind shared
+// pointers. Copying a database copies three chunk-pointer lists plus the
+// version vector, so the copy shares every chunk with its source; an append
+// clones at most the partly filled tail chunk of the domain it writes, and
+// a relabel clones only the chunk it touches. This is what makes serve's
+// snapshot-isolated store (serve/store.h) cheap: publishing a new epoch
+// after an ingest of Δ records costs O(Δ + chunks), and every full chunk
+// stays shared with every older and newer epoch. Readers of a shared
+// database are race-free by construction (a shared chunk is never
+// written); mutation is single-owner as ever — writers serialize
+// externally.
 #pragma once
 
 #include <compare>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
+#include "dataset/chunked_array.h"
 #include "dataset/records.h"
 
 namespace avtk::dataset {
@@ -66,19 +68,14 @@ class failure_database {
   /// record's position, so in a single database id == index); a sharded
   /// store (serve/store.h) passes ids allocated from store-wide counters
   /// instead, which is what lets per-shard selections be concatenated back
-  /// into original corpus order. Ids ride their own copy-on-write arrays,
-  /// parallel to the record arrays.
+  /// into original corpus order. Ids ride in the same chunks as their
+  /// records (`disengagements().id(i)`).
   void add_disengagement(disengagement_record rec, std::uint64_t id);
   void add_mileage(mileage_record rec, std::uint64_t id);
   void add_accident(accident_record rec, std::uint64_t id);
 
-  /// Global record ids, parallel to the corresponding record array.
-  const std::vector<std::uint64_t>& disengagement_ids() const { return *disengagement_ids_; }
-  const std::vector<std::uint64_t>& mileage_ids() const { return *mileage_ids_; }
-  const std::vector<std::uint64_t>& accident_ids() const { return *accident_ids_; }
-
   /// Stage III writes its verdicts back in place: re-tags the
-  /// disengagement at `index`. Bumps the disengagement version exactly
+  /// disengagement at `index`, cloning only its chunk if shared. Bumps the disengagement version exactly
   /// like an add, so cached query results keyed on the version are
   /// invalidated. (The alternative — rebuilding the whole database just
   /// to change two enum fields per record — deep-copies every string and
@@ -98,33 +95,19 @@ class failure_database {
   /// single-store oracle.
   void set_version(const database_version& v) { version_ = v; }
 
-  /// Domain accessors return the shared array itself, so two databases
-  /// that structurally share a domain return the *same* reference — tests
-  /// (and the snapshot store's sharing contract) compare addresses.
-  const std::vector<disengagement_record>& disengagements() const { return *disengagements_; }
-  const std::vector<mileage_record>& mileage() const { return *mileage_; }
-  const std::vector<accident_record>& accidents() const { return *accidents_; }
+  /// Domain accessors return the chunked array itself: indexable,
+  /// iterable in corpus order, with `id(i)` for the global record id. Two
+  /// databases that structurally share a domain hold the same chunk
+  /// pointers (`chunk_at(k)`), which is what tests and the snapshot store's
+  /// sharing contract compare.
+  const chunked_array<disengagement_record>& disengagements() const { return disengagements_; }
+  const chunked_array<mileage_record>& mileage() const { return mileage_; }
+  const chunked_array<accident_record>& accidents() const { return accidents_; }
 
  private:
-  /// Clones `arr` iff it is shared (copy-on-write), returning a mutable
-  /// reference to the uniquely owned array.
-  template <typename T>
-  static std::vector<T>& owned(std::shared_ptr<std::vector<T>>& arr);
-
-  std::shared_ptr<std::vector<disengagement_record>> disengagements_ =
-      std::make_shared<std::vector<disengagement_record>>();
-  std::shared_ptr<std::vector<mileage_record>> mileage_ =
-      std::make_shared<std::vector<mileage_record>>();
-  std::shared_ptr<std::vector<accident_record>> accidents_ =
-      std::make_shared<std::vector<accident_record>>();
-  // Global record ids, one array per domain, same copy-on-write discipline
-  // as the record arrays they parallel (shared on copy, cloned on write).
-  std::shared_ptr<std::vector<std::uint64_t>> disengagement_ids_ =
-      std::make_shared<std::vector<std::uint64_t>>();
-  std::shared_ptr<std::vector<std::uint64_t>> mileage_ids_ =
-      std::make_shared<std::vector<std::uint64_t>>();
-  std::shared_ptr<std::vector<std::uint64_t>> accident_ids_ =
-      std::make_shared<std::vector<std::uint64_t>>();
+  chunked_array<disengagement_record> disengagements_;
+  chunked_array<mileage_record> mileage_;
+  chunked_array<accident_record> accidents_;
   database_version version_;
 };
 

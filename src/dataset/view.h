@@ -18,7 +18,9 @@
 //
 // Views are cheap to construct (a pointer and three spans — no record is
 // ever copied) and valid for as long as the underlying database and the
-// selection storage outlive them. serve executes queries against a pinned
+// selection storage outlive them. Iteration walks each domain's chunks
+// (dataset/chunked_array.h): a position, or a selected index, splits into
+// a chunk and an offset within it. serve executes queries against a pinned
 // immutable snapshot, so both lifetimes are the snapshot pin's.
 //
 // `database_view` is implicitly constructible from `failure_database`, so
@@ -46,17 +48,20 @@ namespace avtk::dataset {
 /// An ascending list of record indices into one domain array.
 using selection = std::vector<std::uint32_t>;
 
-/// Iterable over one domain, in one of three modes: a whole array, an
-/// array through a selection, or a list of record pointers (the sharded
-/// store's cross-shard merge — serve/store.h — concatenates per-shard
-/// records back into global-id order as pointer lists). The range does not
-/// own the array, selection or pointer storage; all must outlive it.
+/// Iterable over one domain, in one of three modes: a whole chunked array
+/// (dataset/chunked_array.h), a chunked array through a selection, or a
+/// list of record pointers (the sharded store's cross-shard merge —
+/// serve/store.h — concatenates per-shard records back into global-id
+/// order as pointer lists). The first two walk the array's chunks: a
+/// position (or selected index) splits into chunk and offset. The range
+/// does not own the array, selection or pointer storage; all must outlive
+/// it.
 template <typename T>
 class record_range {
  public:
-  explicit record_range(const std::vector<T>& base)
+  explicit record_range(const chunked_array<T>& base)
       : base_(&base), restricted_(false) {}
-  record_range(const std::vector<T>& base, std::span<const std::uint32_t> sel)
+  record_range(const chunked_array<T>& base, std::span<const std::uint32_t> sel)
       : base_(&base), sel_(sel), restricted_(true) {}
   explicit record_range(std::span<const T* const> ptrs) : ptrs_(ptrs) {}
 
@@ -83,7 +88,7 @@ class record_range {
     bool operator!=(const iterator& other) const { return pos_ != other.pos_; }
 
    private:
-    const std::vector<T>* base_;
+    const chunked_array<T>* base_;
     std::span<const std::uint32_t> sel_;
     std::span<const T* const> ptrs_;
     bool restricted_;
@@ -99,7 +104,7 @@ class record_range {
   bool empty() const { return size() == 0; }
 
  private:
-  const std::vector<T>* base_ = nullptr;  ///< null in pointer mode
+  const chunked_array<T>* base_ = nullptr;  ///< null in pointer mode
   std::span<const std::uint32_t> sel_;
   std::span<const T* const> ptrs_;
   bool restricted_ = false;

@@ -8,6 +8,8 @@ namespace {
 
 bool is_token_char(char c) { return str::is_alnum(c); }
 
+}  // namespace
+
 bool is_number_token(std::string_view t) {
   bool saw_digit = false;
   for (char c : t) {
@@ -19,8 +21,6 @@ bool is_number_token(std::string_view t) {
   }
   return saw_digit;
 }
-
-}  // namespace
 
 std::string_view next_token_view(std::string_view text, std::size_t& pos) {
   std::size_t i = pos;

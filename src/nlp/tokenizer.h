@@ -33,4 +33,8 @@ std::vector<std::string> tokenize_words(std::string_view text);
 /// tokenize() and the interned-id fast path share these exact boundaries.
 std::string_view next_token_view(std::string_view text, std::size_t& pos);
 
+/// True for a number token: digits with optional '.', at least one digit
+/// (`token::is_number`). Case-blind, so it applies to raw views too.
+bool is_number_token(std::string_view t);
+
 }  // namespace avtk::nlp

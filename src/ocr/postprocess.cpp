@@ -1,6 +1,7 @@
 #include "ocr/postprocess.h"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <limits>
 
@@ -182,7 +183,20 @@ std::span<const lexicon::posting> lexicon::postings(std::string_view key) const 
 }
 
 bool lexicon::contains(std::string_view word) const {
-  const std::string lower = str::to_lower(word);
+  // Lower-case into a stack buffer: no allocation for a word of up to 64
+  // characters, which covers every lexicon word and nearly every token.
+  constexpr std::size_t k_stack_len = 64;
+  std::array<char, k_stack_len> stack_buf{};
+  std::string heap_buf;
+  char* buf = stack_buf.data();
+  if (word.size() > k_stack_len) {
+    heap_buf.resize(word.size());
+    buf = heap_buf.data();
+  }
+  std::ranges::transform(word, buf, [](char c) {
+    return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+  });
+  const std::string_view lower(buf, word.size());
   return std::ranges::any_of(postings(lower),
                              [&](const posting& p) { return words_[p.id] == lower; });
 }
@@ -312,10 +326,11 @@ std::string correct_line(std::string_view line, const lexicon& vocab) {
 double vocabulary_hit_rate(std::string_view line, const lexicon& vocab) {
   std::size_t words = 0;
   std::size_t hits = 0;
-  for (const auto& t : nlp::tokenize(line)) {
-    if (t.is_number) continue;
+  std::size_t pos = 0;
+  for (auto t = nlp::next_token_view(line, pos); !t.empty(); t = nlp::next_token_view(line, pos)) {
+    if (nlp::is_number_token(t)) continue;
     ++words;
-    if (vocab.contains(t.text)) ++hits;
+    if (vocab.contains(t)) ++hits;
   }
   if (words == 0) return 1.0;  // an all-numeric line is fine as-is
   return static_cast<double>(hits) / static_cast<double>(words);

@@ -17,14 +17,23 @@
 // Lifetime: the index is built lazily on the first filtered query against
 // an epoch and cached on the `store_snapshot` itself (store.h), so it
 // shares the snapshot's RCU-by-refcount lifetime — concurrent queries
-// share one build, later ingests publish fresh epochs with no index (each
-// builds its own on demand), and a superseded epoch's index frees with its
-// last pinned reader. Borrowed posting spans are valid for as long as the
-// snapshot pin is held, which is exactly how the engine uses them.
+// share one build, and a superseded epoch's index frees with its last
+// pinned reader. Later ingests publish fresh epochs with no index, each
+// holding the newest earlier index as a base: its first filtered query
+// extends that base instead of rebuilding. Global record ids (and record
+// indices) only ascend, so epoch e+1's posting list for a key is epoch
+// e's plus the Δ records' indices. The lists share storage: each is a
+// prefix of a buffer that later epochs append past (a full buffer doubles
+// into a fresh one), so a single-axis selection stays a zero-copy borrowed
+// span and an extension costs O(Δ + keys). A relabel since the base (the
+// version moved by more than the record count) falls back to a full build.
+// Borrowed posting spans are valid for as long as the snapshot pin is
+// held, which is exactly how the engine uses them.
 //
 // Obs surface: `serve.index.builds` / `serve.index.build_ns` /
-// `serve.index.bytes` counters, plus one "serve.index.build" span per
-// build when a trace is attached.
+// `serve.index.bytes` counters (every index, extensions included),
+// `serve.index.extends` (the builds that extended a base), plus one
+// "serve.index.build" span per build when a trace is attached.
 #pragma once
 
 #include <cstdint>
@@ -119,32 +128,68 @@ class query_index {
   /// Filter values absent from the corpus yield empty selections.
   query_selection select(const query& q) const;
 
-  /// Approximate heap footprint of the posting lists, for the
-  /// serve.index.bytes counter.
+  /// Approximate heap footprint of the posting lists this index reads
+  /// (shared buffers count in full), for the serve.index.bytes counter.
   std::size_t bytes() const { return bytes_; }
 
  private:
   friend std::unique_ptr<const query_index> build_query_index(
-      const dataset::failure_database& db, obs::trace* trace, std::string_view span_label);
+      const dataset::failure_database& db, obs::trace* trace, std::string_view span_label,
+      const query_index* base);
 
-  std::map<dataset::manufacturer, dataset::selection> dis_by_maker_;
-  std::map<dataset::manufacturer, dataset::selection> mil_by_maker_;
-  std::map<dataset::manufacturer, dataset::selection> acc_by_maker_;
-  std::map<int, dataset::selection> dis_by_year_;
-  std::map<int, dataset::selection> mil_by_year_;
-  std::map<int, dataset::selection> acc_by_year_;
-  std::map<nlp::fault_tag, dataset::selection> dis_by_tag_;
-  std::map<nlp::failure_category, dataset::selection> dis_by_category_;
+  struct posting_buffer;
+  /// One posting list: the first `size` entries of a buffer that later
+  /// epochs' lists may share and append past.
+  struct posting {
+    std::shared_ptr<posting_buffer> buffer;
+    std::uint32_t size = 0;
+  };
+  /// Posting lists of one axis, sorted by key.
+  template <typename Key>
+  using postings = std::vector<std::pair<Key, posting>>;
+
+  template <typename Key>
+  static std::span<const std::uint32_t> find(const postings<Key>& lists, const Key& key);
+  template <typename Key>
+  static void extend(postings<Key>& lists, const std::map<Key, dataset::selection>& delta);
+  template <typename Key>
+  static std::size_t postings_bytes(const postings<Key>& lists);
+
+  postings<dataset::manufacturer> dis_by_maker_;
+  postings<dataset::manufacturer> mil_by_maker_;
+  postings<dataset::manufacturer> acc_by_maker_;
+  postings<int> dis_by_year_;
+  postings<int> mil_by_year_;
+  postings<int> acc_by_year_;
+  postings<nlp::fault_tag> dis_by_tag_;
+  postings<nlp::failure_category> dis_by_category_;
+
+  // What the index covers: each domain's record count and the version
+  // vector of the database it was built over. A later epoch extends it
+  // only if every domain's version moved by exactly its record-count
+  // delta, i.e. nothing but appends happened in between.
+  std::size_t disengagements_ = 0;
+  std::size_t mileage_ = 0;
+  std::size_t accidents_ = 0;
+  dataset::database_version version_;
   std::size_t bytes_ = 0;
 };
 
-/// One pass per domain; records serve.index.* metrics and a
-/// "serve.index.build" span when `trace` is non-null. A non-empty
-/// `span_label` suffixes the span name ("serve.index.build.<label>") —
-/// the sharded store labels each shard's builds "s<i>" so a slow build is
-/// attributable to its shard.
+/// The index of `db`. With a `base` built over an ancestor state of the
+/// same store from which only appends led to `db`, the result extends it:
+/// every posting list shares `base`'s entries and appends the indices of
+/// the records added since — O(Δ + keys) instead of one pass over every
+/// record. Otherwise (no base, or a relabel since) it is a full build.
+/// `base` is read only during the call; the result never references it.
+///
+/// Records serve.index.builds / build_ns / bytes for every index,
+/// serve.index.extends for each extension, and a "serve.index.build" span
+/// when `trace` is non-null. A non-empty `span_label` suffixes the span
+/// name ("serve.index.build.<label>") — the sharded store labels each
+/// shard's builds "s<i>" so a slow build is attributable to its shard.
 std::unique_ptr<const query_index> build_query_index(const dataset::failure_database& db,
                                                      obs::trace* trace,
-                                                     std::string_view span_label = {});
+                                                     std::string_view span_label = {},
+                                                     const query_index* base = nullptr);
 
 }  // namespace avtk::serve

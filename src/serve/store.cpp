@@ -9,8 +9,12 @@
 namespace avtk::serve {
 
 store_snapshot::store_snapshot(dataset::failure_database db, std::uint64_t epoch,
-                               std::string index_span_label)
-    : db_(std::move(db)), epoch_(epoch), index_span_label_(std::move(index_span_label)) {}
+                               std::string index_span_label,
+                               std::shared_ptr<const query_index> index_base)
+    : db_(std::move(db)),
+      epoch_(epoch),
+      index_span_label_(std::move(index_span_label)),
+      base_(std::move(index_base)) {}
 
 store_snapshot::~store_snapshot() = default;
 
@@ -20,10 +24,26 @@ const query_index& store_snapshot::index(obs::trace* trace) const {
     return *built;
   }
   std::call_once(index_once_, [&] {
-    index_ = build_query_index(db_, trace, index_span_label_);
-    index_ptr_.store(index_.get(), std::memory_order_release);
+    std::shared_ptr<const query_index> base;
+    {
+      const std::lock_guard<std::mutex> lock(index_mutex_);
+      base = base_;
+    }
+    std::shared_ptr<const query_index> built =
+        build_query_index(db_, trace, index_span_label_, base.get());
+    {
+      const std::lock_guard<std::mutex> lock(index_mutex_);
+      index_ = built;
+      base_.reset();
+    }
+    index_ptr_.store(built.get(), std::memory_order_release);
   });
   return *index_ptr_.load(std::memory_order_acquire);
+}
+
+std::shared_ptr<const query_index> store_snapshot::index_base() const {
+  const std::lock_guard<std::mutex> lock(index_mutex_);
+  return index_ ? index_ : base_;
 }
 
 snapshot_store::snapshot_store(dataset::failure_database db, obs::trace* trace,
@@ -40,26 +60,32 @@ snapshot_store::snapshot_store(dataset::failure_database db, obs::trace* trace,
 snapshot_ptr snapshot_store::commit(
     const std::function<void(dataset::failure_database&)>& mutate) {
   const obs::stopwatch watch;
-  const std::lock_guard<std::mutex> lock(commit_mutex_);
-  obs::scoped_span span(trace_, commit_span_name_);
+  snapshot_ptr superseded;
+  snapshot_ptr snap;
+  {
+    const std::lock_guard<std::mutex> lock(commit_mutex_);
+    obs::scoped_span span(trace_, commit_span_name_);
 
-  // Build the next epoch off to the side. The copy shares all three
-  // domain arrays; the first add_* per domain inside `mutate` clones that
-  // domain and only that domain.
-  const auto current = published_.load(std::memory_order_acquire);
-  dataset::failure_database next = current->db();
-  mutate(next);
+    // Build the next epoch off to the side. The copy shares every chunk
+    // of all three domains; each append inside `mutate` clones at most
+    // its domain's partly filled tail chunk.
+    superseded = published_.load(std::memory_order_acquire);
+    dataset::failure_database next = superseded->db();
+    mutate(next);
 
-  auto snap = std::make_shared<const store_snapshot>(std::move(next), current->epoch() + 1,
-                                                     span_label_);
-  published_.store(snap, std::memory_order_release);
+    snap = std::make_shared<const store_snapshot>(std::move(next), superseded->epoch() + 1,
+                                                  span_label_, superseded->index_base());
+    published_.store(snap, std::memory_order_release);
 
-  // `current` is now retired from service; it frees when its last pinned
-  // reader drops (possibly right here, if nobody holds it).
-  retired_.add();
-  commits_.add();
-  commit_ns_.add(static_cast<std::uint64_t>(watch.elapsed_ns()));
-  span.close();
+    retired_.add();
+    commits_.add();
+    commit_ns_.add(static_cast<std::uint64_t>(watch.elapsed_ns()));
+    span.close();
+  }
+  // The superseded snapshot is retired from service; it frees when its
+  // last pinned reader drops it — here, after the writers' lock, if
+  // nobody holds it.
+  superseded.reset();
   return snap;
 }
 
@@ -95,19 +121,16 @@ sharded_store::sharded_store(dataset::failure_database db, std::size_t shards,
     // explicitly (for a seed corpus, id == original index).
     std::vector<dataset::failure_database> parts(shards);
     const auto& dis = db.disengagements();
-    const auto& dis_ids = db.disengagement_ids();
     for (std::size_t i = 0; i < dis.size(); ++i) {
-      parts[shard_of(dis[i].maker, shards)].add_disengagement(dis[i], dis_ids[i]);
+      parts[shard_of(dis[i].maker, shards)].add_disengagement(dis[i], dis.id(i));
     }
     const auto& mil = db.mileage();
-    const auto& mil_ids = db.mileage_ids();
     for (std::size_t i = 0; i < mil.size(); ++i) {
-      parts[shard_of(mil[i].maker, shards)].add_mileage(mil[i], mil_ids[i]);
+      parts[shard_of(mil[i].maker, shards)].add_mileage(mil[i], mil.id(i));
     }
     const auto& acc = db.accidents();
-    const auto& acc_ids = db.accident_ids();
     for (std::size_t i = 0; i < acc.size(); ++i) {
-      parts[shard_of(acc[i].maker, shards)].add_accident(acc[i], acc_ids[i]);
+      parts[shard_of(acc[i].maker, shards)].add_accident(acc[i], acc.id(i));
     }
     // Conserve the seed's version vector: the replayed adds leave each
     // shard at its record counts, but the seed may sit above its counts
@@ -200,17 +223,18 @@ namespace {
 // pinned shard's selection, sorted by id.
 template <typename Record>
 void gather_domain(const std::vector<snapshot_ptr>& pins, const std::vector<query_selection>& sels,
-                   const std::vector<Record>& (dataset::failure_database::*records_of)() const,
-                   const std::vector<std::uint64_t>& (dataset::failure_database::*ids_of)() const,
+                   const dataset::chunked_array<Record>& (dataset::failure_database::*records_of)()
+                       const,
                    domain_selection query_selection::*sel_of, std::vector<const Record*>& out) {
   std::vector<std::pair<std::uint64_t, const Record*>> pairs;
   for (std::size_t s = 0; s < pins.size(); ++s) {
     const auto& records = (pins[s]->db().*records_of)();
-    const auto& ids = (pins[s]->db().*ids_of)();
     if (const auto span = (sels[s].*sel_of).span()) {
-      for (const std::uint32_t i : *span) pairs.emplace_back(ids[i], &records[i]);
+      for (const std::uint32_t i : *span) pairs.emplace_back(records.id(i), &records[i]);
     } else {
-      for (std::size_t i = 0; i < records.size(); ++i) pairs.emplace_back(ids[i], &records[i]);
+      for (std::size_t i = 0; i < records.size(); ++i) {
+        pairs.emplace_back(records.id(i), &records[i]);
+      }
     }
   }
   std::sort(pairs.begin(), pairs.end(),
@@ -226,12 +250,10 @@ merge_plan gather_records(std::vector<snapshot_ptr> pins,
   using fdb = dataset::failure_database;
   merge_plan plan;
   plan.pins = std::move(pins);
-  gather_domain(plan.pins, sels, &fdb::disengagements, &fdb::disengagement_ids,
-                &query_selection::disengagements, plan.disengagements);
-  gather_domain(plan.pins, sels, &fdb::mileage, &fdb::mileage_ids, &query_selection::mileage,
-                plan.mileage);
-  gather_domain(plan.pins, sels, &fdb::accidents, &fdb::accident_ids, &query_selection::accidents,
-                plan.accidents);
+  gather_domain(plan.pins, sels, &fdb::disengagements, &query_selection::disengagements,
+                plan.disengagements);
+  gather_domain(plan.pins, sels, &fdb::mileage, &query_selection::mileage, plan.mileage);
+  gather_domain(plan.pins, sels, &fdb::accidents, &query_selection::accidents, plan.accidents);
   return plan;
 }
 

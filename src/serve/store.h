@@ -10,17 +10,31 @@
 // a concurrent commit can never change what a pinned reader sees.
 //
 // Writers never block readers: commit() copies the newest database (three
-// refcount bumps — the domain arrays are copy-on-write, dataset/database.h),
-// applies the mutation off to the side (cloning only the domains it
-// touches; untouched domains stay structurally shared with every older
-// epoch), and publishes the result as epoch N+1 with one pointer swap.
-// Commits serialize against each other under a writer-only mutex, which
-// is what makes the epoch and every version component monotone.
+// chunk-pointer lists — the domains are persistent chunked arrays,
+// dataset/chunked_array.h), applies the mutation off to the side (an
+// append clones at most its domain's partly filled tail chunk; every full
+// chunk and every untouched domain stays structurally shared with every
+// older epoch), and publishes the result as epoch N+1 with one pointer
+// swap. A commit of Δ records therefore costs O(Δ + chunks), not
+// O(corpus). Commits serialize against each other under a writer-only
+// mutex, which is what makes the epoch and every version component
+// monotone.
+//
+// The new epoch's query index (serve/index.h) is lazy, like every epoch's,
+// but it extends the newest index built before it instead of rebuilding:
+// a commit hands the snapshot the superseded epoch's index (or, if that
+// epoch never built one, the base it was holding), and the first filtered
+// query appends only the Δ records' postings. The snapshot drops the base
+// once its own index is built; indexes never reference each other or any
+// snapshot, so no chain of old epochs stays alive.
 //
 // Reclamation is RCU-by-refcount: a superseded snapshot stays alive until
-// the last pinned reader drops it, then frees on that reader's thread —
-// no quiescent-state tracking, no deferred-free list, and nothing for a
-// leak checker to find once the readers are gone.
+// the last pinned reader drops it, then frees on that reader's thread — or
+// in commit(), after the writers' mutex is released, if no reader pins it.
+// It shares every full chunk with its successor, so its free releases
+// little more than its pointer lists and private tail chunks. No
+// quiescent-state tracking, no deferred-free list, and nothing for a leak
+// checker to find once the readers are gone.
 //
 // Obs surface: `serve.snapshot.commits` / `serve.snapshot.commit_ns` /
 // `serve.snapshot.retired` counters (retired = snapshots superseded by a
@@ -31,13 +45,13 @@
 // `sharded_store` composes K independent snapshot_stores, partitioning
 // records by manufacturer (shard_of: enum value mod K). Each shard has its
 // own epoch, writer mutex and lazy per-epoch query_index, so ingests for
-// different manufacturers commit in parallel and each commit clones only
-// ~1/K of a domain array. Every record carries a stable *global id*
-// allocated at append time from store-wide counters
-// (dataset::failure_database id arrays), which is what lets cross-shard
-// queries merge per-shard records back into original corpus order — the
-// merged sequence, and therefore every payload byte, is identical to the
-// K = 1 layout. A composite pin is K acquire loads; the composite
+// different manufacturers commit in parallel and each commit copies only
+// its own shard's chunk-pointer lists and tail chunks. Every record
+// carries a stable *global id* allocated at append time from store-wide
+// counters (stored beside the record in its chunk), which is what lets
+// cross-shard queries merge per-shard records back into original corpus
+// order — the merged sequence, and therefore every payload byte, is
+// identical to the K = 1 layout. A composite pin is K acquire loads; the composite
 // version vector is the component-wise sum of the shard versions, which
 // equals the K = 1 version exactly (every append bumps exactly one
 // shard-domain by one). K == 1 is the same layout with one shard, which
@@ -72,9 +86,11 @@ class store_snapshot {
   // cleanup paths need its definition. A non-empty `index_span_label`
   // suffixes this snapshot's index-build span name
   // ("serve.index.build.<label>") — the sharded store labels shard i's
-  // snapshots "s<i>".
+  // snapshots "s<i>". `index_base` is an earlier epoch's index for this
+  // snapshot's own to extend (see index()).
   store_snapshot(dataset::failure_database db, std::uint64_t epoch,
-                 std::string index_span_label = {});
+                 std::string index_span_label = {},
+                 std::shared_ptr<const query_index> index_base = nullptr);
   ~store_snapshot();
 
   store_snapshot(const store_snapshot&) = delete;
@@ -88,9 +104,16 @@ class store_snapshot {
   /// and cached on the snapshot: concurrent callers share one build (the
   /// fast path after publication is a single acquire load), and the index
   /// frees with the snapshot — same RCU-by-refcount lifetime as the
-  /// records it indexes. `trace` receives the build span if this call is
-  /// the one that builds.
+  /// records it indexes. The build extends the index base this snapshot
+  /// was published with, when there is one, and drops the base once built.
+  /// `trace` receives the build span if this call is the one that builds.
   const query_index& index(obs::trace* trace = nullptr) const;
+
+  /// The index a successor epoch should extend: this epoch's own if built,
+  /// else the base it holds until its own is built (null if neither). An
+  /// index never references another index or any snapshot, so handing one
+  /// on never keeps an older epoch's records alive.
+  std::shared_ptr<const query_index> index_base() const;
 
  private:
   dataset::failure_database db_;
@@ -101,8 +124,10 @@ class store_snapshot {
   // snapshot is logically immutable — the index is a cache of a pure
   // function of the frozen database.
   mutable std::once_flag index_once_;
-  mutable std::unique_ptr<const query_index> index_;
   mutable std::atomic<const query_index*> index_ptr_{nullptr};
+  mutable std::mutex index_mutex_;  ///< guards index_ and base_
+  mutable std::shared_ptr<const query_index> index_;
+  mutable std::shared_ptr<const query_index> base_;
 };
 
 using snapshot_ptr = std::shared_ptr<const store_snapshot>;
@@ -129,7 +154,7 @@ class snapshot_store {
   std::uint64_t epoch() const { return pin()->epoch(); }
 
   /// Read-copy-update commit: `mutate` receives a private copy of the
-  /// newest database (cheap — domain arrays are shared until written) and
+  /// newest database (cheap — chunks are shared until written) and
   /// the result is published as the next epoch with a single pointer
   /// swap. Commits serialize; readers are never blocked and keep their
   /// pinned epochs. Returns the snapshot it published, so the caller can
@@ -198,7 +223,7 @@ merge_plan gather_records(std::vector<snapshot_ptr> pins,
 
 /// K independent snapshot_stores partitioned by manufacturer. Each shard
 /// commits under its own writer mutex (parallel ingest for different
-/// makers) and clones only its own ~1/K slice of a domain on write. Global
+/// makers) and copies only its own slice's pointer lists and tails on write. Global
 /// record ids are allocated from store-wide counters *before* any shard
 /// commit runs, in document order, so cross-shard merges reproduce the
 /// K = 1 record order — and therefore byte-identical payloads —

@@ -150,6 +150,16 @@ TEST(DatabaseView, ManufacturersPresentIsEnumOrdered) {
   EXPECT_EQ(present, expected);
 }
 
+// True when both arrays hold the same chunk pointers, in the same order.
+template <typename T>
+bool shares_every_chunk(const chunked_array<T>& a, const chunked_array<T>& b) {
+  if (a.chunk_count() != b.chunk_count()) return false;
+  for (std::size_t k = 0; k < a.chunk_count(); ++k) {
+    if (a.chunk_at(k) != b.chunk_at(k)) return false;
+  }
+  return true;
+}
+
 TEST(DatabaseView, StructuralAdoptersShareArraysAndVersion) {
   const auto db = make_db();
   // A copy adopts every domain structurally; a write clones only the
@@ -157,10 +167,14 @@ TEST(DatabaseView, StructuralAdoptersShareArraysAndVersion) {
   failure_database other = db;
   other.add_disengagement(
       make_disengagement(manufacturer::waymo, 2016, 6, nlp::fault_tag::sensor));
-  // Untouched domains alias the source arrays — same address, no copy.
-  EXPECT_EQ(other.mileage().data(), db.mileage().data());
-  EXPECT_EQ(other.accidents().data(), db.accidents().data());
-  EXPECT_NE(other.disengagements().data(), db.disengagements().data());
+  // Untouched domains alias every source chunk — same address, no copy.
+  // The written domain's only chunk is its partly filled tail, which the
+  // append cloned.
+  EXPECT_TRUE(shares_every_chunk(other.mileage(), db.mileage()));
+  EXPECT_TRUE(shares_every_chunk(other.accidents(), db.accidents()));
+  ASSERT_EQ(db.disengagements().chunk_count(), 1u);
+  ASSERT_EQ(other.disengagements().chunk_count(), 1u);
+  EXPECT_NE(other.disengagements().chunk_at(0), db.disengagements().chunk_at(0));
   EXPECT_EQ(other.version().mileage, db.version().mileage);
   EXPECT_EQ(other.version().accidents, db.version().accidents);
   EXPECT_EQ(other.version().disengagements, db.version().disengagements + 1);

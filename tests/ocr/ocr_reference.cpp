@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "nlp/tokenizer.h"
 #include "util/strings.h"
 
 namespace avtk::ocr::testing {
@@ -22,6 +23,19 @@ std::string reference_best_match(const std::vector<std::string>& words, std::str
     }
   }
   return found;
+}
+
+double reference_vocabulary_hit_rate(const std::vector<std::string>& words,
+                                     std::string_view line) {
+  std::size_t tokens = 0;
+  std::size_t hits = 0;
+  for (const auto& t : nlp::tokenize(line)) {
+    if (t.is_number) continue;
+    ++tokens;
+    if (std::ranges::binary_search(words, t.text)) ++hits;
+  }
+  if (tokens == 0) return 1.0;
+  return static_cast<double>(hits) / static_cast<double>(tokens);
 }
 
 }  // namespace avtk::ocr::testing

@@ -1,8 +1,10 @@
-// Stage II's test-only oracle: the original lexicon lookup, a linear scan
-// that runs the full edit distance against every word. It shares nothing
-// with the production delete index (ocr/postprocess.h) but the lexicon's
-// word list, so every production best_match must equal
-// reference_best_match over the same words.
+// Stage II's test-only oracles: the original lexicon lookup, a linear scan
+// that runs the full edit distance against every word, and the original
+// vocabulary hit rate over nlp::tokenize's lower-cased tokens. They share
+// nothing with the production delete index and token walk
+// (ocr/postprocess.h) but the lexicon's word list, so every production
+// best_match must equal reference_best_match, and every
+// vocabulary_hit_rate reference_vocabulary_hit_rate, over the same words.
 //
 // Linked by the ocr tests and bench_pipeline_perf only; the pipeline, the
 // CLI and perfbench never link it.
@@ -18,5 +20,10 @@ namespace avtk::ocr::testing {
 /// `word`, or empty when none or ambiguous; a member returns itself, and a
 /// non-member shorter than 3 letters never matches.
 std::string reference_best_match(const std::vector<std::string>& words, std::string_view word);
+
+/// Fraction of `line`'s non-number tokens (nlp::tokenize) found in
+/// `words` (lower-cased, sorted, unique); 1 when there are none.
+double reference_vocabulary_hit_rate(const std::vector<std::string>& words,
+                                     std::string_view line);
 
 }  // namespace avtk::ocr::testing

@@ -193,6 +193,38 @@ TEST(Lexicon, IndexedBestMatchEqualsReferenceOnCorruptedLines) {
   }
 }
 
+// The token walk behind vocabulary_hit_rate against the original
+// tokenize-then-lookup path: identical rates, bit for bit, over mixed-case
+// vocabulary with numbers and a long token, at every scan quality.
+TEST(Lexicon, VocabularyHitRateEqualsTokenizePathOnCorruptedLines) {
+  const auto v = lexicon::builtin();
+  std::vector<std::string> parts;
+  for (std::size_t i = 0; i < v->words().size(); ++i) {
+    parts.push_back(i % 3 == 0 ? str::to_upper(v->words()[i]) : v->words()[i]);
+    if (i % 11 == 0) parts.push_back(std::to_string(i) + ".5");
+  }
+  parts.push_back(std::string(80, 'W'));
+  const auto line = str::join(parts, " ");
+  EXPECT_EQ(vocabulary_hit_rate(line, *v), testing::reference_vocabulary_hit_rate(v->words(), line));
+  rng gen(96);
+  for (const auto q :
+       {scan_quality::clean, scan_quality::good, scan_quality::fair, scan_quality::poor}) {
+    const auto profile = noise_profile::for_quality(q);
+    for (int trial = 0; trial < 3; ++trial) {
+      const auto noisy = corrupt_line(line, profile, gen);
+      EXPECT_EQ(vocabulary_hit_rate(noisy, *v),
+                testing::reference_vocabulary_hit_rate(v->words(), noisy));
+      // Word by word too: single-token, all-number and punctuation-only
+      // lines.
+      for (const auto& word : str::split_whitespace(noisy)) {
+        EXPECT_EQ(vocabulary_hit_rate(word, *v),
+                  testing::reference_vocabulary_hit_rate(v->words(), word))
+            << word;
+      }
+    }
+  }
+}
+
 TEST(Lexicon, ShortWordsNotSnapped) {
   lexicon v({"to", "of"});
   EXPECT_EQ(v.best_match("tx"), "");

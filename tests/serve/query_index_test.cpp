@@ -2,20 +2,29 @@
 // (serve_reference.h): byte-identical payloads for every filter edge case
 // and after every epoch of an append/ingest stream at K in {1, 4}, exactly
 // one lazy index build per epoch under concurrent first queries, and a
-// rebuild on the post-ingest epoch.
+// rebuild on the post-ingest epoch. Extended indexes (each epoch's posting
+// lists sharing an earlier epoch's prefix) select exactly what a fresh
+// full build selects, across a seeded append stream with skipped epochs
+// and a relabel, and under concurrent sibling extensions of one base.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <functional>
 #include <future>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dataset/generator.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
 #include "serve/index.h"
+#include "serve/store.h"
 #include "serve_reference.h"
 #include "serve_test_util.h"
+#include "util/rng.h"
 
 namespace avtk::serve {
 namespace {
@@ -270,6 +279,191 @@ TEST(QueryIndex, EpochReplayMatchesReference) {
       check(step);
     }
     ASSERT_GT(accepted, 0u) << "the stream ingested no document";
+  }
+}
+
+// --- extended indexes ---
+
+// The CI TSan stress leg multiplies iteration counts via
+// AVTK_SNAPSHOT_STRESS; tier-1 runs stay fast with the default of 1.
+int stress_multiplier() {
+  if (const char* v = std::getenv("AVTK_SNAPSHOT_STRESS"); v != nullptr) {
+    if (const int m = std::atoi(v); m > 0) return m;
+  }
+  return 1;
+}
+
+const int k_years[] = {2014, 2015, 2016, 2017, 2018};
+
+// One query per value of every filter axis, and one per value pair of
+// every two axes.
+std::vector<query> every_axis_query() {
+  std::vector<std::function<void(query&, std::size_t)>> axes;
+  std::vector<std::size_t> sizes;
+  axes.emplace_back([](query& q, std::size_t i) { q.maker = dataset::k_all_manufacturers[i]; });
+  sizes.push_back(dataset::k_all_manufacturers.size());
+  axes.emplace_back([](query& q, std::size_t i) { q.year = k_years[i]; });
+  sizes.push_back(std::size(k_years));
+  axes.emplace_back([](query& q, std::size_t i) { q.tag = nlp::k_all_fault_tags[i]; });
+  sizes.push_back(nlp::k_all_fault_tags.size());
+  axes.emplace_back(
+      [](query& q, std::size_t i) { q.category = static_cast<nlp::failure_category>(i); });
+  sizes.push_back(3);
+
+  std::vector<query> out;
+  for (std::size_t a = 0; a < axes.size(); ++a) {
+    for (std::size_t i = 0; i < sizes[a]; ++i) {
+      query q;
+      q.kind = query_kind::metrics;
+      axes[a](q, i);
+      out.push_back(q);
+      for (std::size_t b = a + 1; b < axes.size(); ++b) {
+        for (std::size_t j = 0; j < sizes[b]; ++j) {
+          query pair = q;
+          axes[b](pair, j);
+          out.push_back(pair);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::optional<std::vector<std::uint32_t>> records_of(const domain_selection& sel) {
+  const auto span = sel.span();
+  if (!span) return std::nullopt;
+  return std::vector<std::uint32_t>(span->begin(), span->end());
+}
+
+// `idx` selects, for every query, exactly what a fresh full build over
+// `db` selects.
+void expect_matches_fresh_build(const query_index& idx, const dataset::failure_database& db,
+                                const std::vector<query>& queries, int epoch) {
+  const auto fresh = build_query_index(db, nullptr);
+  for (const auto& q : queries) {
+    const auto got = idx.select(q);
+    const auto want = fresh->select(q);
+    ASSERT_EQ(records_of(got.disengagements), records_of(want.disengagements))
+        << "epoch " << epoch << " " << q.canonical();
+    ASSERT_EQ(records_of(got.mileage), records_of(want.mileage))
+        << "epoch " << epoch << " " << q.canonical();
+    ASSERT_EQ(records_of(got.accidents), records_of(want.accidents))
+        << "epoch " << epoch << " " << q.canonical();
+  }
+}
+
+// Random records over every maker, year, tag and category; a fifth of
+// the events are undated, so the year filter falls back to report_year.
+void append_random(dataset::failure_database& db, avtk::rng& r) {
+  const auto pick = [&r](std::size_t n) {
+    return static_cast<std::size_t>(r.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto maker = [&] { return dataset::k_all_manufacturers[pick(12)]; };
+  const auto year = [&] { return k_years[pick(std::size(k_years))]; };
+  const auto month = [&] { return static_cast<int>(r.uniform_int(1, 12)); };
+  for (auto n = r.uniform_int(0, 6); n > 0; --n) {
+    auto d = testing::make_disengagement(maker(), year(), month(),
+                                         nlp::k_all_fault_tags[pick(nlp::k_all_fault_tags.size())]);
+    d.category = static_cast<nlp::failure_category>(pick(3));
+    if (r.bernoulli(0.2)) d.event_month.reset();
+    db.add_disengagement(std::move(d));
+  }
+  for (auto n = r.uniform_int(0, 3); n > 0; --n) {
+    db.add_mileage(testing::make_mileage(maker(), year(), month(), 100.0));
+  }
+  for (auto n = r.uniform_int(0, 2); n > 0; --n) {
+    auto a = testing::make_accident(maker(), year(), month(), 3.0, 5.0);
+    if (r.bernoulli(0.2)) a.event_date.reset();
+    db.add_accident(std::move(a));
+  }
+}
+
+TEST(QueryIndex, ExtendedIndexMatchesFreshBuild) {
+  const auto queries = every_axis_query();
+  avtk::rng r(2024);
+  snapshot_store store(testing::make_test_database());
+  auto& extends = obs::metrics().get_counter("serve.index.extends");
+  constexpr int k_epochs = 60;
+  // One relabel lands on an epoch that is never indexed, one on an epoch
+  // that is: either way the next build must fall back to a full one.
+  const auto relabels = [](int epoch) { return epoch == 31 || epoch == 40; };
+  bool relabelled = false;
+
+  expect_matches_fresh_build(store.pin()->index(), store.pin()->db(), queries, 0);
+  std::weak_ptr<const query_index> previous = store.pin()->index_base();
+  for (int epoch = 1; epoch <= k_epochs; ++epoch) {
+    const auto snap = store.commit([&](dataset::failure_database& db) {
+      if (relabels(epoch)) {
+        db.relabel_disengagement(db.disengagements().size() / 2, nlp::fault_tag::hang_crash,
+                                 nlp::failure_category::system);
+      }
+      append_random(db, r);
+    });
+    // Some epochs never see a filtered query: their successor extends the
+    // newest index built before them.
+    relabelled |= relabels(epoch);
+    if (epoch % 7 == 3) continue;
+    const auto extends_before = extends.value();
+    const auto& idx = snap->index();
+    EXPECT_EQ(extends.value(), extends_before + (relabelled ? 0 : 1)) << "epoch " << epoch;
+    relabelled = false;
+    expect_matches_fresh_build(idx, snap->db(), queries, epoch);
+    // Once built, the epoch holds no earlier index, and no index holds
+    // another: the previous built index is gone with its snapshot.
+    EXPECT_TRUE(previous.expired()) << "epoch " << epoch;
+    previous = snap->index_base();
+  }
+
+  // The stream covered every value of every axis.
+  const auto final_index = build_query_index(store.pin()->db(), nullptr);
+  for (const auto& q : queries) {
+    if ((q.maker.has_value() + q.year.has_value() + q.tag.has_value() +
+         q.category.has_value()) != 1) {
+      continue;
+    }
+    EXPECT_FALSE(final_index->select(q).disengagements.span()->empty()) << q.canonical();
+  }
+}
+
+TEST(QueryIndex, ConcurrentSiblingExtensionsAgree) {
+  // Two builds extend one base index at once. Whichever claims a shared
+  // posting buffer first appends in place; the other must copy, never
+  // write into slots the first one's lists read.
+  const auto queries = every_axis_query();
+  avtk::rng r(7);
+  for (int round = 0; round < 4 * stress_multiplier(); ++round) {
+    // In the store: the seed's index is built, epoch 1 is published and
+    // not indexed, so epoch 2 inherits the same base.
+    snapshot_store store(testing::make_test_database());
+    store.pin()->index();
+    const auto first = store.commit([&](dataset::failure_database& db) { append_random(db, r); });
+    const auto second =
+        store.commit([&](dataset::failure_database& db) { append_random(db, r); });
+    std::thread a([&] { first->index(); });
+    std::thread b([&] { second->index(); });
+    a.join();
+    b.join();
+    expect_matches_fresh_build(first->index(), first->db(), queries, 1);
+    expect_matches_fresh_build(second->index(), second->db(), queries, 2);
+
+    // Two different append streams on one state: the same record
+    // positions land under different keys, so an overwrite shows.
+    const auto seed = testing::make_test_database();
+    const auto base = build_query_index(seed, nullptr);
+    auto left = seed;
+    auto right = seed;
+    for (int i = 0; i < 3; ++i) {
+      append_random(left, r);
+      append_random(right, r);
+    }
+    std::unique_ptr<const query_index> left_index;
+    std::unique_ptr<const query_index> right_index;
+    std::thread c([&] { left_index = build_query_index(left, nullptr, {}, base.get()); });
+    std::thread d([&] { right_index = build_query_index(right, nullptr, {}, base.get()); });
+    c.join();
+    d.join();
+    expect_matches_fresh_build(*left_index, left, queries, 1);
+    expect_matches_fresh_build(*right_index, right, queries, 2);
   }
 }
 

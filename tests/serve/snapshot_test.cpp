@@ -12,7 +12,9 @@
 //  * epoch and version stay monotone and mutually consistent under
 //    concurrent commits, ingests and queries, at K = 1 and K = 4 shards
 //    (per-shard epochs at K = 4) — the stress test doubles as
-//    the CI TSan leg's workhorse (AVTK_SNAPSHOT_STRESS cranks the load).
+//    the CI TSan leg's workhorse (AVTK_SNAPSHOT_STRESS cranks the load);
+//  * readers walking pinned epochs never see a chunk change while commits
+//    append and relabel on top of the chunks they share.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -88,18 +90,41 @@ TEST(SnapshotStore, PinnedReaderSeesPreCommitEpoch) {
   EXPECT_EQ(current->db().disengagements().size(), disengagements_before + 1);
 }
 
+// How many leading chunks two arrays hold in common (same pointers).
+template <typename T>
+std::size_t shared_chunk_prefix(const dataset::chunked_array<T>& a,
+                                const dataset::chunked_array<T>& b) {
+  std::size_t k = 0;
+  while (k < a.chunk_count() && k < b.chunk_count() && a.chunk_at(k) == b.chunk_at(k)) ++k;
+  return k;
+}
+
 TEST(SnapshotStore, CommitSharesUntouchedDomainsStructurally) {
-  snapshot_store store(testing::make_test_database());
+  // The touched domain spans two full chunks and a partly filled tail.
+  auto seed = testing::make_test_database();
+  const std::size_t chunk = dataset::chunked_array<dataset::accident_record>::chunk_size;
+  while (seed.accidents().size() < 2 * chunk + 5) {
+    seed.add_accident(testing::make_accident(manufacturer::waymo, 2016, 2, 4.0, 6.0));
+  }
+  snapshot_store store(std::move(seed));
   const auto before = store.pin();
   const auto after = store.commit([](dataset::failure_database& db) {
     db.add_accident(testing::make_accident(manufacturer::delphi, 2017, 3, 7.0, 9.0));
   });
 
-  // Untouched domains are the *same arrays* — a commit must not deep-copy
+  // Untouched domains share every chunk — a commit must not deep-copy
   // what it does not write.
-  EXPECT_EQ(&before->db().disengagements(), &after->db().disengagements());
-  EXPECT_EQ(&before->db().mileage(), &after->db().mileage());
-  EXPECT_NE(&before->db().accidents(), &after->db().accidents());
+  const auto& dis = before->db().disengagements();
+  const auto& mil = before->db().mileage();
+  ASSERT_EQ(after->db().disengagements().chunk_count(), dis.chunk_count());
+  ASSERT_EQ(after->db().mileage().chunk_count(), mil.chunk_count());
+  EXPECT_EQ(shared_chunk_prefix(dis, after->db().disengagements()), dis.chunk_count());
+  EXPECT_EQ(shared_chunk_prefix(mil, after->db().mileage()), mil.chunk_count());
+  // The touched domain shares all but its tail, which the append cloned.
+  const auto& acc = before->db().accidents();
+  ASSERT_EQ(acc.chunk_count(), 3u);
+  ASSERT_EQ(after->db().accidents().chunk_count(), 3u);
+  EXPECT_EQ(shared_chunk_prefix(acc, after->db().accidents()), 2u);
 
   EXPECT_EQ(after->db().accidents().size(), before->db().accidents().size() + 1);
   EXPECT_EQ(after->version().accidents, before->version().accidents + 1);
@@ -188,6 +213,67 @@ TEST(SnapshotStore, EpochAndVersionsMonotoneUnderConcurrentCommits) {
   for (std::size_t i = 1; i < observed.size(); ++i) {
     ASSERT_GE(observed[i], observed[i - 1]);
   }
+}
+
+// Readers walk pinned epochs while a writer commits appends and relabels
+// on top of them: every commit shares all but the chunks it writes, so a
+// reader must see its epoch's records unchanged for as long as it pins it.
+// The CI TSan leg runs this (a write to a chunk a reader still reads is a
+// race it reports).
+TEST(ChunkedArray, SharedChunksUnderConcurrentCommits) {
+  const auto tagged = [](std::size_t i) {
+    auto d = testing::make_disengagement(manufacturer::waymo, 2017, 1 + static_cast<int>(i % 12),
+                                         nlp::fault_tag::planner);
+    d.description = "event " + std::to_string(i);
+    return d;
+  };
+  dataset::failure_database seed;
+  for (std::size_t i = 0; i < 300; ++i) seed.add_disengagement(tagged(i));
+  snapshot_store store(std::move(seed));
+
+  const int commits = 60 * stress_multiplier();
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int c = 0; c < commits; ++c) {
+      store.commit([&](dataset::failure_database& db) {
+        const std::size_t n = db.disengagements().size();
+        for (std::size_t i = n; i < n + 5; ++i) db.add_disengagement(tagged(i));
+        if (c % 4 == 0) {
+          db.relabel_disengagement((static_cast<std::size_t>(c) * 37) % n,
+                                   nlp::fault_tag::software,
+                                   nlp::category_of(nlp::fault_tag::software));
+        }
+      });
+    }
+    done = true;
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done) {
+        const auto snap = store.pin();
+        const auto& dis = snap->db().disengagements();
+        std::size_t i = 0;
+        std::size_t relabelled = 0;
+        for (const auto& d : dis) {
+          ASSERT_EQ(d.description, "event " + std::to_string(i));
+          ASSERT_EQ(dis.id(i), i);
+          relabelled += d.tag == nlp::fault_tag::software ? 1 : 0;
+          ++i;
+        }
+        // The pinned epoch is frozen: a second walk sees the same records.
+        std::size_t again = 0;
+        for (const auto& d : dataset::database_view(snap->db()).disengagements()) {
+          again += d.tag == nlp::fault_tag::software ? 1 : 0;
+        }
+        ASSERT_EQ(again, relabelled);
+        ASSERT_EQ(snap->version().disengagements, dis.size() + (snap->epoch() + 3) / 4);
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(store.pin()->db().disengagements().size(), 300u + 5u * static_cast<std::size_t>(commits));
 }
 
 // --- engine semantics ---
