@@ -5,7 +5,12 @@
 // Its perf record, BENCH_pipeline_perf.json under AVTK_BENCH_JSON_DIR,
 // carries the Stage II lexicon lookup rates as `ocr`: the production delete
 // index vs the test-only linear scan (tests/ocr/ocr_reference.h) over the
-// same one-edit-damaged words, and their ratio `indexed_over_scan`.
+// same one-edit-damaged words, and their ratio `indexed_over_scan`. Its
+// `scan` member is the Stage II fan-out of traced run_pipeline passes over
+// the canonical corpus at parallelism 1 and 4: the `scan` span's wall, the
+// OCR + parse time summed over documents, and their ratio, the effective
+// parallelism. The scan figures are recorded, not gated: they depend on
+// the runner's core count.
 #include "bench/common.h"
 
 #include <iostream>
@@ -18,8 +23,10 @@
 #include "ocr_reference.h"
 #include "obs/clock.h"
 #include "obs/json.h"
+#include "obs/trace.h"
 #include "parse/disengagement_parser.h"
 #include "parse/formats/common.h"
+#include "stats/descriptive.h"
 #include "util/rng.h"
 
 namespace {
@@ -105,6 +112,33 @@ double time_lookups(std::string (*match)(const std::string&), int passes,
   return watch.elapsed_seconds();
 }
 
+// The Stage II fan-out at one parallelism: medians over traced passes.
+struct scan_figures {
+  double wall_ms = 0;  ///< the `scan` span
+  double work_ms = 0;  ///< OCR + parse, summed over documents
+  double effective_parallelism() const { return wall_ms > 0 ? work_ms / wall_ms : 0; }
+};
+
+scan_figures measure_scan(unsigned parallelism, int runs) {
+  const auto& corpus = avtk::bench::state().corpus;
+  std::vector<double> wall_ms;
+  std::vector<double> work_ms;
+  for (int r = 0; r < runs; ++r) {
+    avtk::obs::trace trace;
+    avtk::core::pipeline_config cfg;
+    cfg.parallelism = parallelism;
+    cfg.trace = &trace;
+    const auto result =
+        avtk::core::run_pipeline(corpus.documents, corpus.pristine_documents, cfg);
+    for (const auto& span : trace.spans()) {
+      if (span.name == "scan") wall_ms.push_back(static_cast<double>(span.duration_ns) / 1e6);
+    }
+    work_ms.push_back(
+        (result.stats.stage_seconds("ocr") + result.stats.stage_seconds("parse")) * 1e3);
+  }
+  return {avtk::stats::median(wall_ms), avtk::stats::median(work_ms)};
+}
+
 void BM_ParseNissanLine(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(avtk::parse::formats::read_nissan_line(k_line));
@@ -169,6 +203,22 @@ int main(int argc, char** argv) {
   const double speedup = indexed_s > 0 ? scan_s / indexed_s : 0;
   const auto index_bytes = builtin_lexicon().footprint_bytes();
 
+  constexpr int k_scan_runs = 5;
+  json::object scan{{"runs", json::value(static_cast<std::size_t>(k_scan_runs))}};
+  std::ostringstream scan_rows;
+  for (const unsigned parallelism : {1u, 4u}) {
+    const auto f = measure_scan(parallelism, k_scan_runs);
+    scan.emplace_back("p" + std::to_string(parallelism),
+                      json::value(json::object{
+                          {"scan_wall_ms", json::value(f.wall_ms)},
+                          {"ocr_parse_ms", json::value(f.work_ms)},
+                          {"effective_parallelism", json::value(f.effective_parallelism())},
+                      }));
+    scan_rows << "p" << parallelism << ": scan wall " << f.wall_ms << " ms, OCR + parse "
+              << f.work_ms << " ms, effective parallelism " << f.effective_parallelism()
+              << "\n";
+  }
+
   std::ostringstream rows;
   rows << "lexicon lookup: delete index vs linear scan\n"
        << "workload: " << damaged_words().size() << " one-edit-damaged builtin words x "
@@ -176,7 +226,9 @@ int main(int argc, char** argv) {
        << "scan:    " << scan_ns << " ns/lookup\n"
        << "indexed: " << indexed_ns << " ns/lookup\n"
        << "indexed/scan: " << speedup << "x\n"
-       << "builtin lexicon + index: " << index_bytes << " bytes\n";
+       << "builtin lexicon + index: " << index_bytes << " bytes\n"
+       << "Stage II scan (traced run_pipeline, median of " << k_scan_runs << " passes)\n"
+       << scan_rows.str();
   return avtk::bench::run_experiment(
       "pipeline_perf", rows.str(), argc, argv,
       {{"ocr", json::value(json::object{
@@ -186,5 +238,6 @@ int main(int argc, char** argv) {
                    {"indexed_ns_per_lookup", json::value(indexed_ns)},
                    {"indexed_over_scan", json::value(speedup)},
                    {"lexicon_bytes", json::value(index_bytes)},
-               })}});
+               })},
+       {"scan", json::value(std::move(scan))}});
 }

@@ -1,8 +1,10 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -34,6 +36,21 @@ ingest::processor_config make_scan_config(const pipeline_config& config) {
 }
 
 }  // namespace
+
+std::vector<std::size_t> scan_order(const std::vector<ocr::document>& documents) {
+  std::vector<std::size_t> bytes(documents.size(), 0);
+  for (std::size_t i = 0; i < documents.size(); ++i) {
+    for (const auto& page : documents[i].pages) {
+      for (const auto& line : page.lines) bytes[i] += line.size();
+    }
+  }
+  std::vector<std::size_t> order(documents.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return bytes[a] != bytes[b] ? bytes[a] > bytes[b] : a < b;
+  });
+  return order;
+}
 
 std::size_t label_disengagements(dataset::failure_database& db,
                                  const nlp::keyword_voting_classifier& classifier,
@@ -99,15 +116,23 @@ pipeline_result run_pipeline(const std::vector<ocr::document>& documents,
       if (!strict && per_document[i].fault) break;  // fail_fast: first fault decides
     }
   } else {
-    // Fixed-stride work split: no shared mutable state beyond disjoint
-    // per_document slots (CP.2: avoid data races by construction).
+    // Longest first from one shared cursor: a worker that finishes takes
+    // the next-longest document left, so no worker is left holding two
+    // large filings while the others idle. The cursor hands out every
+    // index once, so each worker writes only its own documents' slots
+    // (CP.2: no data race by construction).
+    const auto order = scan_order(documents);
+    std::atomic<std::size_t> cursor{0};
     std::vector<std::thread> threads;
     const unsigned n = std::min<unsigned>(parallelism,
                                           static_cast<unsigned>(documents.size()));
     threads.reserve(n);
     for (unsigned t = 0; t < n; ++t) {
-      threads.emplace_back([&, t] {
-        for (std::size_t i = t; i < documents.size(); i += n) {
+      threads.emplace_back([&] {
+        while (true) {
+          const std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+          if (k >= order.size()) break;
+          const std::size_t i = order[k];
           if (!strict && i > first_fault.load(std::memory_order_relaxed)) continue;
           worker(i);
         }

@@ -61,9 +61,11 @@ using ingest::document_error;
 
 struct pipeline_config {
   bool run_ocr = true;  ///< run mock-OCR recovery before parsing
-  /// Worker threads for the per-document OCR + parse stage. 1 = serial.
-  /// Results are merged in document order, so the output is identical for
-  /// any thread count (determinism is tested).
+  /// Worker threads for the per-document OCR + parse stage. 1 = serial,
+  /// in document order. Above 1, min(parallelism, documents) workers take
+  /// documents longest first (scan_order) from one shared cursor. Results
+  /// are merged in document order, so the output is identical for any
+  /// thread count (determinism is tested).
   unsigned parallelism = 1;
   /// Per-document failure policy (see the header comment). The policy
   /// never changes what a *successful* document contributes.
@@ -147,6 +149,12 @@ struct pipeline_result {
 pipeline_result run_pipeline(const std::vector<ocr::document>& documents,
                              const std::vector<ocr::document>& pristine = {},
                              const pipeline_config& config = {});
+
+/// The order in which the parallel Stage II scan hands out documents:
+/// every index once, longest first by delivered line bytes, ties by
+/// ascending index. Starting the large filings first keeps one worker from
+/// finishing long after the others.
+std::vector<std::size_t> scan_order(const std::vector<ocr::document>& documents);
 
 /// Runs the strict Stage II scan (OCR + identify + parse, with the same
 /// validations the `skip`/`quarantine` policies apply) over one document

@@ -49,23 +49,33 @@ class chunked_array {
     using reference = const T&;
 
     iterator() = default;
-    iterator(const chunked_array* array, std::size_t pos) : array_(array), pos_(pos) {}
-    const T& operator*() const { return (*array_)[pos_]; }
-    const T* operator->() const { return &(*array_)[pos_]; }
+    iterator(const chunked_array* array, std::size_t pos) : array_(array), pos_(pos) { load(); }
+    const T& operator*() const { return *item_; }
+    const T* operator->() const { return item_; }
+    /// Steps within the current chunk by pointer; only the first entry of
+    /// the next chunk goes through the chunk list again.
     iterator& operator++() {
       ++pos_;
+      if (pos_ % chunk_size == 0) {
+        load();
+      } else {
+        ++item_;
+      }
       return *this;
     }
     iterator operator++(int) {
       iterator before = *this;
-      ++pos_;
+      ++*this;
       return before;
     }
     bool operator==(const iterator& other) const { return pos_ == other.pos_; }
 
    private:
+    void load() { item_ = pos_ < array_->size() ? &(*array_)[pos_] : nullptr; }
+
     const chunked_array* array_ = nullptr;
     std::size_t pos_ = 0;
+    const T* item_ = nullptr;  ///< entry `pos_`; null at the end
   };
 
   std::size_t size() const { return size_; }

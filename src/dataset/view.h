@@ -52,8 +52,9 @@ using selection = std::vector<std::uint32_t>;
 /// (dataset/chunked_array.h), a chunked array through a selection, or a
 /// list of record pointers (the sharded store's cross-shard merge —
 /// serve/store.h — concatenates per-shard records back into global-id
-/// order as pointer lists). The first two walk the array's chunks: a
-/// position (or selected index) splits into chunk and offset. The range
+/// order as pointer lists). The first two walk the array's chunks: the
+/// whole mode steps with the array's own iterator (a pointer within each
+/// chunk), a selected index splits into chunk and offset. The range
 /// does not own the array, selection or pointer storage; all must outlive
 /// it.
 template <typename T>
@@ -74,14 +75,19 @@ class record_range {
           sel_(range.sel_),
           ptrs_(range.ptrs_),
           restricted_(range.restricted_),
-          pos_(pos) {}
+          pos_(pos) {
+      if (base_ != nullptr && !restricted_) {
+        whole_ = typename chunked_array<T>::iterator(base_, pos);
+      }
+    }
     const T& operator*() const {
       if (base_ == nullptr) return *ptrs_[pos_];
-      return restricted_ ? (*base_)[sel_[pos_]] : (*base_)[pos_];
+      return restricted_ ? (*base_)[sel_[pos_]] : *whole_;
     }
     const T* operator->() const { return &**this; }
     iterator& operator++() {
       ++pos_;
+      if (base_ != nullptr && !restricted_) ++whole_;
       return *this;
     }
     bool operator==(const iterator& other) const { return pos_ == other.pos_; }
@@ -93,6 +99,7 @@ class record_range {
     std::span<const T* const> ptrs_;
     bool restricted_;
     std::size_t pos_;
+    typename chunked_array<T>::iterator whole_;  ///< whole mode only
   };
 
   iterator begin() const { return iterator(*this, 0); }

@@ -12,16 +12,8 @@ normalization_stats normalize_disengagements(std::vector<dataset::disengagement_
   normalization_stats stats;
   auto out = records.begin();
   for (auto& r : records) {
-    const auto normalized = str::normalize_whitespace(r.description);
-    if (normalized != r.description) {
-      r.description = normalized;
-      ++stats.descriptions_normalized;
-    }
-    const auto vid = str::normalize_whitespace(r.vehicle_id);
-    if (vid != r.vehicle_id) {
-      r.vehicle_id = vid;
-      ++stats.vehicle_ids_normalized;
-    }
+    if (str::normalize_whitespace(r.description)) ++stats.descriptions_normalized;
+    if (str::normalize_whitespace(r.vehicle_id)) ++stats.vehicle_ids_normalized;
     if (r.reaction_time_s && *r.reaction_time_s <= config.reaction_time_floor_s) {
       r.reaction_time_s.reset();
       ++stats.reaction_times_cleared;
@@ -64,11 +56,7 @@ normalization_stats normalize_mileage(std::vector<dataset::mileage_record>& reco
 normalization_stats normalize_accidents(std::vector<dataset::accident_record>& records) {
   normalization_stats stats;
   for (auto& r : records) {
-    const auto normalized = str::normalize_whitespace(r.description);
-    if (normalized != r.description) {
-      r.description = normalized;
-      ++stats.descriptions_normalized;
-    }
+    if (str::normalize_whitespace(r.description)) ++stats.descriptions_normalized;
     for (auto* speed : {&r.av_speed_mph, &r.other_speed_mph}) {
       if (*speed && (**speed < 0.0 || **speed > 120.0)) {
         speed->reset();

@@ -144,21 +144,24 @@ std::string replace_all(std::string_view s, std::string_view from, std::string_v
   return out;
 }
 
-std::string normalize_whitespace(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+bool normalize_whitespace(std::string& s) {
+  // The output never outgrows the input, so it is written over the input
+  // from the front; `out` trails the read position.
+  std::size_t out = 0;
+  bool changed = false;
   bool in_space = true;  // leading spaces are dropped
-  for (char c : s) {
-    if (is_space(c)) {
-      if (!in_space) out += ' ';
-      in_space = true;
-    } else {
-      out += c;
-      in_space = false;
-    }
+  for (const char c : s) {
+    const bool space = is_space(c);
+    if (space && in_space) continue;  // leading whitespace or a run's tail
+    const char kept = space ? ' ' : c;
+    changed |= s[out] != kept;
+    s[out++] = kept;
+    in_space = space;
   }
-  while (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
+  if (out > 0 && s[out - 1] == ' ') --out;  // one trailing space at most
+  changed |= out != s.size();
+  s.resize(out);
+  return changed;
 }
 
 std::optional<long long> parse_int(std::string_view s) {

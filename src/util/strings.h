@@ -47,8 +47,9 @@ bool icontains(std::string_view s, std::string_view needle);
 /// Replaces every occurrence of `from` with `to`. `from` must be non-empty.
 std::string replace_all(std::string_view s, std::string_view from, std::string_view to);
 
-/// Collapses runs of whitespace to a single space and trims the result.
-std::string normalize_whitespace(std::string_view s);
+/// Collapses runs of whitespace in `s` to a single space and trims it, in
+/// place; returns whether `s` changed. Never allocates.
+bool normalize_whitespace(std::string& s);
 
 /// Parses a decimal integer / floating-point number; std::nullopt when `s`
 /// (after trimming) is not entirely a number.

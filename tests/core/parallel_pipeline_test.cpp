@@ -1,6 +1,7 @@
 // The parallel Stage II must be bit-identical to the serial one for any
-// thread count — the merge is in document order and workers share no
-// mutable state.
+// thread count — the merge is in document order and each worker writes
+// only the slots of the documents it takes. Also pins the longest-first
+// dispatch order (scan_order) the workers take documents in.
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
@@ -57,6 +58,49 @@ TEST(ParallelPipeline, OversubscriptionIsClamped) {
   const auto result = run_with(10000);
   EXPECT_EQ(result.stats.documents_in, corpus().documents.size());
   EXPECT_EQ(result.stats.disengagements, 5328u);
+}
+
+std::size_t line_bytes(const ocr::document& d) {
+  std::size_t n = 0;
+  for (const auto& page : d.pages) {
+    for (const auto& line : page.lines) n += line.size();
+  }
+  return n;
+}
+
+// Checks the scan_order contract on `docs`: a permutation of the indices,
+// non-increasing line bytes, equal byte counts in ascending index order.
+void expect_scan_order(const std::vector<ocr::document>& docs) {
+  const auto order = scan_order(docs);
+  ASSERT_EQ(order.size(), docs.size());
+  std::vector<bool> seen(docs.size(), false);
+  for (const std::size_t i : order) {
+    ASSERT_LT(i, docs.size());
+    EXPECT_FALSE(seen[i]) << "index " << i << " handed out twice";
+    seen[i] = true;
+  }
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    const auto before = line_bytes(docs[order[k - 1]]);
+    const auto after = line_bytes(docs[order[k]]);
+    EXPECT_GE(before, after) << "position " << k;
+    if (before == after) {
+      EXPECT_LT(order[k - 1], order[k]) << "position " << k;
+    }
+  }
+}
+
+TEST(ScanOrder, CorpusIsLongestFirstPermutation) { expect_scan_order(corpus().documents); }
+
+TEST(ScanOrder, TiesGoByIndexAndPagesAddUp) {
+  // Bytes per document: 3, 6 (over two pages), 6, 0 (no pages), 3.
+  std::vector<ocr::document> docs(5);
+  docs[0].pages = {{{"abc"}}};
+  docs[1].pages = {{{"ab", "c"}}, {{"def"}}};
+  docs[2].pages = {{{"abcdef"}}};
+  docs[4].pages = {{{"a", "bc"}}};
+  expect_scan_order(docs);
+  EXPECT_EQ(scan_order(docs), (std::vector<std::size_t>{1, 2, 0, 4, 3}));
+  EXPECT_TRUE(scan_order({}).empty());
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ TEST(FailFast, ThrowsDocumentErrorForLowestIndexAtAnyParallelism) {
   const auto indices = fx.report.indices();
   const std::size_t lowest = *std::min_element(indices.begin(), indices.end());
 
-  for (const unsigned parallelism : {1u, 4u}) {
+  for (const unsigned parallelism : {1u, 2u, 3u, 4u, 8u}) {
     core::pipeline_config cfg;
     cfg.parallelism = parallelism;
     try {
@@ -75,6 +75,62 @@ TEST(FailFast, ThrowsDocumentErrorForLowestIndexAtAnyParallelism) {
       EXPECT_FALSE(e.message().empty());
       // The identity is in the what() text too, for uncaught-exception logs.
       EXPECT_NE(std::string(e.what()).find(e.title()), std::string::npos);
+    }
+  }
+}
+
+TEST(FailFast, LowerShortFaultWinsOverLongestFaultDispatchedFirst) {
+  // The parallel scan starts the longest document first, so here it meets
+  // the higher-index fault (the longest filing, placed last) before the
+  // lower one (a short accident report, placed first). The lower index
+  // must still be the one thrown.
+  const auto corpus = dataset::generate_corpus(corpus_config());
+  // scan_order (pinned by its own tests) lists the longest document first
+  // and the shortest last.
+  const auto order = core::scan_order(corpus.documents);
+  const std::size_t longest = order.front();
+  const auto accident = std::find_if(order.rbegin(), order.rend(), [&](std::size_t i) {
+    return corpus.documents[i].title.find("Accident") != std::string::npos;
+  });
+  ASSERT_NE(accident, order.rend());
+  const std::size_t shortest_accident = *accident;
+
+  // The accident report, a few clean filings, then the longest filing.
+  std::vector<ocr::document> documents{corpus.documents[shortest_accident]};
+  std::vector<ocr::document> pristine{corpus.pristine_documents[shortest_accident]};
+  for (std::size_t i = 0; documents.size() < 6; ++i) {
+    if (i == longest || i == shortest_accident) continue;
+    documents.push_back(corpus.documents[i]);
+    pristine.push_back(corpus.pristine_documents[i]);
+  }
+  documents.push_back(corpus.documents[longest]);
+  pristine.push_back(corpus.pristine_documents[longest]);
+  const std::size_t last = documents.size() - 1;
+
+  // A garbled header leaves the report kind readable but not the maker,
+  // which even the lenient fail_fast scan refuses.
+  for (const std::size_t i : {std::size_t{0}, last}) {
+    std::vector<ocr::document> one{documents[i]};
+    std::vector<ocr::document> one_pristine{pristine[i]};
+    inject::injection_config icfg;
+    icfg.fraction = 1.0;
+    icfg.kinds = {inject::fault_kind::garble_header};
+    inject::inject_faults(one, one_pristine, icfg);
+    EXPECT_THROW(core::run_pipeline(one, one_pristine), core::document_error) << i;
+    documents[i] = std::move(one.front());
+    pristine[i] = std::move(one_pristine.front());
+  }
+  ASSERT_EQ(core::scan_order(documents).front(), last);
+
+  for (const unsigned parallelism : {1u, 2u, 3u, 4u, 8u}) {
+    core::pipeline_config cfg;
+    cfg.parallelism = parallelism;
+    try {
+      core::run_pipeline(documents, pristine, cfg);
+      FAIL() << "expected document_error at parallelism " << parallelism;
+    } catch (const core::document_error& e) {
+      EXPECT_EQ(e.index(), 0u) << "parallelism " << parallelism;
+      EXPECT_EQ(e.title(), documents[0].title);
     }
   }
 }
@@ -133,23 +189,26 @@ TEST(QuarantinePolicy, DeterministicAcrossParallelism) {
   const auto& fx = chaos();
   core::pipeline_config serial;
   serial.on_error = core::error_policy::quarantine;
-  auto threaded = serial;
-  threaded.parallelism = 4;
-
   const auto a = core::run_pipeline(fx.corpus.documents, fx.corpus.pristine_documents, serial);
-  const auto b = core::run_pipeline(fx.corpus.documents, fx.corpus.pristine_documents, threaded);
-
-  ASSERT_EQ(a.quarantined.size(), b.quarantined.size());
-  for (std::size_t i = 0; i < a.quarantined.size(); ++i) {
-    EXPECT_EQ(a.quarantined[i].index, b.quarantined[i].index);
-    EXPECT_EQ(a.quarantined[i].code, b.quarantined[i].code);
-    EXPECT_EQ(a.quarantined[i].message, b.quarantined[i].message);
-  }
   const auto csv_a = dataset::export_csv(a.database);
-  const auto csv_b = dataset::export_csv(b.database);
-  EXPECT_EQ(csv_a.disengagements, csv_b.disengagements);
-  EXPECT_EQ(csv_a.mileage, csv_b.mileage);
-  EXPECT_EQ(csv_a.accidents, csv_b.accidents);
+
+  for (const unsigned parallelism : {2u, 3u, 4u, 8u}) {
+    auto threaded = serial;
+    threaded.parallelism = parallelism;
+    const auto b =
+        core::run_pipeline(fx.corpus.documents, fx.corpus.pristine_documents, threaded);
+
+    ASSERT_EQ(a.quarantined.size(), b.quarantined.size()) << "parallelism " << parallelism;
+    for (std::size_t i = 0; i < a.quarantined.size(); ++i) {
+      EXPECT_EQ(a.quarantined[i].index, b.quarantined[i].index);
+      EXPECT_EQ(a.quarantined[i].code, b.quarantined[i].code);
+      EXPECT_EQ(a.quarantined[i].message, b.quarantined[i].message);
+    }
+    const auto csv_b = dataset::export_csv(b.database);
+    EXPECT_EQ(csv_a.disengagements, csv_b.disengagements) << "parallelism " << parallelism;
+    EXPECT_EQ(csv_a.mileage, csv_b.mileage) << "parallelism " << parallelism;
+    EXPECT_EQ(csv_a.accidents, csv_b.accidents) << "parallelism " << parallelism;
+  }
 }
 
 TEST(QuarantinePolicy, CleanSubsetAnalysisMatchesDroppedRun) {

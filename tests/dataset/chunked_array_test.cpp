@@ -2,7 +2,8 @@
 // (dataset/chunked_array.h): appends and iteration across chunk
 // boundaries, whole and through a selection; a copy shares every chunk;
 // an append after a copy clones only the partly filled tail; a relabel
-// clones only the chunk it touches, and only while it is shared.
+// clones only the chunk it touches, and only while it is shared, and
+// iteration walks from shared chunks into that clone and back.
 #include "dataset/chunked_array.h"
 
 #include <gtest/gtest.h>
@@ -142,6 +143,48 @@ TEST(ChunkedArray, RelabelClonesOnlyItsOwnChunk) {
   EXPECT_THROW(copy.relabel_disengagement(mine.size(), nlp::fault_tag::planner,
                                           nlp::category_of(nlp::fault_tag::planner)),
                std::out_of_range);
+}
+
+TEST(ChunkedArray, IterateAcrossRelabelCloneBoundaries) {
+  // A relabel clones the middle chunk of the copy, so its walk crosses
+  // from a shared chunk into the clone and back into a shared one.
+  failure_database db;
+  const int n = static_cast<int>(3 * C + 7);
+  for (int i = 0; i < n; ++i) db.add_disengagement(make_event(i));
+  failure_database copy = db;
+  const std::size_t target = 2 * C - 1;  // last entry of the cloned chunk
+  copy.relabel_disengagement(target, nlp::fault_tag::planner,
+                             nlp::category_of(nlp::fault_tag::planner));
+  const auto& mine = copy.disengagements();
+  ASSERT_NE(mine.chunk_at(1), db.disengagements().chunk_at(1));
+  ASSERT_EQ(mine.chunk_at(2), db.disengagements().chunk_at(2));
+
+  const auto expect_entry = [&](const disengagement_record& d, std::size_t i) {
+    EXPECT_EQ(d.description, "event " + std::to_string(i)) << i;
+    EXPECT_EQ(d.tag, i == target ? nlp::fault_tag::planner : nlp::fault_tag::unknown) << i;
+  };
+
+  // Whole array: the array's own iterator, then a record_range.
+  std::size_t i = 0;
+  for (auto it = mine.begin(); it != mine.end(); ++it) expect_entry(*it, i++);
+  EXPECT_EQ(i, mine.size());
+  i = 0;
+  for (const auto& d : record_range<disengagement_record>(mine)) expect_entry(d, i++);
+  EXPECT_EQ(i, mine.size());
+  // A post-increment and operator-> land on the same entries.
+  auto it = mine.begin();
+  for (std::size_t k = 0; k < C; ++k) it++;
+  EXPECT_EQ(it->description, "event " + std::to_string(C));
+
+  // Through a selection straddling every boundary, the clone's included.
+  selection sel;
+  for (std::size_t k = 1; k < mine.chunk_count(); ++k) {
+    sel.push_back(static_cast<std::uint32_t>(k * C - 1));
+    sel.push_back(static_cast<std::uint32_t>(k * C));
+  }
+  std::size_t j = 0;
+  for (const auto& d : record_range<disengagement_record>(mine, sel)) expect_entry(d, sel[j++]);
+  EXPECT_EQ(j, sel.size());
 }
 
 }  // namespace

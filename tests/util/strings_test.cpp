@@ -121,10 +121,59 @@ TEST(ReplaceAll, GrowingReplacement) {
   EXPECT_EQ(replace_all("a,b", ",", " -- "), "a -- b");
 }
 
+// Normalizes a copy of `s` in place; returns the result.
+std::string normalized(std::string s) {
+  normalize_whitespace(s);
+  return s;
+}
+
 TEST(NormalizeWhitespace, CollapsesAndTrims) {
-  EXPECT_EQ(normalize_whitespace("  a\t\tb  c  "), "a b c");
-  EXPECT_EQ(normalize_whitespace(""), "");
-  EXPECT_EQ(normalize_whitespace(" \n "), "");
+  EXPECT_EQ(normalized("  a\t\tb  c  "), "a b c");
+  EXPECT_EQ(normalized(""), "");
+  EXPECT_EQ(normalized(" \n "), "");
+}
+
+// The copying version normalize_whitespace replaced, kept as the oracle.
+std::string reference_normalize_whitespace(std::string_view s) {
+  std::string out;
+  bool in_space = true;
+  for (const char c : s) {
+    if (c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' || c == '\v') {
+      if (!in_space) out += ' ';
+      in_space = true;
+    } else {
+      out += c;
+      in_space = false;
+    }
+  }
+  while (!out.empty() && out.back() == ' ') out.pop_back();
+  return out;
+}
+
+// Seeded sweep over short strings that are mostly whitespace of every
+// kind: the in-place result and its "changed" verdict match the copying
+// reference, and the buffer is never reallocated.
+TEST(NormalizeWhitespace, MatchesCopyingReference) {
+  rng gen(3131);
+  const std::string alphabet = "ab  \t\n\r\f\v";
+  for (int round = 0; round < 5000; ++round) {
+    std::string s(static_cast<std::size_t>(gen.uniform_int(0, 12)), ' ');
+    for (auto& c : s) {
+      c = alphabet[static_cast<std::size_t>(
+          gen.uniform_int(0, static_cast<std::int64_t>(alphabet.size()) - 1))];
+    }
+    const std::string expected = reference_normalize_whitespace(s);
+    const std::string before = s;
+    const char* buffer = s.data();
+    const bool changed = normalize_whitespace(s);
+    ASSERT_EQ(s, expected) << "input \"" << before << '"';
+    EXPECT_EQ(changed, expected != before) << "input \"" << before << '"';
+    EXPECT_EQ(s.data(), buffer);
+
+    // Normalized text is a fixed point.
+    EXPECT_FALSE(normalize_whitespace(s));
+    EXPECT_EQ(s, expected);
+  }
 }
 
 TEST(ParseInt, ValidValues) {
