@@ -9,11 +9,17 @@
 // `scan` member is the Stage II fan-out of traced run_pipeline passes over
 // the canonical corpus at parallelism 1 and 4: the `scan` span's wall, the
 // OCR + parse time summed over documents, and their ratio, the effective
-// parallelism. The scan figures are recorded, not gated: they depend on
-// the runner's core count.
+// parallelism. Its `parse` member times Stage II's line kernels over the
+// canonical corpus's disengagement reports, in ns per line: the
+// structure test over the pristine lines, and the report parser over the
+// OCR-recovered text with and without the pristine fallback (whose mileage
+// audit reads the pristine lines). The scan and parse figures are
+// recorded, not gated: they depend on the runner.
 #include "bench/common.h"
 
+#include <algorithm>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "nlp/stemmer.h"
@@ -26,6 +32,7 @@
 #include "obs/trace.h"
 #include "parse/disengagement_parser.h"
 #include "parse/formats/common.h"
+#include "parse/report_header.h"
 #include "stats/descriptive.h"
 #include "util/rng.h"
 
@@ -81,7 +88,7 @@ const std::vector<std::string>& damaged_words() {
 }
 
 std::string indexed_match(const std::string& word) {
-  return builtin_lexicon().best_match(word);
+  return std::string(builtin_lexicon().best_match(word));
 }
 
 std::string scan_match(const std::string& word) {
@@ -137,6 +144,66 @@ scan_figures measure_scan(unsigned parallelism, int runs) {
         (result.stats.stage_seconds("ocr") + result.stats.stage_seconds("parse")) * 1e3);
   }
   return {avtk::stats::median(wall_ms), avtk::stats::median(work_ms)};
+}
+
+// Stage II's line kernels over the corpus, best of `passes` timed passes.
+struct parse_figures {
+  std::size_t lines = 0;           ///< lines of the timed reports
+  double structural_ns = 0;        ///< is_structural_line, per pristine line
+  double parse_ns = 0;             ///< parse_disengagement_report, no fallback
+  double parse_fallback_ns = 0;    ///< ... with the pristine fallback
+};
+
+parse_figures measure_parse(int passes) {
+  const auto& corpus = avtk::bench::state().corpus;
+  const avtk::ocr::mock_ocr_engine engine(avtk::ocr::lexicon::builtin());
+  std::vector<avtk::ocr::document> recovered;
+  std::vector<const avtk::ocr::document*> pristine;
+  parse_figures f;
+  for (std::size_t d = 0; d < corpus.documents.size(); ++d) {
+    auto doc = corpus.documents[d];
+    for (auto& page : doc.pages) {
+      for (auto& line : page.lines) line = engine.recognize_line(line).text;
+    }
+    // Only reports whose recovered header identifies them: the parser
+    // without the fallback refuses the others.
+    const auto id = avtk::parse::identify_report(doc);
+    if (id.kind != avtk::parse::report_kind::disengagement || !id.maker || !id.report_year) {
+      continue;
+    }
+    f.lines += doc.line_count();
+    recovered.push_back(std::move(doc));
+    pristine.push_back(&corpus.pristine_documents[d]);
+  }
+  // Best of `passes` after one warm-up pass, in ns per line.
+  const auto best_ns = [&](const auto& pass) {
+    pass();
+    double best = std::numeric_limits<double>::infinity();
+    for (int p = 0; p < passes; ++p) {
+      const avtk::obs::stopwatch watch;
+      pass();
+      best = std::min(best, watch.elapsed_seconds());
+    }
+    return best * 1e9 / static_cast<double>(f.lines);
+  };
+  f.structural_ns = best_ns([&] {
+    for (const auto* doc : pristine) {
+      for (const auto& page : doc->pages) {
+        for (const auto& line : page.lines) {
+          benchmark::DoNotOptimize(avtk::parse::formats::is_structural_line(line));
+        }
+      }
+    }
+  });
+  for (const bool fallback : {false, true}) {
+    (fallback ? f.parse_fallback_ns : f.parse_ns) = best_ns([&] {
+      for (std::size_t d = 0; d < recovered.size(); ++d) {
+        benchmark::DoNotOptimize(avtk::parse::parse_disengagement_report(
+            recovered[d], fallback ? pristine[d] : nullptr));
+      }
+    });
+  }
+  return f;
 }
 
 void BM_ParseNissanLine(benchmark::State& state) {
@@ -219,6 +286,9 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
+  constexpr int k_parse_passes = 7;
+  const auto parse = measure_parse(k_parse_passes);
+
   std::ostringstream rows;
   rows << "lexicon lookup: delete index vs linear scan\n"
        << "workload: " << damaged_words().size() << " one-edit-damaged builtin words x "
@@ -228,7 +298,12 @@ int main(int argc, char** argv) {
        << "indexed/scan: " << speedup << "x\n"
        << "builtin lexicon + index: " << index_bytes << " bytes\n"
        << "Stage II scan (traced run_pipeline, median of " << k_scan_runs << " passes)\n"
-       << scan_rows.str();
+       << scan_rows.str()
+       << "Stage II line kernels over " << parse.lines << " report lines (best of "
+       << k_parse_passes << " passes)\n"
+       << "is_structural_line:                  " << parse.structural_ns << " ns/line\n"
+       << "parse_disengagement_report:          " << parse.parse_ns << " ns/line\n"
+       << "parse_disengagement_report+fallback: " << parse.parse_fallback_ns << " ns/line\n";
   return avtk::bench::run_experiment(
       "pipeline_perf", rows.str(), argc, argv,
       {{"ocr", json::value(json::object{
@@ -239,5 +314,12 @@ int main(int argc, char** argv) {
                    {"indexed_over_scan", json::value(speedup)},
                    {"lexicon_bytes", json::value(index_bytes)},
                })},
-       {"scan", json::value(std::move(scan))}});
+       {"scan", json::value(std::move(scan))},
+       {"parse", json::value(json::object{
+                     {"lines", json::value(parse.lines)},
+                     {"passes", json::value(static_cast<std::size_t>(k_parse_passes))},
+                     {"structural_ns_per_line", json::value(parse.structural_ns)},
+                     {"parse_ns_per_line", json::value(parse.parse_ns)},
+                     {"parse_with_fallback_ns_per_line", json::value(parse.parse_fallback_ns)},
+                 })}});
 }

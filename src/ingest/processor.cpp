@@ -53,16 +53,24 @@ ocr::document document_processor::recover(const ocr::document& delivered,
                                           const ocr::mock_ocr_engine& engine,
                                           double give_up_confidence,
                                           document_scan& result) const {
-  // Rebuild the document with each line replaced by its OCR-recovered
-  // text, preserving the page/line structure the parsers rely on.
-  ocr::document out = delivered;
-  for (auto& p : out.pages) {
-    for (auto& line : p.lines) {
-      const auto rec = engine.recognize_line(line);
-      line = rec.text;
+  // Build the document from each line's OCR-recovered text, preserving
+  // the page/line structure the parsers rely on. Only the metadata is
+  // copied; every line is built once and moved in.
+  ocr::document out;
+  out.title = delivered.title;
+  out.manufacturer = delivered.manufacturer;
+  out.report_year = delivered.report_year;
+  out.quality = delivered.quality;
+  out.pages.resize(delivered.pages.size());
+  for (std::size_t p = 0; p < delivered.pages.size(); ++p) {
+    auto& lines = out.pages[p].lines;
+    lines.reserve(delivered.pages[p].lines.size());
+    for (const auto& line : delivered.pages[p].lines) {
+      auto rec = engine.recognize_line(line);
       result.ocr_confidence_sum += rec.confidence;
       ++result.ocr_lines;
       if (rec.needs_manual_review) ++result.ocr_manual_review_lines;
+      lines.push_back(std::move(rec.text));
     }
   }
   if (give_up_confidence > 0 && result.ocr_lines > 0) {

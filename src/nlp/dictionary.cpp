@@ -64,18 +64,20 @@ std::string failure_dictionary::serialize() const {
 
 failure_dictionary failure_dictionary::deserialize(std::string_view text) {
   failure_dictionary dict;
-  for (const auto& line : str::split(text, '\n')) {
+  for (const auto line : str::split(text, '\n')) {
     const auto trimmed = str::trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
     const auto fields = str::split(trimmed, '\t');
     if (fields.size() != 3) throw parse_error("dictionary line needs 3 tab fields: " + std::string(line));
     const auto tag = tag_from_string(fields[0]);
-    if (!tag) throw parse_error("unknown dictionary tag: " + fields[0]);
+    if (!tag) throw parse_error("unknown dictionary tag: " + std::string(fields[0]));
     const auto weight = str::parse_double(fields[1]);
-    if (!weight || !(*weight > 0)) throw parse_error("bad dictionary weight: " + fields[1]);
+    if (!weight || !(*weight > 0)) {
+      throw parse_error("bad dictionary weight: " + std::string(fields[1]));
+    }
     dictionary_phrase p;
     p.weight = *weight;
-    p.stems = str::split_whitespace(fields[2]);
+    for (const auto stem : str::split_whitespace(fields[2])) p.stems.emplace_back(stem);
     if (p.stems.empty()) throw parse_error("empty dictionary phrase");
     dict.by_tag_[*tag].push_back(std::move(p));
   }

@@ -25,7 +25,7 @@ std::string document::full_text() const {
 document document::from_text(std::string text) {
   document doc;
   page p;
-  for (auto& line : str::split(text, '\n')) p.lines.push_back(std::move(line));
+  for (const auto line : str::split(text, '\n')) p.lines.emplace_back(line);
   // A trailing newline leaves one empty line; keep the text round-trippable
   // by dropping it.
   if (!p.lines.empty() && p.lines.back().empty()) p.lines.pop_back();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <functional>
 #include <limits>
 
@@ -29,32 +30,46 @@ char to_digit(char c) {
 
 bool is_word_char(char c) { return avtk::str::is_alpha(c) || c == '\''; }
 
-// Repairs digit-confusable glyphs inside a mostly-numeric token, leaving
-// non-confusable characters (true letters, separators) untouched.
-std::string repair_numeric_token_mixed(std::string_view token) {
-  std::string out;
-  out.reserve(token.size());
-  for (char c : token) {
-    out += avtk::str::is_digit(c) ? c : to_digit(c);
+// A character buffer on the stack for up to 64 characters (every lexicon
+// word and nearly every token), on the heap beyond.
+class char_buffer {
+ public:
+  explicit char_buffer(std::size_t size) : size_(size) {
+    if (size > stack_.size()) {
+      heap_.resize(size);
+      data_ = heap_.data();
+    }
   }
-  return out;
-}
+  char_buffer(const char_buffer&) = delete;
+  char_buffer& operator=(const char_buffer&) = delete;
 
-std::uint32_t key_hash(std::string_view key) {
-  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(key));
-}
+  char* data() { return data_; }
+  std::span<char> span() { return {data_, size_}; }
+  std::string_view view() const { return {data_, size_}; }
 
-// Calls `visit` on each distinct one-letter deletion of `word`, built in
-// `scratch`, until it returns false; returns false when it did. Deleting
-// any letter of a run of equal letters gives the same string, so only the
-// run's first letter is deleted.
+ private:
+  std::array<char, 64> stack_{};
+  std::string heap_;
+  char* data_ = stack_.data();
+  std::size_t size_;
+};
+
+// Calls `visit` on each distinct one-letter deletion of `word` until it
+// returns false; returns false when it did. Deleting any letter of a run
+// of equal letters gives the same string, so only the run's first letter
+// is deleted. The deletions are built in one buffer: deletion i is
+// word[0, i) + word[i + 1, n), one character away from deletion i - 1.
 template <typename Visit>
-bool for_each_deletion(std::string_view word, std::string& scratch, Visit visit) {
+bool for_each_deletion(std::string_view word, Visit visit) {
+  if (word.empty()) return true;
+  char_buffer buf(word.size() - 1);
+  std::ranges::copy(word.substr(1), buf.data());
   for (std::size_t i = 0; i < word.size(); ++i) {
-    if (i > 0 && word[i] == word[i - 1]) continue;
-    scratch.assign(word.substr(0, i));
-    scratch.append(word.substr(i + 1));
-    if (!visit(std::string_view(scratch))) return false;
+    if (i > 0) {
+      buf.data()[i - 1] = word[i - 1];
+      if (word[i] == word[i - 1]) continue;
+    }
+    if (!visit(buf.view())) return false;
   }
   return true;
 }
@@ -157,6 +172,10 @@ std::vector<std::string> builtin_words() {
 
 }  // namespace
 
+std::uint32_t lexicon::key_hash(std::string_view key) {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(key));
+}
+
 lexicon::lexicon(std::vector<std::string> words) {
   for (auto& w : words) w = str::to_lower(w);
   std::erase(words, std::string());
@@ -164,10 +183,9 @@ lexicon::lexicon(std::vector<std::string> words) {
   words.erase(std::unique(words.begin(), words.end()), words.end());
   words_ = std::move(words);
 
-  std::string scratch;
   for (std::uint32_t id = 0; id < words_.size(); ++id) {
     index_.push_back({key_hash(words_[id]), id});
-    for_each_deletion(words_[id], scratch, [&](std::string_view key) {
+    for_each_deletion(words_[id], [&](std::string_view key) {
       index_.push_back({key_hash(key), id});
       return true;
     });
@@ -175,35 +193,46 @@ lexicon::lexicon(std::vector<std::string> words) {
   std::ranges::sort(index_);
   index_.erase(std::unique(index_.begin(), index_.end()), index_.end());
   index_.shrink_to_fit();
+
+  // One slot per posting group, at most half the slots full, so a probe
+  // for an absent hash ends at an empty slot after a few steps.
+  std::size_t groups = 0;
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    if (i == 0 || index_[i].key_hash != index_[i - 1].key_hash) ++groups;
+  }
+  table_.assign(std::bit_ceil(std::max<std::size_t>(2 * groups, 1)), slot{});
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    if (i > 0 && index_[i].key_hash == index_[i - 1].key_hash) continue;
+    std::size_t at = index_[i].key_hash & mask;
+    while (table_[at].begin != k_empty) at = (at + 1) & mask;
+    table_[at] = {index_[i].key_hash, static_cast<std::uint32_t>(i)};
+  }
 }
 
 std::span<const lexicon::posting> lexicon::postings(std::string_view key) const {
-  const auto range = std::ranges::equal_range(index_, key_hash(key), {}, &posting::key_hash);
-  return {range.begin(), range.end()};
+  const std::uint32_t hash = key_hash(key);
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t at = hash & mask;; at = (at + 1) & mask) {
+    const slot s = table_[at];
+    if (s.begin == k_empty) return {};
+    if (s.key_hash != hash) continue;
+    std::size_t end = s.begin + 1;
+    while (end < index_.size() && index_[end].key_hash == hash) ++end;
+    return std::span(index_).subspan(s.begin, end - s.begin);
+  }
 }
 
 bool lexicon::contains(std::string_view word) const {
-  // Lower-case into a stack buffer: no allocation for a word of up to 64
-  // characters, which covers every lexicon word and nearly every token.
-  constexpr std::size_t k_stack_len = 64;
-  std::array<char, k_stack_len> stack_buf{};
-  std::string heap_buf;
-  char* buf = stack_buf.data();
-  if (word.size() > k_stack_len) {
-    heap_buf.resize(word.size());
-    buf = heap_buf.data();
-  }
-  std::ranges::transform(word, buf, [](char c) {
-    return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-  });
-  const std::string_view lower(buf, word.size());
+  char_buffer buf(word.size());
+  const auto lower = *str::lower_into(word, buf.span());
   return std::ranges::any_of(postings(lower),
                              [&](const posting& p) { return words_[p.id] == lower; });
 }
 
 std::size_t lexicon::footprint_bytes() const {
   std::size_t bytes = sizeof(*this) + words_.capacity() * sizeof(std::string) +
-                      index_.capacity() * sizeof(posting);
+                      index_.capacity() * sizeof(posting) + table_.capacity() * sizeof(slot);
   const std::size_t inline_capacity = std::string().capacity();
   for (const auto& w : words_) {
     if (w.capacity() > inline_capacity) bytes += w.capacity() + 1;
@@ -211,11 +240,12 @@ std::size_t lexicon::footprint_bytes() const {
   return bytes;
 }
 
-std::string lexicon::best_match(std::string_view word) const {
-  std::string lower = str::to_lower(word);
+std::string_view lexicon::best_match(std::string_view word) const {
+  char_buffer buf(word.size());
+  const auto lower = *str::lower_into(word, buf.span());
   const auto own = postings(lower);
-  if (std::ranges::any_of(own, [&](const posting& p) { return words_[p.id] == lower; })) {
-    return lower;
+  for (const auto& p : own) {
+    if (words_[p.id] == lower) return words_[p.id];
   }
   if (lower.size() < 3) return {};  // too short to snap safely
 
@@ -235,12 +265,11 @@ std::string lexicon::best_match(std::string_view word) const {
     }
     return true;
   };
-  std::string scratch;
   if (!admit(own) ||
-      !for_each_deletion(lower, scratch, [&](std::string_view key) { return admit(postings(key)); })) {
+      !for_each_deletion(lower, [&](std::string_view key) { return admit(postings(key)); })) {
     return {};
   }
-  return found == k_none ? std::string() : words_[found];
+  return found == k_none ? std::string_view() : std::string_view(words_[found]);
 }
 
 std::shared_ptr<const lexicon> lexicon::builtin() {
@@ -301,8 +330,9 @@ std::string correct_line(std::string_view line, const lexicon& vocab) {
     // Only tokens that contain real digits are numeric candidates: an
     // all-letter token like "so" must not be misread as "50".
     if (digits > 0 && digits >= letters) {
-      // Mostly numeric: repair digit-confusable letters in place.
-      out += repair_numeric_token_mixed(token);
+      // Mostly numeric: repair digit-confusable letters in place, leaving
+      // non-confusable characters (true letters, separators) untouched.
+      for (const char t : token) out += str::is_digit(t) ? t : to_digit(t);
       continue;
     }
     // best_match returns a member as itself, so a result equal to the
@@ -310,12 +340,9 @@ std::string correct_line(std::string_view line, const lexicon& vocab) {
     const auto fixed = vocab.best_match(token);
     if (!fixed.empty() && !str::iequals(token, fixed)) {
       // Preserve the original word's leading capitalization.
-      std::string replacement = fixed;
-      if (str::is_alpha(token[0]) && token[0] >= 'A' && token[0] <= 'Z' &&
-          replacement[0] >= 'a' && replacement[0] <= 'z') {
-        replacement[0] = static_cast<char>(replacement[0] - 'a' + 'A');
-      }
-      out += replacement;
+      const std::size_t first = out.size();
+      out += fixed;
+      if (token[0] >= 'A' && token[0] <= 'Z') out[first] = str::upper(out[first]);
     } else {
       out += token;
     }

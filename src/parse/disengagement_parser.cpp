@@ -1,6 +1,7 @@
 #include "parse/disengagement_parser.h"
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "parse/formats/common.h"
@@ -19,6 +20,11 @@ std::vector<const std::string*> flatten(const ocr::document& doc) {
     for (const auto& l : p.lines) lines.push_back(&l);
   }
   return lines;
+}
+
+// Blank and structural lines carry no records.
+bool is_skipped(std::string_view line) {
+  return str::trim(line).empty() || formats::is_structural_line(line);
 }
 
 }  // namespace
@@ -68,23 +74,41 @@ disengagement_parse_result parse_disengagement_report(const ocr::document& doc,
     result.mileage.push_back(std::move(m));
   };
 
+  // The audit below re-derives the mileage table from the pristine lines.
+  // Where this pass already read a pristine line, it records the reading
+  // here: k_no_row when the line yields no audited row (blank, structural,
+  // unparseable, an event), else the row's index in result.mileage. The
+  // audit reads only the lines still k_unread, so each pristine line is
+  // read at most once.
+  constexpr std::size_t k_unread = std::numeric_limits<std::size_t>::max();
+  constexpr std::size_t k_no_row = k_unread - 1;
+  std::vector<std::size_t> pristine_reading(fallback_usable ? lines.size() : 0, k_unread);
+
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const auto& line = *lines[i];
-    if (str::trim(line).empty() || formats::is_structural_line(line)) {
+    // A recovered line byte-equal to its pristine line reads the same, so
+    // its reading is the pristine one and the fallback has nothing to add.
+    const bool pristine_equal = fallback_usable && line == *fallback_lines[i];
+    if (is_skipped(line)) {
       ++result.skipped_lines;
+      if (pristine_equal) pristine_reading[i] = k_no_row;
       continue;
     }
     auto parsed = reader(line);
-    if (!parsed && fallback_usable) {
+    bool read_pristine = pristine_equal;
+    if (!parsed && fallback_usable && !pristine_equal) {
       // Manual transcription: re-read the pristine line, as the paper did
       // for documents Tesseract mangled.
       parsed = reader(*fallback_lines[i]);
+      read_pristine = true;
       if (parsed) ++result.manual_transcriptions;
     }
+    if (read_pristine) pristine_reading[i] = k_no_row;
     if (!parsed) {
       // The pristine line might be structural (the delivered copy was too
       // damaged for is_structural_line to tell).
-      if (fallback_usable && formats::is_structural_line(*fallback_lines[i])) {
+      if (fallback_usable && !pristine_equal &&
+          formats::is_structural_line(*fallback_lines[i])) {
         ++result.skipped_lines;
       } else {
         ++result.failed_lines;
@@ -92,7 +116,14 @@ disengagement_parse_result parse_disengagement_report(const ocr::document& doc,
       continue;
     }
     if (parsed->event) finish(std::move(*parsed->event));
-    if (parsed->mileage) finish_mileage(std::move(*parsed->mileage));
+    if (parsed->mileage) {
+      // The audit skips blank and structural pristine lines, however they
+      // read; a recovered line equal to its pristine one is neither.
+      if (read_pristine && (pristine_equal || !is_skipped(*fallback_lines[i]))) {
+        pristine_reading[i] = result.mileage.size();
+      }
+      finish_mileage(std::move(*parsed->mileage));
+    }
   }
 
   if (fallback_usable) {
@@ -101,11 +132,17 @@ disengagement_parse_result parse_disengagement_report(const ocr::document& doc,
     // the manual transcription and compare totals; on mismatch, trust the
     // transcription (the paper's authors manually verified totals too).
     std::vector<dataset::mileage_record> pristine_mileage;
-    for (const auto* line : fallback_lines) {
-      if (str::trim(*line).empty() || formats::is_structural_line(*line)) continue;
-      const auto parsed = reader(*line);
+    for (std::size_t i = 0; i < fallback_lines.size(); ++i) {
+      const std::size_t reading = pristine_reading[i];
+      if (reading == k_no_row) continue;
+      if (reading != k_unread) {
+        pristine_mileage.push_back(result.mileage[reading]);
+        continue;
+      }
+      if (is_skipped(*fallback_lines[i])) continue;
+      auto parsed = reader(*fallback_lines[i]);
       if (parsed && parsed->mileage) {
-        auto m = *parsed->mileage;
+        auto m = std::move(*parsed->mileage);
         m.maker = result.maker;
         m.report_year = result.report_year;
         pristine_mileage.push_back(std::move(m));

@@ -1,6 +1,8 @@
 #include "parse/formats/common.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "nlp/tokenizer.h"
 #include "util/errors.h"
@@ -31,12 +33,19 @@ constexpr std::string_view k_marker_words[] = {
     "section", "mileage",  "disengagements", "disengagement", "takeover", "events",  "autonomous",
     "monthly", "summary",  "miles",          "reporting",     "release",  "planned"};
 
-// True when `token` (lower-cased) is within edit distance 1 of a marker word.
-bool is_marker_word(std::string_view token) {
-  return std::ranges::any_of(k_marker_words, [&](std::string_view word) {
-    return str::within_edit_distance(token, word, 1);
-  });
+// True when `word`, lower-cased, is within edit distance 1 of one of
+// `targets` (lower-case, shorter than 16 letters). Words too long to be
+// within distance 1 of any target are not lower-cased at all.
+bool near_any(std::string_view word, std::span<const std::string_view> targets) {
+  std::array<char, 16> buf{};
+  const auto lower = str::lower_into(word, buf);
+  return lower && std::ranges::any_of(targets, [&](std::string_view target) {
+           return str::within_edit_distance(*lower, target, 1);
+         });
 }
+
+constexpr std::string_view k_header_labels[] = {"dmv", "reporting"};
+constexpr std::string_view k_column_labels[] = {"date", "vehicle", "vin", "month"};
 
 }  // namespace
 
@@ -45,29 +54,26 @@ bool is_structural_line(std::string_view line) {
   if (trimmed.empty()) return true;
   // A data line contains digits somewhere (dates, miles); a pure marker or
   // header does not — except CSV headers like "Reaction Time (s)" which
-  // contain no digits either.
-  if (std::ranges::none_of(trimmed, str::is_digit) &&
-      std::ranges::any_of(nlp::tokenize(trimmed),
-                          [](const nlp::token& t) { return is_marker_word(t.text); })) {
-    return true;
-  }
-  // Header block lines ("DMV Release: 2016", "Reporting Period: ...") carry
-  // digits but START with these labels — data lines never do.
-  {
-    const auto words = str::split_whitespace(trimmed);
-    if (!words.empty()) {
-      const auto first_word = str::to_lower(words[0]);
-      for (const char* label : {"dmv", "reporting"}) {
-        if (str::within_edit_distance(first_word, label, 1)) return true;
-      }
+  // contain no digits either. Only such digit-free lines are tokenized.
+  if (std::ranges::none_of(trimmed, str::is_digit)) {
+    std::size_t pos = 0;
+    for (auto t = nlp::next_token_view(trimmed, pos); !t.empty();
+         t = nlp::next_token_view(trimmed, pos)) {
+      if (near_any(t, k_marker_words)) return true;
     }
   }
+  // Header block lines ("DMV Release: 2016", "Reporting Period: ...") carry
+  // digits but START with these labels — data lines never do. `trimmed`
+  // starts with a non-space, so its first word runs to the first space.
+  const auto first_word =
+      trimmed.substr(0, static_cast<std::size_t>(std::ranges::find_if(trimmed, str::is_space) -
+                                                 trimmed.begin()));
+  if (near_any(first_word, k_header_labels)) return true;
   // CSV column-header rows: start with "Date"/"Vehicle"/"VIN".
-  const std::string first{str::trim(str::split(trimmed, ',').front())};
-  for (const char* label : {"date", "vehicle", "vin", "month"}) {
-    if (str::iequals(first, label)) return true;
-  }
-  return false;
+  const auto first_field = str::trim(trimmed.substr(0, trimmed.find(',')));
+  return std::ranges::any_of(k_column_labels, [&](std::string_view label) {
+    return str::iequals(first_field, label);
+  });
 }
 
 std::optional<double> parse_reaction_seconds(std::string_view text) {

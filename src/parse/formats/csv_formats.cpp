@@ -1,12 +1,13 @@
 // CSV-based report formats: Mercedes-Benz, Bosch, GM Cruise, Tesla, and the
 // minimal Ford/BMW layout. All use quoted-CSV rows; mileage rows have three
 // fields (vehicle, month, miles) and event rows are distinguished by their
-// field count and leading date.
+// field count and leading date. Each reader scans its line into views with
+// csv::scan_line; a line the CSV rules refuse (e.g. a quote character eaten
+// by scan noise) does not parse.
 #include "parse/formats/common.h"
 
 #include "util/csv.h"
 #include "util/dates.h"
-#include "util/errors.h"
 #include "util/strings.h"
 
 namespace avtk::parse::formats {
@@ -17,16 +18,8 @@ using dataset::modality;
 
 namespace {
 
-std::optional<csv::row> try_csv(std::string_view line) {
-  try {
-    return csv::parse_line(line);
-  } catch (const parse_error&) {
-    return std::nullopt;  // e.g. a quote character eaten by scan noise
-  }
-}
-
 // A 3-field CSV mileage row: vehicle, month, miles.
-std::optional<mileage_record> try_mileage(const csv::row& fields) {
+std::optional<mileage_record> try_mileage(const csv::line_fields& fields) {
   if (fields.size() != 3) return std::nullopt;
   const auto month = dates::parse_year_month(fields[1]);
   const auto miles = parse_miles(fields[2]);
@@ -41,18 +34,18 @@ std::optional<mileage_record> try_mileage(const csv::row& fields) {
 }  // namespace
 
 std::optional<parsed_line> read_benz_line(std::string_view line) {
-  const auto fields = try_csv(line);
-  if (!fields) return std::nullopt;
-  if (auto m = try_mileage(*fields)) return parsed_line{std::nullopt, std::move(m)};
+  csv::line_fields fields;
+  if (!csv::scan_line(line, fields)) return std::nullopt;
+  if (auto m = try_mileage(fields)) return parsed_line{std::nullopt, std::move(m)};
 
   // Date,VIN,Initiated By,Reaction Time (s),Road Type,Weather,Description
-  if (fields->size() != 7) return std::nullopt;
-  const auto date = dates::parse_date((*fields)[0]);
+  if (fields.size() != 7) return std::nullopt;
+  const auto date = dates::parse_date(fields[0]);
   if (!date) return std::nullopt;
   disengagement_record d;
   d.event_date = *date;
-  d.vehicle_id = std::string(str::trim((*fields)[1]));
-  const auto initiated = str::trim((*fields)[2]);
+  d.vehicle_id = std::string(str::trim(fields[1]));
+  const auto initiated = str::trim(fields[2]);
   if (str::iequals(initiated, "Driver")) {
     d.mode = modality::manual;
   } else if (str::iequals(initiated, "ADS")) {
@@ -60,28 +53,28 @@ std::optional<parsed_line> read_benz_line(std::string_view line) {
   } else if (const auto m = dataset::modality_from_string(initiated)) {
     d.mode = *m;
   }
-  d.reaction_time_s = parse_reaction_field((*fields)[3]);
-  d.road = dataset::road_type_from_string((*fields)[4]).value_or(dataset::road_type::unknown);
-  d.conditions = dataset::weather_from_string((*fields)[5]).value_or(dataset::weather::unknown);
-  d.description = (*fields)[6];
+  d.reaction_time_s = parse_reaction_field(fields[3]);
+  d.road = dataset::road_type_from_string(fields[4]).value_or(dataset::road_type::unknown);
+  d.conditions = dataset::weather_from_string(fields[5]).value_or(dataset::weather::unknown);
+  d.description = std::string(fields[6]);
   if (d.description.empty()) return std::nullopt;
   return parsed_line{std::move(d), std::nullopt};
 }
 
 std::optional<parsed_line> read_bosch_line(std::string_view line) {
-  const auto fields = try_csv(line);
-  if (!fields) return std::nullopt;
-  if (auto m = try_mileage(*fields)) return parsed_line{std::nullopt, std::move(m)};
+  csv::line_fields fields;
+  if (!csv::scan_line(line, fields)) return std::nullopt;
+  if (auto m = try_mileage(fields)) return parsed_line{std::nullopt, std::move(m)};
 
   // Date,Vehicle,Test Type,Cause
-  if (fields->size() != 4) return std::nullopt;
-  const auto date = dates::parse_date((*fields)[0]);
+  if (fields.size() != 4) return std::nullopt;
+  const auto date = dates::parse_date(fields[0]);
   if (!date) return std::nullopt;
   disengagement_record d;
   d.event_date = *date;
-  d.vehicle_id = std::string(str::trim((*fields)[1]));
+  d.vehicle_id = std::string(str::trim(fields[1]));
   d.mode = modality::planned;
-  d.description = (*fields)[3];
+  d.description = std::string(fields[3]);
   if (d.description.empty()) return std::nullopt;
   return parsed_line{std::move(d), std::nullopt};
 }
@@ -92,38 +85,38 @@ std::optional<parsed_line> read_gm_cruise_line(std::string_view line) {
 }
 
 std::optional<parsed_line> read_tesla_line(std::string_view line) {
-  const auto fields = try_csv(line);
-  if (!fields) return std::nullopt;
-  if (auto m = try_mileage(*fields)) return parsed_line{std::nullopt, std::move(m)};
+  csv::line_fields fields;
+  if (!csv::scan_line(line, fields)) return std::nullopt;
+  if (auto m = try_mileage(fields)) return parsed_line{std::nullopt, std::move(m)};
 
   // Date,Vehicle,Mode,Reaction Time (s),Description
-  if (fields->size() != 5) return std::nullopt;
-  const auto date = dates::parse_date((*fields)[0]);
+  if (fields.size() != 5) return std::nullopt;
+  const auto date = dates::parse_date(fields[0]);
   if (!date) return std::nullopt;
   disengagement_record d;
   d.event_date = *date;
-  d.vehicle_id = std::string(str::trim((*fields)[1]));
-  d.mode = dataset::modality_from_string((*fields)[2]).value_or(modality::unknown);
-  d.reaction_time_s = parse_reaction_field((*fields)[3]);
-  d.description = (*fields)[4];
+  d.vehicle_id = std::string(str::trim(fields[1]));
+  d.mode = dataset::modality_from_string(fields[2]).value_or(modality::unknown);
+  d.reaction_time_s = parse_reaction_field(fields[3]);
+  d.description = std::string(fields[4]);
   if (d.description.empty()) return std::nullopt;
   return parsed_line{std::move(d), std::nullopt};
 }
 
 std::optional<parsed_line> read_simple_csv_line(std::string_view line) {
-  const auto fields = try_csv(line);
-  if (!fields) return std::nullopt;
-  if (auto m = try_mileage(*fields)) return parsed_line{std::nullopt, std::move(m)};
+  csv::line_fields fields;
+  if (!csv::scan_line(line, fields)) return std::nullopt;
+  if (auto m = try_mileage(fields)) return parsed_line{std::nullopt, std::move(m)};
 
   // Date,Vehicle,Mode,Description
-  if (fields->size() != 4) return std::nullopt;
-  const auto date = dates::parse_date((*fields)[0]);
+  if (fields.size() != 4) return std::nullopt;
+  const auto date = dates::parse_date(fields[0]);
   if (!date) return std::nullopt;
   disengagement_record d;
   d.event_date = *date;
-  d.vehicle_id = std::string(str::trim((*fields)[1]));
-  d.mode = dataset::modality_from_string((*fields)[2]).value_or(modality::unknown);
-  d.description = (*fields)[3];
+  d.vehicle_id = std::string(str::trim(fields[1]));
+  d.mode = dataset::modality_from_string(fields[2]).value_or(modality::unknown);
+  d.description = std::string(fields[3]);
   if (d.description.empty()) return std::nullopt;
   return parsed_line{std::move(d), std::nullopt};
 }

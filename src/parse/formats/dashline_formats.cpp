@@ -9,6 +9,8 @@
 // Mileage lines in all three: <vehicle> -- <month> -- <miles>.
 #include "parse/formats/common.h"
 
+#include <array>
+
 #include "util/dates.h"
 #include "util/strings.h"
 
@@ -20,16 +22,21 @@ using dataset::modality;
 
 namespace {
 
-std::vector<std::string> split_dash(std::string_view line) {
-  std::vector<std::string> out;
-  for (auto& part : str::split(line, " -- ")) {
-    out.push_back(std::string(str::trim(part)));
+// A line's " -- "-separated parts, trimmed, as views of the line. Lines of
+// these formats have at most eight parts; `count` counts every part.
+struct dash_parts {
+  std::array<std::string_view, 8> part;
+  std::size_t count = 0;
+
+  explicit dash_parts(std::string_view line) : count(str::split_into(line, " -- ", part)) {
+    for (auto& p : part) p = str::trim(p);
   }
-  return out;
-}
+  std::size_t size() const { return count; }
+  std::string_view operator[](std::size_t i) const { return part[i]; }
+};
 
 // <vehicle> -- <month> -- <miles>
-std::optional<mileage_record> try_dash_mileage(const std::vector<std::string>& parts) {
+std::optional<mileage_record> try_dash_mileage(const dash_parts& parts) {
   if (parts.size() != 3) return std::nullopt;
   const auto month = dates::parse_year_month(parts[1]);
   const auto miles = parse_miles(parts[2]);
@@ -38,16 +45,26 @@ std::optional<mileage_record> try_dash_mileage(const std::vector<std::string>& p
   // itself be a date or month.
   if (dates::parse_date(parts[0]) || dates::parse_year_month(parts[0])) return std::nullopt;
   mileage_record m;
-  m.vehicle_id = parts[0];
+  m.vehicle_id = std::string(parts[0]);
   m.month = *month;
   m.miles = *miles;
   return m;
 }
 
+// True when `marker` is within edit distance 3 of "takeover-request",
+// ignoring case.
+bool near_takeover_request(std::string_view marker) {
+  constexpr std::string_view k_target = "takeover-request";
+  constexpr std::size_t k_slack = 3;
+  std::array<char, k_target.size() + k_slack> buf{};
+  const auto lower = str::lower_into(marker, buf);  // longer is too far
+  return lower && str::within_edit_distance(*lower, k_target, k_slack);
+}
+
 }  // namespace
 
 std::optional<parsed_line> read_nissan_line(std::string_view line) {
-  const auto parts = split_dash(line);
+  const dash_parts parts(line);
   if (auto m = try_dash_mileage(parts)) return parsed_line{std::nullopt, std::move(m)};
 
   // date -- time -- vehicle -- cause -- road -- weather/dry -- mode [-- reaction]
@@ -56,11 +73,11 @@ std::optional<parsed_line> read_nissan_line(std::string_view line) {
   if (!date) return std::nullopt;
   disengagement_record d;
   d.event_date = *date;
-  d.vehicle_id = parts[2];
-  d.description = parts[3];
+  d.vehicle_id = std::string(parts[2]);
+  d.description = std::string(parts[3]);
   d.road = dataset::road_type_from_string(parts[4]).value_or(dataset::road_type::unknown);
   // "Sunny/Dry" -> take the weather half.
-  d.conditions = dataset::weather_from_string(str::split(parts[5], '/').front())
+  d.conditions = dataset::weather_from_string(parts[5].substr(0, parts[5].find('/')))
                      .value_or(dataset::weather::unknown);
   d.mode = dataset::modality_from_string(parts[6]).value_or(modality::unknown);
   if (parts.size() == 8) d.reaction_time_s = parse_reaction_field(parts[7]);
@@ -69,7 +86,7 @@ std::optional<parsed_line> read_nissan_line(std::string_view line) {
 }
 
 std::optional<parsed_line> read_volkswagen_line(std::string_view line) {
-  const auto parts = split_dash(line);
+  const dash_parts parts(line);
   if (auto m = try_dash_mileage(parts)) return parsed_line{std::nullopt, std::move(m)};
 
   // date -- time -- Takeover-Request -- cause [-- reaction]
@@ -78,21 +95,19 @@ std::optional<parsed_line> read_volkswagen_line(std::string_view line) {
   if (!date) return std::nullopt;
   if (!str::icontains(parts[2], "takeover")) {
     // Tolerate OCR damage in the marker: accept when it is at least close.
-    if (!str::within_edit_distance(str::to_lower(parts[2]), "takeover-request", 3)) {
-      return std::nullopt;
-    }
+    if (!near_takeover_request(parts[2])) return std::nullopt;
   }
   disengagement_record d;
   d.event_date = *date;
   d.mode = modality::automatic;  // every VW takeover request is system-initiated
-  d.description = parts[3];
+  d.description = std::string(parts[3]);
   if (parts.size() == 5) d.reaction_time_s = parse_reaction_field(parts[4]);
   if (d.description.empty()) return std::nullopt;
   return parsed_line{std::move(d), std::nullopt};
 }
 
 std::optional<parsed_line> read_waymo_line(std::string_view line) {
-  const auto parts = split_dash(line);
+  const dash_parts parts(line);
   if (auto m = try_dash_mileage(parts)) return parsed_line{std::nullopt, std::move(m)};
 
   // month -- road -- marker -- cause [-- reaction]
@@ -102,7 +117,7 @@ std::optional<parsed_line> read_waymo_line(std::string_view line) {
   disengagement_record d;
   d.event_month = *month;
   d.road = dataset::road_type_from_string(parts[1]).value_or(dataset::road_type::unknown);
-  const auto& marker = parts[2];
+  const auto marker = parts[2];
   if (str::icontains(marker, "safe")) {
     d.mode = modality::manual;
   } else if (str::icontains(marker, "auto")) {
@@ -112,7 +127,7 @@ std::optional<parsed_line> read_waymo_line(std::string_view line) {
   } else {
     d.mode = modality::unknown;
   }
-  d.description = parts[3];
+  d.description = std::string(parts[3]);
   if (parts.size() == 5) d.reaction_time_s = parse_reaction_field(parts[4]);
   if (d.description.empty()) return std::nullopt;
   return parsed_line{std::move(d), std::nullopt};

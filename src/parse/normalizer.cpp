@@ -1,7 +1,8 @@
 #include "parse/normalizer.h"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
+#include <tuple>
 
 #include "util/strings.h"
 
@@ -31,25 +32,25 @@ normalization_stats normalize_disengagements(std::vector<dataset::disengagement_
 
 normalization_stats normalize_mileage(std::vector<dataset::mileage_record>& records) {
   normalization_stats stats;
-  std::map<std::tuple<dataset::manufacturer, std::string, std::int64_t>,
-           dataset::mileage_record>
-      merged;
-  for (auto& r : records) {
-    if (!(r.miles > 0)) {
-      ++stats.records_dropped;
-      continue;
-    }
-    const auto key = std::make_tuple(r.maker, r.vehicle_id, r.month.index());
-    const auto it = merged.find(key);
-    if (it == merged.end()) {
-      merged.emplace(key, std::move(r));
+  stats.records_dropped = std::erase_if(records, [](const auto& r) { return !(r.miles > 0); });
+  // Sort by (maker, vehicle id, month), keeping corpus order among equal
+  // keys, then fold each run of equal keys into its first record: the
+  // duplicates' miles are added in corpus order.
+  const auto key = [](const dataset::mileage_record& r) {
+    return std::tuple<dataset::manufacturer, const std::string&, std::int64_t>(
+        r.maker, r.vehicle_id, r.month.index());
+  };
+  std::ranges::stable_sort(records, [&](const auto& a, const auto& b) { return key(a) < key(b); });
+  auto out = records.begin();
+  for (auto it = records.begin(); it != records.end(); ++it) {
+    if (out != records.begin() && key(*std::prev(out)) == key(*it)) {
+      std::prev(out)->miles += it->miles;
     } else {
-      it->second.miles += r.miles;
+      if (out != it) *out = std::move(*it);
+      ++out;
     }
   }
-  records.clear();
-  records.reserve(merged.size());
-  for (auto& [key, r] : merged) records.push_back(std::move(r));
+  records.erase(out, records.end());
   return stats;
 }
 

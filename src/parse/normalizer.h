@@ -34,8 +34,10 @@ struct normalizer_config {
 normalization_stats normalize_disengagements(std::vector<dataset::disengagement_record>& records,
                                              const normalizer_config& config = {});
 
-/// Normalizes mileage records: merges duplicate (vehicle, month) cells and
-/// drops non-positive mileage.
+/// Normalizes mileage records: drops non-positive mileage and merges
+/// duplicate (maker, vehicle, month) cells into the first one, adding the
+/// duplicates' miles in input order. The result is sorted by (maker,
+/// vehicle id, month).
 normalization_stats normalize_mileage(std::vector<dataset::mileage_record>& records);
 
 /// Normalizes accident records: clamps speeds to a physical range

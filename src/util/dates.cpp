@@ -98,15 +98,6 @@ std::string year_month::to_pretty_string() const {
   return std::string(dates::month_name(month)) + " " + std::to_string(year);
 }
 
-std::string date_time::to_string() const {
-  const int h = seconds_of_day / 3600;
-  const int m = (seconds_of_day / 60) % 60;
-  const int s = seconds_of_day % 60;
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), " %02d:%02d:%02d", h, m, s);
-  return day.to_string() + buf;
-}
-
 namespace dates {
 
 std::optional<int> month_from_name(std::string_view name) {
@@ -136,161 +127,75 @@ std::string_view month_abbrev(int month) {
 std::optional<date> parse_date(std::string_view s) {
   s = str::trim(s);
   if (s.empty()) return std::nullopt;
+  std::array<std::string_view, 3> parts;
 
   // ISO "YYYY-MM-DD".
-  {
-    const auto parts = str::split(s, '-');
-    if (parts.size() == 3) {
-      const auto y = str::parse_int(parts[0]);
-      const auto m = str::parse_int(parts[1]);
-      const auto d = str::parse_int(parts[2]);
-      if (y && m && d && parts[0].size() == 4 && date::valid(static_cast<int>(*y), static_cast<int>(*m), static_cast<int>(*d))) {
-        return date::make(static_cast<int>(*y), static_cast<int>(*m), static_cast<int>(*d));
-      }
+  if (str::split_into(s, '-', parts) == 3) {
+    const auto y = str::parse_int(parts[0]);
+    const auto m = str::parse_int(parts[1]);
+    const auto d = str::parse_int(parts[2]);
+    if (y && m && d && parts[0].size() == 4 &&
+        date::valid(static_cast<int>(*y), static_cast<int>(*m), static_cast<int>(*d))) {
+      return date::make(static_cast<int>(*y), static_cast<int>(*m), static_cast<int>(*d));
     }
   }
 
   // US "M/D/YY" or "MM/DD/YYYY".
-  {
-    const auto parts = str::split(s, '/');
-    if (parts.size() == 3) {
-      const auto m = str::parse_int(parts[0]);
-      const auto d = str::parse_int(parts[1]);
-      const auto y = str::parse_int(parts[2]);
-      if (m && d && y) {
-        const int year = expand_two_digit_year(static_cast<int>(*y));
-        if (date::valid(year, static_cast<int>(*m), static_cast<int>(*d))) {
-          return date::make(year, static_cast<int>(*m), static_cast<int>(*d));
-        }
+  if (str::split_into(s, '/', parts) == 3) {
+    const auto m = str::parse_int(parts[0]);
+    const auto d = str::parse_int(parts[1]);
+    const auto y = str::parse_int(parts[2]);
+    if (m && d && y) {
+      const int year = expand_two_digit_year(static_cast<int>(*y));
+      if (date::valid(year, static_cast<int>(*m), static_cast<int>(*d))) {
+        return date::make(year, static_cast<int>(*m), static_cast<int>(*d));
       }
     }
   }
 
-  // "January 4, 2016" / "Jan 4 2016".
-  {
-    std::string cleaned = str::replace_all(s, ",", " ");
-    const auto parts = str::split_whitespace(cleaned);
-    if (parts.size() == 3) {
-      const auto m = month_from_name(parts[0]);
-      const auto d = str::parse_int(parts[1]);
-      const auto y = str::parse_int(parts[2]);
-      if (m && d && y) {
-        const int year = expand_two_digit_year(static_cast<int>(*y));
-        if (date::valid(year, *m, static_cast<int>(*d))) {
-          return date::make(year, *m, static_cast<int>(*d));
-        }
+  // "January 4, 2016" / "Jan 4 2016": commas separate like whitespace.
+  if (str::split_whitespace_into(s, parts, ",") == 3) {
+    const auto m = month_from_name(parts[0]);
+    const auto d = str::parse_int(parts[1]);
+    const auto y = str::parse_int(parts[2]);
+    if (m && d && y) {
+      const int year = expand_two_digit_year(static_cast<int>(*y));
+      if (date::valid(year, *m, static_cast<int>(*d))) {
+        return date::make(year, *m, static_cast<int>(*d));
       }
     }
   }
 
   return std::nullopt;
-}
-
-std::optional<std::int32_t> parse_time_of_day(std::string_view s) {
-  s = str::trim(s);
-  if (s.empty()) return std::nullopt;
-
-  // Optional trailing AM/PM.
-  int pm_offset = -1;  // -1: 24h clock, 0: AM, 12: PM
-  if (s.size() >= 2) {
-    const auto tail = s.substr(s.size() - 2);
-    if (str::iequals(tail, "AM")) {
-      pm_offset = 0;
-      s = str::trim(s.substr(0, s.size() - 2));
-    } else if (str::iequals(tail, "PM")) {
-      pm_offset = 12;
-      s = str::trim(s.substr(0, s.size() - 2));
-    }
-  }
-
-  const auto parts = str::split(s, ':');
-  if (parts.size() < 2 || parts.size() > 3) return std::nullopt;
-  const auto h = str::parse_int(parts[0]);
-  const auto m = str::parse_int(parts[1]);
-  const auto sec = parts.size() == 3 ? str::parse_int(parts[2]) : std::optional<long long>(0);
-  if (!h || !m || !sec) return std::nullopt;
-  long long hour = *h;
-  if (pm_offset >= 0) {
-    if (hour < 1 || hour > 12) return std::nullopt;
-    hour = hour % 12 + pm_offset;
-  }
-  if (hour < 0 || hour > 23 || *m < 0 || *m > 59 || *sec < 0 || *sec > 59) return std::nullopt;
-  return static_cast<std::int32_t>(hour * 3600 + *m * 60 + *sec);
 }
 
 std::optional<year_month> parse_year_month(std::string_view s) {
   s = str::trim(s);
   if (s.empty()) return std::nullopt;
+  std::array<std::string_view, 2> parts;
 
   // "May-16" / "May-2016".
-  {
-    const auto parts = str::split(s, '-');
-    if (parts.size() == 2) {
-      const auto m = month_from_name(parts[0]);
-      const auto y = str::parse_int(parts[1]);
-      if (m && y) {
-        return year_month{static_cast<std::int32_t>(expand_two_digit_year(static_cast<int>(*y))),
-                          static_cast<std::uint8_t>(*m)};
-      }
-      // ISO "2016-05".
-      const auto y2 = str::parse_int(parts[0]);
-      const auto m2 = str::parse_int(parts[1]);
-      if (y2 && m2 && parts[0].size() == 4 && *m2 >= 1 && *m2 <= 12) {
-        return year_month{static_cast<std::int32_t>(*y2), static_cast<std::uint8_t>(*m2)};
-      }
+  if (str::split_into(s, '-', parts) == 2) {
+    const auto m = month_from_name(parts[0]);
+    const auto y = str::parse_int(parts[1]);
+    if (m && y) {
+      return year_month{static_cast<std::int32_t>(expand_two_digit_year(static_cast<int>(*y))),
+                        static_cast<std::uint8_t>(*m)};
+    }
+    // ISO "2016-05".
+    const auto y2 = str::parse_int(parts[0]);
+    const auto m2 = str::parse_int(parts[1]);
+    if (y2 && m2 && parts[0].size() == 4 && *m2 >= 1 && *m2 <= 12) {
+      return year_month{static_cast<std::int32_t>(*y2), static_cast<std::uint8_t>(*m2)};
     }
   }
 
   // "May 2016".
-  {
-    const auto parts = str::split_whitespace(s);
-    if (parts.size() == 2) {
-      const auto m = month_from_name(parts[0]);
-      const auto y = str::parse_int(parts[1]);
-      if (m && y && *y >= 1900) {
-        return year_month{static_cast<std::int32_t>(*y), static_cast<std::uint8_t>(*m)};
-      }
-    }
-  }
-
-  return std::nullopt;
-}
-
-std::optional<date_time> parse_date_time(std::string_view s) {
-  s = str::trim(s);
-  if (s.empty()) return std::nullopt;
-  const auto parts = str::split_whitespace(s);
-  if (parts.empty()) return std::nullopt;
-
-  const auto d = parse_date(parts[0]);
-  if (d) {
-    date_time out;
-    out.day = *d;
-    if (parts.size() >= 2) {
-      std::string time_str = parts[1];
-      if (parts.size() >= 3) time_str += " " + parts[2];  // "1:25 PM"
-      const auto t = parse_time_of_day(time_str);
-      if (t) out.seconds_of_day = *t;
-      // A date followed by non-time text is still a valid date_time at
-      // midnight; DMV logs frequently omit the clock.
-    }
-    return out;
-  }
-
-  // "January 4, 2016 1:25 PM" — date consumes three tokens.
-  if (parts.size() >= 3) {
-    const std::string head = parts[0] + " " + parts[1] + " " + parts[2];
-    const auto d3 = parse_date(head);
-    if (d3) {
-      date_time out;
-      out.day = *d3;
-      if (parts.size() >= 4) {
-        std::string time_str = parts[3];
-        if (parts.size() >= 5) time_str += " " + parts[4];
-        const auto t = parse_time_of_day(time_str);
-        if (t) out.seconds_of_day = *t;
-      }
-      return out;
+  if (str::split_whitespace_into(s, parts) == 2) {
+    const auto m = month_from_name(parts[0]);
+    const auto y = str::parse_int(parts[1]);
+    if (m && y && *y >= 1900) {
+      return year_month{static_cast<std::int32_t>(*y), static_cast<std::uint8_t>(*m)};
     }
   }
 

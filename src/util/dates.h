@@ -2,8 +2,9 @@
 //
 // Civil (proleptic Gregorian) date handling, tolerant parsing of the many
 // date formats that appear in CA DMV reports ("1/4/16", "May-16",
-// "11/12/14 18:24:03", "2016-05-25", "May 2016"), and month arithmetic used
-// to bucket disengagements into reporting periods.
+// "2016-05-25", "May 2016"), and month arithmetic used to bucket
+// disengagements into reporting periods. The parsers split into views of
+// their input and never allocate.
 #pragma once
 
 #include <compare>
@@ -65,15 +66,6 @@ struct year_month {
   std::string to_pretty_string() const;
 };
 
-/// A timestamp: date plus seconds past midnight (0..86399).
-struct date_time {
-  date day;
-  std::int32_t seconds_of_day = 0;
-
-  auto operator<=>(const date_time&) const = default;
-  std::string to_string() const;  ///< "YYYY-MM-DD HH:MM:SS"
-};
-
 namespace dates {
 
 /// Month name lookup: accepts full ("January") and abbreviated ("Jan")
@@ -91,16 +83,9 @@ std::string_view month_abbrev(int month);
 /// Two-digit years are interpreted as 20xx.
 std::optional<date> parse_date(std::string_view s);
 
-/// Parses "HH:MM", "HH:MM:SS", and "H:MM AM/PM" into seconds past midnight.
-std::optional<std::int32_t> parse_time_of_day(std::string_view s);
-
 /// Parses month-granularity stamps: "May-16", "May 2016", "2016-05",
 /// "5/16" is ambiguous with dates and therefore NOT accepted here.
 std::optional<year_month> parse_year_month(std::string_view s);
-
-/// Parses a combined stamp "1/4/16 1:25 PM" / "11/12/14 18:24:03"; the time
-/// component is optional (midnight when absent).
-std::optional<date_time> parse_date_time(std::string_view s);
 
 }  // namespace dates
 }  // namespace avtk

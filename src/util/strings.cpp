@@ -8,26 +8,6 @@
 
 namespace avtk::str {
 
-namespace {
-
-bool is_space(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' || c == '\v';
-}
-
-char lower(char c) {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
-char upper(char c) {
-  return (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A') : c;
-}
-
-}  // namespace
-
-bool is_alpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
-bool is_digit(char c) { return c >= '0' && c <= '9'; }
-bool is_alnum(char c) { return is_alpha(c) || is_digit(c); }
-
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
@@ -48,44 +28,82 @@ std::string to_upper(std::string_view s) {
   return out;
 }
 
-std::vector<std::string> split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
+std::optional<std::string_view> lower_into(std::string_view s, std::span<char> buf) {
+  if (s.size() > buf.size()) return std::nullopt;
+  std::ranges::transform(s, buf.begin(), lower);
+  return std::string_view(buf.data(), s.size());
 }
 
-std::vector<std::string> split(std::string_view s, std::string_view sep) {
-  if (sep.empty()) return {std::string(s)};
-  std::vector<std::string> out;
+namespace {
+
+// Counts the fields `next_end` cuts `s` into, storing the first
+// out.size() of them. `next_end(start)` is where the field starting at
+// `start` ends, npos for the last one; a field is followed by `sep_len`
+// separator bytes.
+template <typename NextEnd>
+std::size_t fill_fields(std::string_view s, std::size_t sep_len, std::span<std::string_view> out,
+                        NextEnd next_end) {
+  std::size_t count = 0;
   std::size_t start = 0;
   while (true) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      break;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + sep.size();
+    const std::size_t end = next_end(start);
+    const auto field = s.substr(start, end == std::string_view::npos ? s.npos : end - start);
+    if (count < out.size()) out[count] = field;
+    ++count;
+    if (end == std::string_view::npos) return count;
+    start = end + sep_len;
   }
+}
+
+// The vector form of a split_into overload: one pass to count, one to fill.
+template <typename Split>
+std::vector<std::string_view> collect(Split split) {
+  std::vector<std::string_view> out(split(std::span<std::string_view>()));
+  split(std::span<std::string_view>(out));
   return out;
 }
 
-std::vector<std::string> split_whitespace(std::string_view s) {
-  std::vector<std::string> out;
+}  // namespace
+
+std::size_t split_into(std::string_view s, char sep, std::span<std::string_view> out) {
+  return fill_fields(s, 1, out, [&](std::size_t start) { return s.find(sep, start); });
+}
+
+std::size_t split_into(std::string_view s, std::string_view sep,
+                       std::span<std::string_view> out) {
+  if (sep.empty()) {
+    return fill_fields(s, 0, out, [](std::size_t) { return std::string_view::npos; });
+  }
+  return fill_fields(s, sep.size(), out, [&](std::size_t start) { return s.find(sep, start); });
+}
+
+std::size_t split_whitespace_into(std::string_view s, std::span<std::string_view> out,
+                                  std::string_view also) {
+  const auto is_sep = [&](char c) { return is_space(c) || also.find(c) != also.npos; };
+  std::size_t count = 0;
   std::size_t i = 0;
   while (i < s.size()) {
-    while (i < s.size() && is_space(s[i])) ++i;
+    while (i < s.size() && is_sep(s[i])) ++i;
     const std::size_t start = i;
-    while (i < s.size() && !is_space(s[i])) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
+    while (i < s.size() && !is_sep(s[i])) ++i;
+    if (i > start) {
+      if (count < out.size()) out[count] = s.substr(start, i - start);
+      ++count;
+    }
   }
-  return out;
+  return count;
+}
+
+std::vector<std::string_view> split(std::string_view s, char sep) {
+  return collect([&](std::span<std::string_view> out) { return split_into(s, sep, out); });
+}
+
+std::vector<std::string_view> split(std::string_view s, std::string_view sep) {
+  return collect([&](std::span<std::string_view> out) { return split_into(s, sep, out); });
+}
+
+std::vector<std::string_view> split_whitespace(std::string_view s) {
+  return collect([&](std::span<std::string_view> out) { return split_whitespace_into(s, out); });
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <unordered_map>
+
 #include "ocr/document.h"
 #include "ocr/engine.h"
 #include "ocr/noise.h"
@@ -185,7 +189,8 @@ TEST(Lexicon, IndexedBestMatchEqualsReferenceOnCorruptedLines) {
        {scan_quality::clean, scan_quality::good, scan_quality::fair, scan_quality::poor}) {
     const auto profile = noise_profile::for_quality(q);
     for (int trial = 0; trial < 3; ++trial) {
-      for (const auto& token : str::split_whitespace(corrupt_line(line, profile, gen))) {
+      const auto noisy = corrupt_line(line, profile, gen);
+      for (const auto token : str::split_whitespace(noisy)) {
         EXPECT_EQ(v->best_match(token), testing::reference_best_match(v->words(), token))
             << token;
       }
@@ -221,6 +226,84 @@ TEST(Lexicon, VocabularyHitRateEqualsTokenizePathOnCorruptedLines) {
                   testing::reference_vocabulary_hit_rate(v->words(), word))
             << word;
       }
+    }
+  }
+}
+
+// The postings group of `key` as the sorted index's binary search finds it.
+std::span<const lexicon::posting> equal_range_group(const lexicon& v, std::string_view key) {
+  const auto range =
+      std::ranges::equal_range(v.index(), lexicon::key_hash(key), {}, &lexicon::posting::key_hash);
+  return {range.begin(), range.end()};
+}
+
+void expect_probe_is_equal_range(const lexicon& v, std::string_view key) {
+  const auto probed = v.postings(key);
+  const auto expected = equal_range_group(v, key);
+  EXPECT_EQ(probed.size(), expected.size()) << key;
+  if (!expected.empty()) {
+    EXPECT_EQ(probed.data(), expected.data()) << key;
+  }
+}
+
+// The hash-table probe against a binary search of the sorted postings:
+// every key of the builtin index (each word and each one-letter deletion)
+// and keys that are not in it.
+TEST(Lexicon, ProbeReturnsEqualRangeGroupForEveryKey) {
+  const auto v = lexicon::builtin();
+  std::size_t keys = 0;
+  for (const auto& w : v->words()) {
+    expect_probe_is_equal_range(*v, w);
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      expect_probe_is_equal_range(*v, w.substr(0, i) + w.substr(i + 1));
+      ++keys;
+    }
+  }
+  EXPECT_GT(keys, v->index().size() / 2);
+  rng gen(97);
+  for (int i = 0; i < 5000; ++i) {
+    std::string absent(static_cast<std::size_t>(gen.uniform_int(1, 12)), 'a');
+    for (auto& c : absent) c = static_cast<char>('a' + gen.uniform_int(0, 25));
+    expect_probe_is_equal_range(*v, absent);
+  }
+}
+
+// Two distinct words with the same 32-bit key hash share one posting
+// group: the probe returns it whole for both keys, and the distance check
+// keeps the answers exact.
+TEST(Lexicon, ProbeSurvivesForced32BitHashCollision) {
+  std::unordered_map<std::uint32_t, std::string> seen;
+  std::string a;
+  std::string b;
+  rng gen(98);
+  while (a.empty()) {
+    std::string word(8, 'a');
+    for (auto& c : word) c = static_cast<char>('a' + gen.uniform_int(0, 25));
+    const auto [it, fresh] = seen.emplace(lexicon::key_hash(word), word);
+    if (!fresh && it->second != word) {
+      a = it->second;
+      b = word;
+    }
+  }
+  ASSERT_EQ(lexicon::key_hash(a), lexicon::key_hash(b));
+  const lexicon v({a, b, "waymo", "watchdog"});
+  expect_probe_is_equal_range(v, a);
+  expect_probe_is_equal_range(v, b);
+  const auto group = v.postings(a);
+  EXPECT_EQ(group.data(), v.postings(b).data());
+  ASSERT_EQ(group.size(), 2u);
+  EXPECT_NE(group[0].id, group[1].id);
+  EXPECT_TRUE(v.contains(a));
+  EXPECT_TRUE(v.contains(b));
+  EXPECT_EQ(v.best_match(a), a);
+  EXPECT_EQ(v.best_match(b), b);
+  for (const auto& w : {a, b}) {
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      const auto deleted = w.substr(0, i) + w.substr(i + 1);
+      EXPECT_EQ(v.best_match(deleted), testing::reference_best_match(v.words(), deleted));
+      std::string substituted = w;
+      substituted[i] = substituted[i] == 'q' ? 'x' : 'q';
+      EXPECT_EQ(v.best_match(substituted), testing::reference_best_match(v.words(), substituted));
     }
   }
 }

@@ -114,26 +114,6 @@ TEST(ParseDate, RejectsInvalid) {
   EXPECT_FALSE(dates::parse_date("May-16"));     // month granularity, not a date
 }
 
-TEST(ParseTimeOfDay, TwentyFourHour) {
-  EXPECT_EQ(dates::parse_time_of_day("18:24:03").value(), 18 * 3600 + 24 * 60 + 3);
-  EXPECT_EQ(dates::parse_time_of_day("00:00").value(), 0);
-  EXPECT_EQ(dates::parse_time_of_day("23:59:59").value(), 86399);
-}
-
-TEST(ParseTimeOfDay, TwelveHour) {
-  EXPECT_EQ(dates::parse_time_of_day("1:25 PM").value(), 13 * 3600 + 25 * 60);
-  EXPECT_EQ(dates::parse_time_of_day("12:00 AM").value(), 0);
-  EXPECT_EQ(dates::parse_time_of_day("12:00 PM").value(), 12 * 3600);
-  EXPECT_EQ(dates::parse_time_of_day("11:59 pm").value(), 23 * 3600 + 59 * 60);
-}
-
-TEST(ParseTimeOfDay, RejectsInvalid) {
-  EXPECT_FALSE(dates::parse_time_of_day("25:00"));
-  EXPECT_FALSE(dates::parse_time_of_day("13:00 PM"));
-  EXPECT_FALSE(dates::parse_time_of_day("12:61"));
-  EXPECT_FALSE(dates::parse_time_of_day("noon"));
-}
-
 TEST(ParseYearMonth, WaymoDashStyle) {
   EXPECT_EQ(dates::parse_year_month("May-16").value(), (year_month{2016, 5}));
   EXPECT_EQ(dates::parse_year_month("Dec-2015").value(), (year_month{2015, 12}));
@@ -148,38 +128,6 @@ TEST(ParseYearMonth, RejectsInvalid) {
   EXPECT_FALSE(dates::parse_year_month("5/16"));  // ambiguous with dates
   EXPECT_FALSE(dates::parse_year_month("2016-13"));
   EXPECT_FALSE(dates::parse_year_month("sometime"));
-}
-
-TEST(ParseDateTime, DateWithAmPmTime) {
-  const auto dt = dates::parse_date_time("1/4/16 1:25 PM");
-  ASSERT_TRUE(dt);
-  EXPECT_EQ(dt->day, date::make(2016, 1, 4));
-  EXPECT_EQ(dt->seconds_of_day, 13 * 3600 + 25 * 60);
-}
-
-TEST(ParseDateTime, DateWith24hTime) {
-  const auto dt = dates::parse_date_time("11/12/14 18:24:03");
-  ASSERT_TRUE(dt);
-  EXPECT_EQ(dt->day, date::make(2014, 11, 12));
-  EXPECT_EQ(dt->seconds_of_day, 18 * 3600 + 24 * 60 + 3);
-}
-
-TEST(ParseDateTime, DateOnlyDefaultsMidnight) {
-  const auto dt = dates::parse_date_time("2016-05-25");
-  ASSERT_TRUE(dt);
-  EXPECT_EQ(dt->seconds_of_day, 0);
-}
-
-TEST(ParseDateTime, LongDateWithTime) {
-  const auto dt = dates::parse_date_time("January 4, 2016 1:25 PM");
-  ASSERT_TRUE(dt);
-  EXPECT_EQ(dt->day, date::make(2016, 1, 4));
-  EXPECT_EQ(dt->seconds_of_day, 13 * 3600 + 25 * 60);
-}
-
-TEST(ParseDateTime, ToStringFormat) {
-  const auto dt = dates::parse_date_time("11/12/14 18:24:03");
-  EXPECT_EQ(dt->to_string(), "2014-11-12 18:24:03");
 }
 
 // Property sweep: every (year, month) in the study window round-trips

@@ -305,7 +305,8 @@ class SplitJoinRoundTrip : public ::testing::TestWithParam<std::vector<std::stri
 TEST_P(SplitJoinRoundTrip, JoinThenSplitIsIdentity) {
   const auto& parts = GetParam();
   const auto joined = join(parts, "|");
-  EXPECT_EQ(split(joined, '|'), parts);
+  const auto fields = split(joined, '|');
+  EXPECT_EQ(std::vector<std::string>(fields.begin(), fields.end()), parts);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, SplitJoinRoundTrip,
