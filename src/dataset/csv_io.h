@@ -1,9 +1,9 @@
 // avtk/dataset/csv_io.h
 //
-// Serialization of the consolidated failure database to/from CSV — the
-// interchange format downstream users (R, pandas, spreadsheets) actually
-// consume. Three tables: disengagements, mileage, accidents. Round-trip
-// safe: export(import(x)) == x field for field.
+// Export of the consolidated failure database to CSV — the interchange
+// format downstream users (R, pandas, spreadsheets) actually consume.
+// Three tables: disengagements, mileage, accidents. The reader that proves
+// the export round-trips field for field lives with the tests.
 #pragma once
 
 #include <string>
@@ -21,10 +21,5 @@ struct database_csv {
 
 /// Exports the database (headers included, RFC-4180 quoting).
 database_csv export_csv(const failure_database& db);
-
-/// Imports a database previously produced by export_csv. Unknown columns
-/// are tolerated (and ignored); missing required columns throw
-/// avtk::parse_error, as do malformed field values.
-failure_database import_csv(const database_csv& csv);
 
 }  // namespace avtk::dataset

@@ -45,14 +45,17 @@ struct generated_corpus {
   std::vector<ocr::document> pristine_documents;
 
   /// Loads the ground-truth events into a failure_database (bypassing the
-  /// OCR + parse path; used for validation and A/B tests).
+  /// OCR + parse path). Kept although only tests call it: the core and CSV
+  /// tests need the true records, which run_pipeline's output is not.
   failure_database to_database() const;
 };
 
 /// Generates the full 26-month, 12-manufacturer corpus.
 generated_corpus generate_corpus(const generator_config& config = {});
 
-/// Generates only one manufacturer/release slice (testing convenience).
+/// Generates only one manufacturer/release slice. Kept although only tests
+/// call it: the per-format parser sweeps would otherwise render and OCR the
+/// whole corpus for every case.
 generated_corpus generate_slice(manufacturer maker, int report_year,
                                 const generator_config& config = {});
 

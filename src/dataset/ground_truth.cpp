@@ -168,8 +168,6 @@ const fleet_row& table1_row(manufacturer maker, int report_year) {
 }
 
 std::span<const category_mix> table4() { return k_table4; }
-std::span<const category_mix> generation_category_mix() { return k_generation_mix; }
-
 const category_mix& generation_mix_for(manufacturer maker) {
   for (const auto& mix : k_generation_mix) {
     if (mix.maker == maker) return mix;
@@ -180,7 +178,6 @@ const category_mix& generation_mix_for(manufacturer maker) {
 }
 
 std::span<const modality_mix> table5() { return k_table5; }
-std::span<const modality_mix> generation_modality_mix() { return k_generation_modality; }
 
 const modality_mix& generation_modality_for(manufacturer maker) {
   for (const auto& mix : k_generation_modality) {

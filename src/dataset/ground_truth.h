@@ -29,7 +29,9 @@ struct fleet_row {
   std::optional<long long> accidents;
 };
 
-/// All 24 rows of Table I (12 manufacturers x 2 releases).
+/// All 24 rows of Table I (12 manufacturers x 2 releases). Kept although
+/// only tests read it whole: it is the paper's Table I the generator tests
+/// check the corpus against.
 std::span<const fleet_row> table1();
 
 /// The row for (maker, report_year); throws avtk::not_found_error.
@@ -67,11 +69,9 @@ struct category_mix {
 /// The five manufacturers Table IV reports.
 std::span<const category_mix> table4();
 
-/// Generation mixes for ALL eight analyzed manufacturers: Table IV values
-/// where published, calibrated plausible values for Benz / Bosch /
-/// GM Cruise (chosen so the corpus-wide ML share lands at the paper's 64%).
-std::span<const category_mix> generation_category_mix();
-
+/// Generation mix of one manufacturer: Table IV values where published,
+/// calibrated plausible values for Benz / Bosch / GM Cruise (chosen so the
+/// corpus-wide ML share lands at the paper's 64%).
 const category_mix& generation_mix_for(manufacturer maker);
 
 /// Paper-level aggregates (§V-A2).
@@ -93,10 +93,8 @@ struct modality_mix {
 /// The seven manufacturers Table V reports.
 std::span<const modality_mix> table5();
 
-/// Generation mixes for all eight analyzed manufacturers (Delphi, absent
-/// from Table V, generates 50/50 automatic/manual).
-std::span<const modality_mix> generation_modality_mix();
-
+/// Generation modality mix of one manufacturer (Delphi, absent from
+/// Table V, generates 50/50 automatic/manual).
 const modality_mix& generation_modality_for(manufacturer maker);
 
 // --------------------------------------------------------------- Table VI
@@ -187,6 +185,8 @@ struct generation_plan {
   double mileage_sigma = 0.35;
 };
 
+/// Every per-(maker, release) plan. Kept although only tests read it
+/// whole: the ground-truth tests check each plan against its release period.
 std::span<const generation_plan> generation_plans();
 const generation_plan& plan_for(manufacturer maker, int report_year);
 bool has_plan_for(manufacturer maker, int report_year);

@@ -18,14 +18,6 @@ std::vector<const disengagement_record*> database_view::disengagements_of(
   return out;
 }
 
-std::vector<const accident_record*> database_view::accidents_of(manufacturer maker) const {
-  std::vector<const accident_record*> out;
-  for (const auto& a : accidents()) {
-    if (a.maker == maker) out.push_back(&a);
-  }
-  return out;
-}
-
 std::vector<manufacturer> database_view::manufacturers_present() const {
   // Flag array over the (small, dense) manufacturer enum; emitting in
   // k_all_manufacturers order preserves the sorted-set enum order the

@@ -165,9 +165,8 @@ class database_view {
                 : record_range<accident_record>(db_->accidents());
   }
 
-  /// All disengagements / accidents of one manufacturer, in corpus order.
+  /// All disengagements of one manufacturer, in corpus order.
   std::vector<const disengagement_record*> disengagements_of(manufacturer maker) const;
-  std::vector<const accident_record*> accidents_of(manufacturer maker) const;
   /// Manufacturers present in the disengagement or mileage data, in enum
   /// order.
   std::vector<manufacturer> manufacturers_present() const;

@@ -200,13 +200,6 @@ const std::vector<fault_kind>& all_fault_kinds() {
   return kinds;
 }
 
-std::vector<std::size_t> injection_report::indices() const {
-  std::vector<std::size_t> out;
-  out.reserve(faults.size());
-  for (const auto& f : faults) out.push_back(f.index);
-  return out;
-}
-
 const injected_fault* injection_report::fault_for(std::size_t index) const {
   for (const auto& f : faults) {
     if (f.index == index) return &f;

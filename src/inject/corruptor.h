@@ -83,9 +83,6 @@ struct injection_report {
   std::size_t documents_in = 0;
   std::vector<injected_fault> faults;  ///< in document order
 
-  /// Corrupted document indices, ascending.
-  std::vector<std::size_t> indices() const;
-
   /// The manifest entry for corpus position `index`, or nullptr when that
   /// document was left clean. This is how a chaos harness pairs each
   /// pipeline verdict with the fault that was planted.

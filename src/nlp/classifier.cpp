@@ -90,17 +90,6 @@ classification keyword_voting_classifier::classify(std::string_view description)
   return classify_with(description, s);
 }
 
-tag_scores keyword_voting_classifier::score_all(std::string_view description) const {
-  thread_local scratch s;
-  score_interned(description, s);
-  tag_scores scores;
-  const auto& blocks = automaton_.tag_blocks();
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    if (s.block_totals[b] > 0) scores[blocks[b].tag] = s.block_totals[b];
-  }
-  return scores;
-}
-
 std::vector<classification> keyword_voting_classifier::classify_all(
     std::span<const std::string_view> descriptions, unsigned parallelism) const {
   std::vector<classification> out(descriptions.size());

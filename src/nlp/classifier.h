@@ -19,7 +19,6 @@
 // of classify workers (classify_all fans out on that property).
 #pragma once
 
-#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -42,18 +41,12 @@ struct classification {
   std::vector<std::string> matched_phrases;  ///< stems of winning matches, joined by ' '
 };
 
-/// Scores for every tag (diagnostics / Fig. 6 style breakdowns).
-using tag_scores = std::map<fault_tag, double>;
-
 class keyword_voting_classifier {
  public:
   explicit keyword_voting_classifier(failure_dictionary dictionary);
 
   /// Classifies one free-text description.
   classification classify(std::string_view description) const;
-
-  /// Raw per-tag vote totals for a description.
-  tag_scores score_all(std::string_view description) const;
 
   /// Classifies a batch of descriptions; result i is classify(descriptions[i]).
   /// With parallelism > 1 the batch is split across that many workers, each

@@ -89,29 +89,6 @@ ml_subcategory ml_subcategory_of(fault_tag tag) {
   }
 }
 
-stpa_component stpa_component_of(fault_tag tag) {
-  switch (tag) {
-    case fault_tag::sensor: return stpa_component::sensors;
-    case fault_tag::environment:
-    case fault_tag::recognition_system:
-      return stpa_component::recognition;
-    case fault_tag::planner:
-    case fault_tag::design_bug:
-    case fault_tag::av_controller_ml:
-    case fault_tag::incorrect_behavior_prediction:
-      return stpa_component::planner_controller;
-    case fault_tag::av_controller_system:
-      return stpa_component::follower_actuators;
-    case fault_tag::network: return stpa_component::network;
-    case fault_tag::computer_system:
-    case fault_tag::software:
-    case fault_tag::hang_crash:
-      return stpa_component::planner_controller;
-    case fault_tag::unknown: return stpa_component::unknown;
-  }
-  throw logic_error("unreachable fault_tag");
-}
-
 std::string_view category_name(failure_category c) {
   switch (c) {
     case failure_category::ml_design: return "ML/Design";

@@ -91,9 +91,6 @@ failure_category category_of(fault_tag tag);
 /// ML side of AV Controller count as planning/control.
 ml_subcategory ml_subcategory_of(fault_tag tag);
 
-/// Fig. 3: which control-structure component the tag localizes to.
-stpa_component stpa_component_of(fault_tag tag);
-
 std::string_view category_name(failure_category c);
 std::optional<failure_category> category_from_string(std::string_view s);
 

@@ -1,6 +1,5 @@
 #include "obs/export.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
@@ -51,33 +50,6 @@ json::value trace_to_json_value(const trace& t) {
 
 std::string trace_to_json(const trace& t) { return trace_to_json_value(t).dump(2) + "\n"; }
 
-std::string trace_to_csv(const trace& t) {
-  std::string out = "id,parent,name,start_ns,duration_ns\n";
-  for (const auto& s : t.spans()) {
-    out += std::to_string(s.id);
-    out += ',';
-    out += std::to_string(s.parent);
-    out += ',';
-    // Span names are identifiers (no commas/quotes) but escape defensively.
-    if (s.name.find_first_of(",\"\n") != std::string::npos) {
-      out += '"';
-      for (const char c : s.name) {
-        if (c == '"') out += '"';
-        out += c;
-      }
-      out += '"';
-    } else {
-      out += s.name;
-    }
-    out += ',';
-    out += std::to_string(s.start_ns);
-    out += ',';
-    out += std::to_string(s.duration_ns);
-    out += '\n';
-  }
-  return out;
-}
-
 json::value snapshot_to_json_value(const metrics_snapshot& snap) {
   json::object counters;
   for (const auto& [name, v] : snap.counters) {
@@ -94,19 +66,6 @@ json::value snapshot_to_json_value(const metrics_snapshot& snap) {
 
 std::string snapshot_to_json(const metrics_snapshot& snap) {
   return snapshot_to_json_value(snap).dump(2) + "\n";
-}
-
-std::string snapshot_to_csv(const metrics_snapshot& snap) {
-  std::string out = "kind,name,value\n";
-  for (const auto& [name, v] : snap.counters) {
-    out += "counter," + name + ',' + std::to_string(v) + '\n';
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += "gauge," + name + ',' + buf + '\n';
-  }
-  return out;
 }
 
 bool write_text_file(const std::string& path, const std::string& contents) {

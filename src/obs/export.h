@@ -31,14 +31,8 @@ std::vector<std::pair<std::string, std::int64_t>> stage_totals_ns(const std::vec
 json::value trace_to_json_value(const trace& t);
 std::string trace_to_json(const trace& t);
 
-/// CSV with header: id,parent,name,start_ns,duration_ns
-std::string trace_to_csv(const trace& t);
-
 json::value snapshot_to_json_value(const metrics_snapshot& snap);
 std::string snapshot_to_json(const metrics_snapshot& snap);
-
-/// CSV with header: kind,name,value  (kind is "counter" or "gauge")
-std::string snapshot_to_csv(const metrics_snapshot& snap);
 
 /// Writes `contents` to `path`, creating parent directories. Returns false
 /// (no throw) on I/O failure so exporters never take down a pipeline run.

@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <limits>
-
 namespace avtk::obs {
 
 std::uint64_t metrics_snapshot::counter_value(std::string_view name) const {
@@ -16,13 +14,6 @@ std::uint64_t metrics_snapshot::counter_delta(const metrics_snapshot& earlier,
   const auto now = counter_value(name);
   const auto before = earlier.counter_value(name);
   return now >= before ? now - before : 0;
-}
-
-double metrics_snapshot::gauge_value(std::string_view name) const {
-  for (const auto& [n, v] : gauges) {
-    if (n == name) return v;
-  }
-  return std::numeric_limits<double>::quiet_NaN();
 }
 
 counter& metric_registry::get_counter(std::string_view name) {
@@ -60,12 +51,6 @@ metrics_snapshot metric_registry::snapshot() const {
   out.gauges.reserve(gauges_.size());
   for (const auto& [name, v] : gauges_) out.gauges.emplace_back(name, v);
   return out;  // std::map iteration is already name-sorted
-}
-
-void metric_registry::reset() {
-  std::unique_lock lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  gauges_.clear();
 }
 
 metric_registry& metrics() {

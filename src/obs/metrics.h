@@ -7,7 +7,7 @@
 //
 // The process-wide registry (`metrics()`) is what the instrumented layers
 // (OCR engine, classifier, fleet sim, pipeline) write to; tests and the CLI
-// snapshot or reset it between runs.
+// snapshot it.
 #pragma once
 
 #include <atomic>
@@ -27,7 +27,6 @@ class counter {
  public:
   void add(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -42,12 +41,10 @@ struct metrics_snapshot {
   /// Counter value by name; 0 when absent.
   std::uint64_t counter_value(std::string_view name) const;
   /// Counter increase since `earlier`: counter_value(name) minus the
-  /// earlier snapshot's value (0 when the counter moved backwards — i.e.
-  /// the registry was reset between the snapshots). This is how a harness
-  /// attributes deltas of the process-wide registry to one bounded phase.
+  /// earlier snapshot's value (0 when the earlier value is the larger).
+  /// This is how a harness attributes deltas of the process-wide registry
+  /// to one bounded phase.
   std::uint64_t counter_delta(const metrics_snapshot& earlier, std::string_view name) const;
-  /// Gauge value by name; NaN when absent.
-  double gauge_value(std::string_view name) const;
 };
 
 class metric_registry {
@@ -67,10 +64,6 @@ class metric_registry {
   void add_gauge(std::string_view name, double delta);
 
   metrics_snapshot snapshot() const;
-
-  /// Zeroes every counter and removes every gauge. Counter references
-  /// handed out earlier remain valid.
-  void reset();
 
  private:
   mutable std::shared_mutex mutex_;

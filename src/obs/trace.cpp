@@ -32,12 +32,4 @@ std::size_t trace::size() const {
   return spans_.size();
 }
 
-std::int64_t total_duration_ns(const std::vector<span>& spans, std::string_view name) {
-  std::int64_t total = 0;
-  for (const auto& s : spans) {
-    if (s.name == name && s.duration_ns >= 0) total += s.duration_ns;
-  }
-  return total;
-}
-
 }  // namespace avtk::obs

@@ -82,7 +82,4 @@ class scoped_span {
   std::uint64_t id_ = 0;
 };
 
-/// Sums the duration of every *closed* span with the given name.
-std::int64_t total_duration_ns(const std::vector<span>& spans, std::string_view name);
-
 }  // namespace avtk::obs

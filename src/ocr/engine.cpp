@@ -4,15 +4,6 @@
 
 namespace avtk::ocr {
 
-std::string recognition_result::text() const {
-  std::string out;
-  for (const auto& l : lines) {
-    out += l.text;
-    out += '\n';
-  }
-  return out;
-}
-
 mock_ocr_engine::mock_ocr_engine(std::shared_ptr<const lexicon> vocab, engine_config config)
     : vocab_(std::move(vocab)), config_(config) {}
 
@@ -28,21 +19,6 @@ recognized_line mock_ocr_engine::recognize_line(const std::string& line) const {
   out.needs_manual_review = out.confidence < config_.manual_review_threshold;
   lines_seen.add();
   if (out.needs_manual_review) manual_review.add();
-  return out;
-}
-
-recognition_result mock_ocr_engine::recognize(const document& doc) const {
-  recognition_result out;
-  double conf_sum = 0;
-  for (const auto& p : doc.pages) {
-    for (const auto& line : p.lines) {
-      auto rec = recognize_line(line);
-      conf_sum += rec.confidence;
-      if (rec.needs_manual_review) ++out.manual_review_count;
-      out.lines.push_back(std::move(rec));
-    }
-  }
-  out.mean_confidence = out.lines.empty() ? 1.0 : conf_sum / static_cast<double>(out.lines.size());
   return out;
 }
 

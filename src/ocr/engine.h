@@ -25,16 +25,6 @@ struct recognized_line {
   bool needs_manual_review = false;
 };
 
-/// Whole-document recognition result.
-struct recognition_result {
-  std::vector<recognized_line> lines;
-  double mean_confidence = 1.0;
-  std::size_t manual_review_count = 0;
-
-  /// Recognized text joined by newlines.
-  std::string text() const;
-};
-
 /// Engine configuration.
 struct engine_config {
   double manual_review_threshold = 0.60;  ///< flag lines below this confidence
@@ -58,9 +48,6 @@ class mock_ocr_engine {
   /// pipeline's vocabulary (lexicon::builtin(), shared by every engine).
   /// `vocab` must not be null.
   mock_ocr_engine(std::shared_ptr<const lexicon> vocab, engine_config config = {});
-
-  /// Recognizes a (corrupted) document.
-  recognition_result recognize(const document& doc) const;
 
   /// Recognizes a single line.
   recognized_line recognize_line(const std::string& line) const;

@@ -2,8 +2,6 @@
 
 #include <map>
 
-#include "util/strings.h"
-
 namespace avtk::ocr {
 
 noise_profile noise_profile::for_quality(scan_quality q) {
@@ -78,12 +76,6 @@ void corrupt_document(document& doc, rng& gen) {
       p.lines = std::move(merged);
     }
   }
-}
-
-double character_error_rate(std::string_view reference, std::string_view hypothesis) {
-  if (reference.empty()) return hypothesis.empty() ? 0.0 : 1.0;
-  return static_cast<double>(str::edit_distance(reference, hypothesis)) /
-         static_cast<double>(reference.size());
 }
 
 }  // namespace avtk::ocr

@@ -45,8 +45,4 @@ std::string corrupt_line(std::string_view line, const noise_profile& profile, rn
 /// damage that forces the pipeline's document-level manual fallback.
 void corrupt_document(document& doc, rng& gen);
 
-/// Character error rate between a reference and a corrupted/recovered
-/// string: edit_distance / reference length (0 for two empty strings).
-double character_error_rate(std::string_view reference, std::string_view hypothesis);
-
 }  // namespace avtk::ocr

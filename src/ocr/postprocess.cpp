@@ -277,29 +277,6 @@ std::shared_ptr<const lexicon> lexicon::builtin() {
   return shared;
 }
 
-std::string repair_numeric_token(std::string_view token) {
-  // Count digit-ish characters; only rewrite when the token is mostly
-  // numeric already (avoids clobbering real words).
-  std::size_t digits = 0;
-  std::size_t repairable = 0;
-  std::size_t letters = 0;
-  for (char c : token) {
-    if (str::is_digit(c)) {
-      ++digits;
-    } else if (to_digit(c) != c) {
-      ++repairable;
-    } else if (str::is_alpha(c)) {
-      ++letters;
-    }
-  }
-  if (digits == 0 || repairable == 0 || letters > 0) return std::string(token);
-  if (digits < repairable) return std::string(token);  // more junk than signal
-  std::string out;
-  out.reserve(token.size());
-  for (char c : token) out += str::is_digit(c) ? c : to_digit(c);
-  return out;
-}
-
 std::string correct_line(std::string_view line, const lexicon& vocab) {
   std::string out;
   out.reserve(line.size());

@@ -84,10 +84,6 @@ class lexicon {
   std::vector<slot> table_;     ///< power-of-two size, linear probing
 };
 
-/// Repairs digit/letter confusions in tokens that are mostly digits
-/// ("2O16" -> "2016", "1l/12" -> "11/12").
-std::string repair_numeric_token(std::string_view token);
-
 /// Corrects one line: numeric repair plus lexicon snapping per word.
 /// Non-word characters (separators, punctuation) are preserved verbatim.
 std::string correct_line(std::string_view line, const lexicon& vocab);

@@ -1,8 +1,8 @@
 #include "parse/disengagement_parser.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 
 #include "parse/formats/common.h"
 #include "parse/report_header.h"
@@ -25,6 +25,17 @@ std::vector<const std::string*> flatten(const ocr::document& doc) {
 // Blank and structural lines carry no records.
 bool is_skipped(std::string_view line) {
   return str::trim(line).empty() || formats::is_structural_line(line);
+}
+
+// The fleet roster of a mileage table: its distinct vehicle ids, sorted.
+// The views point into `rows`.
+std::vector<std::string_view> roster_of(const std::vector<dataset::mileage_record>& rows) {
+  std::vector<std::string_view> ids;
+  ids.reserve(rows.size());
+  for (const auto& m : rows) ids.push_back(m.vehicle_id);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
 }  // namespace
@@ -158,14 +169,8 @@ disengagement_parse_result parse_disengagement_report(const ocr::document& doc,
         std::fabs(noisy_total - pristine_total) > 0.001 * pristine_total;
     // The fleet roster must agree too: a corrupted vehicle id would
     // otherwise inflate Table I's car count.
-    bool roster_mismatch = false;
-    if (!row_mismatch) {
-      std::set<std::string> noisy_roster;
-      std::set<std::string> pristine_roster;
-      for (const auto& m : result.mileage) noisy_roster.insert(m.vehicle_id);
-      for (const auto& m : pristine_mileage) pristine_roster.insert(m.vehicle_id);
-      roster_mismatch = noisy_roster != pristine_roster;
-    }
+    const bool roster_mismatch =
+        !row_mismatch && roster_of(result.mileage) != roster_of(pristine_mileage);
     if (row_mismatch || total_mismatch || roster_mismatch) {
       result.manual_transcriptions += pristine_mileage.size();
       result.mileage = std::move(pristine_mileage);
@@ -173,11 +178,13 @@ disengagement_parse_result parse_disengagement_report(const ocr::document& doc,
 
     // Vehicle-id repair: snap event vehicle ids damaged by scan noise onto
     // the mileage table's fleet roster (unique match within distance 2).
-    std::set<std::string> roster;
-    for (const auto& m : result.mileage) roster.insert(m.vehicle_id);
+    const auto roster = roster_of(result.mileage);
     for (auto& e : result.events) {
-      if (e.vehicle_id.empty() || roster.contains(e.vehicle_id)) continue;
-      std::string best;
+      if (e.vehicle_id.empty() ||
+          std::binary_search(roster.begin(), roster.end(), std::string_view(e.vehicle_id))) {
+        continue;
+      }
+      std::string_view best;
       bool ambiguous = false;
       for (const auto& candidate : roster) {
         if (str::within_edit_distance(e.vehicle_id, candidate, 2)) {

@@ -130,12 +130,4 @@ mcf_estimate estimate_mcf(std::span<const event_process> units, const mcf_option
   return out;
 }
 
-double mcf_at(const mcf_estimate& estimate, double miles) {
-  const auto& points = estimate.points;
-  auto it = std::upper_bound(points.begin(), points.end(), miles,
-                             [](double t, const mcf_point& p) { return t < p.miles; });
-  if (it == points.begin()) return 0.0;
-  return std::prev(it)->mcf;
-}
-
 }  // namespace avtk::reliability

@@ -61,8 +61,4 @@ struct mcf_estimate {
 /// point estimate, as they should).
 mcf_estimate estimate_mcf(std::span<const event_process> units, const mcf_options& options = {});
 
-/// Step-function evaluation of an estimated curve: MCF at `miles` (0
-/// before the first point, flat after the last).
-double mcf_at(const mcf_estimate& estimate, double miles);
-
 }  // namespace avtk::reliability

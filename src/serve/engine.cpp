@@ -43,14 +43,6 @@ void report_state(Response& out, const composite_snapshot& comp) {
   out.epochs = comp.epochs;
 }
 
-// A one-record batch for the single-record appends.
-template <typename Record>
-std::vector<Record> one_record(Record rec) {
-  std::vector<Record> out;
-  out.push_back(std::move(rec));
-  return out;
-}
-
 }  // namespace
 
 query_engine::query_engine(dataset::failure_database db, engine_config config)
@@ -171,18 +163,6 @@ std::future<query_response> query_engine::submit(query q) {
 std::future<query_response> query_engine::submit_miss(query_lookup miss) {
   return pool_.submit(
       [this, miss = std::move(miss)]() mutable { return run_miss(std::move(miss)); });
-}
-
-void query_engine::append_disengagement(dataset::disengagement_record rec) {
-  commit_records(one_record(std::move(rec)), {}, {});
-}
-
-void query_engine::append_mileage(dataset::mileage_record rec) {
-  commit_records({}, one_record(std::move(rec)), {});
-}
-
-void query_engine::append_accident(dataset::accident_record rec) {
-  commit_records({}, {}, one_record(std::move(rec)));
 }
 
 ingest_response query_engine::ingest_document(const ocr::document& delivered,

@@ -168,11 +168,14 @@ class query_engine {
   /// lookup's key. Records the "serve.query.<kind>" span.
   std::future<query_response> submit_miss(query_lookup miss);
 
-  /// Incremental ingest: appends one record, bumps that domain's version
-  /// and drops cache entries that depended on the domain.
-  void append_disengagement(dataset::disengagement_record rec);
-  void append_mileage(dataset::mileage_record rec);
-  void append_accident(dataset::accident_record rec);
+  /// The one record write path (ingest_document and direct appends):
+  /// assigns global ids, commits once per touched shard, counts
+  /// serve.appends, bumps each touched domain's version and drops only the
+  /// touched (domain, shard) pairs' cache dependents. Returns the
+  /// snapshots the batch was published in.
+  composite_snapshot commit_records(std::vector<dataset::disengagement_record> dis,
+                                    std::vector<dataset::mileage_record> mil,
+                                    std::vector<dataset::accident_record> acc);
 
   /// Raw-document ingestion: runs `delivered` through the shared
   /// ingest::document_processor (strict Stage II scan, per-document
@@ -209,13 +212,6 @@ class query_engine {
  private:
   /// The miss half of a query (what submit_miss runs on a worker).
   query_response run_miss(query_lookup miss);
-  /// The one record write path (the appends and ingest_document): one
-  /// commit per touched shard, serve.appends counted, the touched (domain,
-  /// shard) pairs' cache dependents dropped. Returns the snapshots the
-  /// batch was published in.
-  composite_snapshot commit_records(std::vector<dataset::disengagement_record> dis,
-                                    std::vector<dataset::mileage_record> mil,
-                                    std::vector<dataset::accident_record> acc);
   void invalidate_dependents(char domain_letter, std::size_t shard);
 
   sharded_store store_;

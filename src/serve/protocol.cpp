@@ -1,11 +1,15 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <deque>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <ostream>
+#include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -66,6 +70,38 @@ std::string envelope_error(const std::optional<json::value>& id, std::string_vie
   out += json::escape(message);
   out += '}';
   return out;
+}
+
+enum class line_read { line, too_long, end };
+
+// Reads the next request line into `buf` (its first `len` bytes, newline
+// dropped), growing `buf` up to k_max_request_bytes + 1. A longer line is
+// consumed through its newline without being stored and reported as
+// too_long. `end` means the input is exhausted; a last line without a
+// newline is still a line.
+line_read read_request_line(std::istream& in, std::vector<char>& buf, std::size_t& len) {
+  len = 0;
+  while (true) {
+    if (buf.size() - len < 2) {  // one character plus getline's terminator
+      if (len >= k_max_request_bytes) {
+        in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+        return line_read::too_long;
+      }
+      buf.resize(std::min(std::max<std::size_t>(buf.size() * 2, 4096), k_max_request_bytes + 1));
+    }
+    in.getline(buf.data() + len, static_cast<std::streamsize>(buf.size() - len));
+    const auto n = static_cast<std::size_t>(in.gcount());
+    if (in.eof()) {
+      len += n;
+      return len > 0 ? line_read::line : line_read::end;
+    }
+    if (!in.fail()) {  // the newline was consumed and counted
+      len += n - 1;
+      return line_read::line;
+    }
+    len += n;  // the buffer filled before the newline
+    in.clear();
+  }
 }
 
 bool is_request_line(std::string_view line) {
@@ -228,11 +264,14 @@ serve_loop_stats run_serve_loop(query_engine& engine, std::istream& in, std::ost
 
   serve_loop_stats stats;
 
-  const auto parse_error = [&](const std::optional<json::value>& id, std::string_view message) {
+  // A line answered without running anything: malformed ("parse") or
+  // over-long ("limit").
+  const auto parse_error = [&](const std::optional<json::value>& id, std::string_view message,
+                               std::string_view code = "parse") {
     ++stats.errors;
     ++stats.parse_errors;
     obs::metrics().get_counter("serve.errors.parse").add();
-    return envelope_error(id, "parse", message);
+    return envelope_error(id, code, message);
   };
 
   // A window of in-flight requests; responses drain from the front so
@@ -265,8 +304,20 @@ serve_loop_stats run_serve_loop(query_engine& engine, std::istream& in, std::ost
     out << p.line << '\n';
   };
 
-  std::string line;
-  while (std::getline(in, line)) {
+  std::vector<char> buf;
+  std::size_t len = 0;
+  for (line_read r; (r = read_request_line(in, buf, len)) != line_read::end;) {
+    if (r == line_read::too_long) {
+      ++stats.requests;
+      pending p;
+      p.line = parse_error(std::nullopt,
+                           "request line exceeds " + std::to_string(k_max_request_bytes) + " bytes",
+                           error_code_name(error_code::limit));
+      window.push_back(std::move(p));
+      while (window.size() >= max_in_flight) drain_front();
+      continue;
+    }
+    const std::string_view line(buf.data(), len);
     if (!is_request_line(line)) continue;
     ++stats.requests;
     auto req = parse_request(line);

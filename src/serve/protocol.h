@@ -12,9 +12,10 @@
 //      "error":"unknown query kind 'nope'"}
 //
 // Error envelopes carry a machine-readable "code" alongside the human
-// message: "parse" for malformed requests, the avtk error_code name
-// ("io", "internal", ...) for execution failures. Clients can branch on
-// the code without string-matching the message.
+// message: "parse" for malformed requests, "limit" for a request line
+// longer than k_max_request_bytes, the avtk error_code name ("io",
+// "internal", ...) for execution failures. Clients can branch on the code
+// without string-matching the message.
 //
 // Requests may carry an opaque "id" member (string or number) that is
 // echoed back. Blank lines and lines starting with '#' are skipped, so a
@@ -79,6 +80,12 @@ namespace avtk::serve {
 /// Serve wire schema tag.
 inline constexpr std::string_view k_serve_schema = "avtk.serve.v1";
 
+/// The longest request line run_serve_loop reads, newline excluded. A
+/// longer line is answered with one "limit" error (no id: the line is
+/// never parsed) and skipped to its end without being buffered. The
+/// largest generated filing, text plus pristine, is well under 1 MiB.
+inline constexpr std::size_t k_max_request_bytes = std::size_t{16} << 20;
+
 /// A parsed ingest request: the delivered document plus the optional
 /// pristine (manual-transcription) fallback.
 struct ingest_request {
@@ -111,7 +118,7 @@ std::string handle_request_line(query_engine& engine, std::string_view line);
 struct serve_loop_stats {
   std::size_t requests = 0;
   std::size_t errors = 0;            ///< total failures (parse + execution + rejects)
-  std::size_t parse_errors = 0;      ///< malformed request lines
+  std::size_t parse_errors = 0;      ///< malformed or over-long request lines
   std::size_t execution_errors = 0;  ///< well-formed queries that failed to run
   std::size_t cache_hits = 0;
   std::size_t ingests = 0;           ///< ingest requests (accepted + rejected)

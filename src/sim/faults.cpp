@@ -201,10 +201,6 @@ double fault_injector::rate_per_mile(double cum_miles) const {
          std::max(maturity, cfg_.maturity_floor);
 }
 
-double fault_injector::kind_weight(fault_kind k) const {
-  return weights_[static_cast<std::size_t>(k)];
-}
-
 std::vector<fault_kind> fault_injector::draw_faults(double miles, double cum_miles) {
   std::vector<fault_kind> out;
   if (!(miles > 0)) return out;

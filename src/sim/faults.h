@@ -82,9 +82,6 @@ class fault_injector {
   /// Current total rate per mile at the given cumulative mileage.
   double rate_per_mile(double cum_miles) const;
 
-  /// Relative weight of one kind within the total rate.
-  double kind_weight(fault_kind k) const;
-
  private:
   config cfg_;
   rng gen_;

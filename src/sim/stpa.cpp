@@ -116,34 +116,6 @@ const node* control_structure::find_node(std::string_view id) const {
   return nullptr;
 }
 
-std::vector<const edge*> control_structure::edges_from(std::string_view id) const {
-  std::vector<const edge*> out;
-  for (const auto& e : edges_) {
-    if (e.from == id) out.push_back(&e);
-  }
-  return out;
-}
-
-std::vector<const edge*> control_structure::edges_into(std::string_view id) const {
-  std::vector<const edge*> out;
-  for (const auto& e : edges_) {
-    if (e.to == id) out.push_back(&e);
-  }
-  return out;
-}
-
-std::vector<const control_loop_path*> control_structure::loops_containing(
-    std::string_view node_id) const {
-  std::vector<const control_loop_path*> out;
-  for (const auto& loop : loops_) {
-    if (std::find(loop.node_ids.begin(), loop.node_ids.end(), node_id) !=
-        loop.node_ids.end()) {
-      out.push_back(&loop);
-    }
-  }
-  return out;
-}
-
 std::vector<const unsafe_control_action*> control_structure::ucas_caused_by(
     fault_kind fault) const {
   std::vector<const unsafe_control_action*> out;
@@ -205,32 +177,6 @@ std::size_t control_structure::validate() const {
     require(covered, std::string("fault kind uncovered: ") + std::string(fault_kind_name(k)));
   }
   return checks;
-}
-
-std::string control_structure::render() const {
-  std::string out = "STPA control structure (Fig. 3)\n";
-  for (const auto& n : nodes_) {
-    out += "  [" + n.id + "] " + n.label + "\n";
-    for (const auto* e : edges_from(n.id)) {
-      out += std::string("    ") + (e->kind == edge_kind::control_action ? "-->" : "~~>") +
-             " " + e->to + " (" + e->label + ")\n";
-    }
-  }
-  out += "Control loops:\n";
-  for (const auto& loop : loops_) {
-    out += "  " + loop.id + ": ";
-    for (std::size_t i = 0; i < loop.node_ids.size(); ++i) {
-      if (i > 0) out += " -> ";
-      out += loop.node_ids[i];
-    }
-    out += "\n";
-  }
-  out += "Unsafe control actions:\n";
-  for (const auto& uca : ucas_) {
-    out += "  [" + uca.controller + "] " + uca.action + " (" +
-           std::string(uca_kind_name(uca.kind)) + "): " + uca.hazard + "\n";
-  }
-  return out;
 }
 
 std::vector<component_overlay> overlay_events(const std::vector<hazard_event>& events) {

@@ -80,13 +80,6 @@ class control_structure {
 
   const node* find_node(std::string_view id) const;
 
-  /// Edges leaving / entering a node.
-  std::vector<const edge*> edges_from(std::string_view id) const;
-  std::vector<const edge*> edges_into(std::string_view id) const;
-
-  /// Every loop containing the node.
-  std::vector<const control_loop_path*> loops_containing(std::string_view node_id) const;
-
   /// UCAs for which `fault` is a listed causal factor.
   std::vector<const unsafe_control_action*> ucas_caused_by(fault_kind fault) const;
 
@@ -95,9 +88,6 @@ class control_structure {
   /// fault kind appears as a causal factor somewhere. Throws
   /// avtk::logic_error on violation; returns the number of checks run.
   std::size_t validate() const;
-
-  /// ASCII rendering of the structure (nodes, edges, loops).
-  std::string render() const;
 
  private:
   std::vector<node> nodes_;

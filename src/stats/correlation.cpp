@@ -65,11 +65,4 @@ std::vector<double> ranks(std::span<const double> xs) {
   return rank;
 }
 
-correlation_result spearman(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size()) throw logic_error("spearman requires matched sizes");
-  const auto rx = ranks(xs);
-  const auto ry = ranks(ys);
-  return pearson(rx, ry);
-}
-
 }  // namespace avtk::stats

@@ -22,9 +22,6 @@ struct correlation_result {
 /// n >= 3 with non-degenerate variance in both inputs.
 correlation_result pearson(std::span<const double> xs, std::span<const double> ys);
 
-/// Spearman rank correlation (Pearson over mid-ranks, tie-aware).
-correlation_result spearman(std::span<const double> xs, std::span<const double> ys);
-
 /// Covariance (n-1 denominator); requires matched sizes, n >= 2.
 double covariance(std::span<const double> xs, std::span<const double> ys);
 

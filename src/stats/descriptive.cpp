@@ -32,16 +32,6 @@ double variance(std::span<const double> xs) {
 
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
-double geometric_mean(std::span<const double> xs) {
-  require_nonempty(xs, "geometric_mean");
-  double log_sum = 0;
-  for (double x : xs) {
-    if (!(x > 0)) throw logic_error("geometric_mean requires positive samples");
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
 double min(std::span<const double> xs) {
   require_nonempty(xs, "min");
   return *std::min_element(xs.begin(), xs.end());
@@ -83,41 +73,6 @@ box_summary summarize_box(std::span<const double> xs) {
   b.q3 = quantile(xs, 0.75);
   b.notch = 1.57 * (b.q3 - b.q1) / std::sqrt(static_cast<double>(b.n));
   return b;
-}
-
-double skewness(std::span<const double> xs) {
-  if (xs.size() < 3) throw logic_error("skewness requires n >= 3");
-  const double n = static_cast<double>(xs.size());
-  const double m = mean(xs);
-  double m2 = 0;
-  double m3 = 0;
-  for (double x : xs) {
-    const double d = x - m;
-    m2 += d * d;
-    m3 += d * d * d;
-  }
-  m2 /= n;
-  m3 /= n;
-  if (m2 == 0) return 0;
-  const double g1 = m3 / std::pow(m2, 1.5);
-  return std::sqrt(n * (n - 1)) / (n - 2) * g1;
-}
-
-double kurtosis_excess(std::span<const double> xs) {
-  if (xs.size() < 4) throw logic_error("kurtosis requires n >= 4");
-  const double n = static_cast<double>(xs.size());
-  const double m = mean(xs);
-  double m2 = 0;
-  double m4 = 0;
-  for (double x : xs) {
-    const double d = x - m;
-    m2 += d * d;
-    m4 += d * d * d * d;
-  }
-  m2 /= n;
-  m4 /= n;
-  if (m2 == 0) return 0;
-  return m4 / (m2 * m2) - 3.0;
 }
 
 }  // namespace avtk::stats

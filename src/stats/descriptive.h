@@ -20,9 +20,6 @@ double variance(std::span<const double> xs);
 /// Sample standard deviation; requires n >= 2.
 double stddev(std::span<const double> xs);
 
-/// Geometric mean; requires all xs > 0.
-double geometric_mean(std::span<const double> xs);
-
 /// Minimum / maximum; throw on empty samples.
 double min(std::span<const double> xs);
 double max(std::span<const double> xs);
@@ -51,12 +48,6 @@ struct box_summary {
 
 /// Computes the box summary; throws on an empty sample.
 box_summary summarize_box(std::span<const double> xs);
-
-/// Skewness (adjusted Fisher-Pearson); requires n >= 3.
-double skewness(std::span<const double> xs);
-
-/// Excess kurtosis; requires n >= 4.
-double kurtosis_excess(std::span<const double> xs);
 
 /// Returns a sorted copy.
 std::vector<double> sorted(std::span<const double> xs);

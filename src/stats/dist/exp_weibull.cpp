@@ -32,13 +32,6 @@ double exp_weibull_dist::pdf(double x) const {
          std::pow(base, power_ - 1.0);
 }
 
-double exp_weibull_dist::quantile(double p) const {
-  if (p < 0.0 || p >= 1.0) throw numeric_error("exp_weibull quantile requires p in [0,1)");
-  if (p == 0.0) return 0.0;
-  const double inner = 1.0 - std::pow(p, 1.0 / power_);
-  return scale_ * std::pow(-std::log(inner), 1.0 / shape_);
-}
-
 double exp_weibull_dist::log_likelihood(std::span<const double> xs) const {
   double ll = 0;
   for (double x : xs) {
@@ -47,22 +40,6 @@ double exp_weibull_dist::log_likelihood(std::span<const double> xs) const {
     ll += std::log(p);
   }
   return ll;
-}
-
-double exp_weibull_dist::mean() const {
-  // E[X] = integral of survival S(x) over [0, inf). Integrate to the
-  // 1 - 1e-10 quantile with composite Simpson.
-  const double upper = quantile(1.0 - 1e-10);
-  const int n = 4096;  // even
-  const double h = upper / n;
-  double acc = 0.0;
-  for (int i = 0; i <= n; ++i) {
-    const double x = i * h;
-    const double s = 1.0 - cdf(x);
-    const double w = (i == 0 || i == n) ? 1.0 : (i % 2 == 1 ? 4.0 : 2.0);
-    acc += w * s;
-  }
-  return acc * h / 3.0;
 }
 
 exp_weibull_dist exp_weibull_dist::fit(std::span<const double> xs) {

@@ -21,12 +21,7 @@ class exp_weibull_dist {
 
   double pdf(double x) const;
   double cdf(double x) const;
-  double quantile(double p) const;  ///< p in [0, 1)
   double log_likelihood(std::span<const double> xs) const;
-
-  /// Numerical mean by adaptive Simpson integration of the survival
-  /// function (finite for all valid parameters).
-  double mean() const;
 
   /// MLE via Nelder-Mead in log-parameter space, seeded from the plain
   /// Weibull fit. Requires n >= 3 strictly positive, non-degenerate samples.

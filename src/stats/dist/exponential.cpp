@@ -1,7 +1,5 @@
 #include "stats/dist/exponential.h"
 
-#include <cmath>
-
 #include "stats/descriptive.h"
 #include "util/errors.h"
 
@@ -9,30 +7,6 @@ namespace avtk::stats {
 
 exponential_dist::exponential_dist(double mean) : mean_(mean) {
   if (!(mean > 0)) throw numeric_error("exponential_dist requires mean > 0");
-}
-
-double exponential_dist::pdf(double x) const {
-  if (x < 0) return 0.0;
-  return std::exp(-x / mean_) / mean_;
-}
-
-double exponential_dist::cdf(double x) const {
-  if (x < 0) return 0.0;
-  return 1.0 - std::exp(-x / mean_);
-}
-
-double exponential_dist::quantile(double p) const {
-  if (p < 0.0 || p >= 1.0) throw numeric_error("exponential quantile requires p in [0,1)");
-  return -mean_ * std::log(1.0 - p);
-}
-
-double exponential_dist::log_likelihood(std::span<const double> xs) const {
-  double ll = 0;
-  for (double x : xs) {
-    if (x < 0) return -INFINITY;
-    ll += -std::log(mean_) - x / mean_;
-  }
-  return ll;
 }
 
 exponential_dist exponential_dist::fit(std::span<const double> xs) {

@@ -1,7 +1,7 @@
 // avtk/stats/dist/exponential.h
 //
-// Exponential distribution: pdf/cdf/quantile and the MLE fit used for the
-// collision-speed distributions of Fig. 12.
+// Exponential distribution and the MLE fit used for the collision-speed
+// distributions of Fig. 12.
 #pragma once
 
 #include <span>
@@ -15,11 +15,6 @@ class exponential_dist {
 
   double mean() const { return mean_; }
   double rate() const { return 1.0 / mean_; }
-
-  double pdf(double x) const;
-  double cdf(double x) const;
-  double quantile(double p) const;  ///< p in [0, 1)
-  double log_likelihood(std::span<const double> xs) const;
 
   /// MLE fit: mean = sample mean. Requires a non-empty, non-negative
   /// sample with positive mean.

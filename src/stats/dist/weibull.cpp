@@ -13,39 +13,9 @@ weibull_dist::weibull_dist(double shape, double scale) : shape_(shape), scale_(s
   }
 }
 
-double weibull_dist::pdf(double x) const {
-  if (x < 0) return 0.0;
-  if (x == 0) return shape_ < 1 ? INFINITY : (shape_ == 1 ? 1.0 / scale_ : 0.0);
-  const double z = x / scale_;
-  return (shape_ / scale_) * std::pow(z, shape_ - 1.0) * std::exp(-std::pow(z, shape_));
-}
-
 double weibull_dist::cdf(double x) const {
   if (x <= 0) return 0.0;
   return 1.0 - std::exp(-std::pow(x / scale_, shape_));
-}
-
-double weibull_dist::quantile(double p) const {
-  if (p < 0.0 || p >= 1.0) throw numeric_error("weibull quantile requires p in [0,1)");
-  return scale_ * std::pow(-std::log(1.0 - p), 1.0 / shape_);
-}
-
-double weibull_dist::mean() const { return scale_ * std::tgamma(1.0 + 1.0 / shape_); }
-
-double weibull_dist::variance() const {
-  const double g1 = std::tgamma(1.0 + 1.0 / shape_);
-  const double g2 = std::tgamma(1.0 + 2.0 / shape_);
-  return scale_ * scale_ * (g2 - g1 * g1);
-}
-
-double weibull_dist::log_likelihood(std::span<const double> xs) const {
-  double ll = 0;
-  for (double x : xs) {
-    if (!(x > 0)) return -INFINITY;
-    const double z = x / scale_;
-    ll += std::log(shape_ / scale_) + (shape_ - 1.0) * std::log(z) - std::pow(z, shape_);
-  }
-  return ll;
 }
 
 weibull_dist weibull_dist::fit(std::span<const double> xs) {

@@ -16,12 +16,7 @@ class weibull_dist {
   double shape() const { return shape_; }
   double scale() const { return scale_; }
 
-  double pdf(double x) const;
   double cdf(double x) const;
-  double quantile(double p) const;  ///< p in [0, 1)
-  double mean() const;
-  double variance() const;
-  double log_likelihood(std::span<const double> xs) const;
 
   /// MLE fit by solving the profile-likelihood shape equation with a
   /// bracketed Newton iteration, then plugging in the closed-form scale.

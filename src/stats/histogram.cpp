@@ -1,7 +1,6 @@
 #include "stats/histogram.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "util/errors.h"
@@ -44,27 +43,6 @@ void histogram::add(double x) {
 
 void histogram::add_all(std::span<const double> xs) {
   for (double x : xs) add(x);
-}
-
-std::size_t histogram::count(std::size_t bin) const {
-  if (bin >= counts_.size()) throw logic_error("histogram bin out of range");
-  return counts_[bin];
-}
-
-double histogram::bin_center(std::size_t bin) const {
-  if (bin >= counts_.size()) throw logic_error("histogram bin out of range");
-  return lo_ + (static_cast<double>(bin) + 0.5) * width_;
-}
-
-double histogram::density(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(count(bin)) / (static_cast<double>(total_) * width_);
-}
-
-std::vector<double> histogram::densities() const {
-  std::vector<double> out(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) out[i] = density(i);
-  return out;
 }
 
 std::string histogram::render_ascii(std::size_t max_bar_width) const {

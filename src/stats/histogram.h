@@ -1,7 +1,7 @@
 // avtk/stats/histogram.h
 //
-// Fixed-width histograms with density normalization — the PDF estimates
-// drawn as bars in Figs. 11 and 12.
+// Fixed-width histograms, rendered as ASCII bars for the relative-speed
+// distribution of Fig. 12.
 #pragma once
 
 #include <cstddef>
@@ -29,20 +29,9 @@ class histogram {
   double lo() const { return lo_; }
   double hi() const { return hi_; }
   double bin_width() const { return width_; }
-  std::size_t count(std::size_t bin) const;
   std::size_t total() const { return total_; }
   std::size_t underflow() const { return underflow_; }
   std::size_t overflow() const { return overflow_; }
-
-  /// Center of bucket `bin`.
-  double bin_center(std::size_t bin) const;
-
-  /// Empirical density for bucket `bin`: count / (total * width), so that
-  /// the histogram integrates to (binned fraction of) 1.
-  double density(std::size_t bin) const;
-
-  /// All densities in bin order.
-  std::vector<double> densities() const;
 
   /// Simple ASCII rendering (one row per bucket with a bar), used by the
   /// bench binaries to show distribution shapes in text output.

@@ -7,43 +7,6 @@
 
 namespace avtk::stats {
 
-optimum golden_section_minimize(const std::function<double(double)>& f, double lo, double hi,
-                                double tolerance, int max_iterations) {
-  if (!(lo < hi)) throw logic_error("golden_section requires lo < hi");
-  constexpr double inv_phi = 0.6180339887498949;
-  double a = lo;
-  double b = hi;
-  double c = b - inv_phi * (b - a);
-  double d = a + inv_phi * (b - a);
-  double fc = f(c);
-  double fd = f(d);
-  optimum result;
-  for (int i = 0; i < max_iterations; ++i) {
-    result.iterations = i + 1;
-    if (std::fabs(b - a) < tolerance * (std::fabs(a) + std::fabs(b) + 1.0)) {
-      result.converged = true;
-      break;
-    }
-    if (fc < fd) {
-      b = d;
-      d = c;
-      fd = fc;
-      c = b - inv_phi * (b - a);
-      fc = f(c);
-    } else {
-      a = c;
-      c = d;
-      fc = fd;
-      d = a + inv_phi * (b - a);
-      fd = f(d);
-    }
-  }
-  const double x = 0.5 * (a + b);
-  result.x = {x};
-  result.value = f(x);
-  return result;
-}
-
 optimum nelder_mead_minimize(const std::function<double(const std::vector<double>&)>& f,
                              std::vector<double> start, double step, double tolerance,
                              int max_iterations) {

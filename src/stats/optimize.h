@@ -1,8 +1,8 @@
 // avtk/stats/optimize.h
 //
-// Derivative-free optimizers used by the distribution MLE fits:
-// golden-section search for 1-D problems and Nelder-Mead simplex for the
-// 2/3-parameter Weibull-family likelihoods.
+// Optimizers used by the distribution MLE fits: Nelder-Mead simplex for
+// the 2/3-parameter Weibull-family likelihoods and a safeguarded Newton
+// root-finder for the Weibull shape equation.
 #pragma once
 
 #include <functional>
@@ -17,10 +17,6 @@ struct optimum {
   int iterations = 0;
   bool converged = false;
 };
-
-/// Minimizes a unimodal f over [lo, hi] by golden-section search.
-optimum golden_section_minimize(const std::function<double(double)>& f, double lo, double hi,
-                                double tolerance = 1e-10, int max_iterations = 400);
 
 /// Nelder-Mead simplex minimization from `start`, with initial per-axis
 /// simplex displacement `step`. Standard (1, 2, 0.5, 0.5) coefficients.

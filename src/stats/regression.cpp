@@ -65,10 +65,4 @@ linear_fit fit_log_log(std::span<const double> xs, std::span<const double> ys) {
   return fit_linear(lx, ly);
 }
 
-double slope_p_value(const linear_fit& fit) {
-  if (fit.n < 3 || fit.slope_stderr == 0) return 1.0;
-  const double t = fit.slope / fit.slope_stderr;
-  return student_t_two_sided_p(t, static_cast<double>(fit.n - 2));
-}
-
 }  // namespace avtk::stats

@@ -30,7 +30,4 @@ linear_fit fit_linear(std::span<const double> xs, std::span<const double> ys);
 /// Requires strictly positive xs and ys.
 linear_fit fit_log_log(std::span<const double> xs, std::span<const double> ys);
 
-/// Two-sided p-value for the null hypothesis slope == 0.
-double slope_p_value(const linear_fit& fit);
-
 }  // namespace avtk::stats

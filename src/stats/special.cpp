@@ -106,13 +106,6 @@ double gamma_p(double a, double x) {
   return 1.0 - gamma_q_cf(a, x);
 }
 
-double gamma_q(double a, double x) {
-  if (!(a > 0) || x < 0) throw numeric_error("gamma_q requires a > 0, x >= 0");
-  if (x == 0) return 1.0;
-  if (x < a + 1.0) return 1.0 - gamma_p_series(a, x);
-  return gamma_q_cf(a, x);
-}
-
 double gamma_p_inverse(double a, double p) {
   if (!(a > 0) || p < 0.0 || p >= 1.0) {
     throw numeric_error("gamma_p_inverse requires a > 0, p in [0,1)");
@@ -167,9 +160,6 @@ double beta_inc(double a, double b, double x) {
   }
   return 1.0 - front * beta_cf(b, a, 1.0 - x) / b;
 }
-
-double erf(double x) { return std::erf(x); }
-double erfc(double x) { return std::erfc(x); }
 
 double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 

@@ -18,18 +18,11 @@ double log_gamma(double x);
 /// a > 0, x >= 0. P(a,0) = 0; P(a,inf) = 1.
 double gamma_p(double a, double x);
 
-/// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
-double gamma_q(double a, double x);
-
 /// Inverse of P(a, .): returns x such that P(a, x) = p, for p in [0, 1).
 double gamma_p_inverse(double a, double p);
 
 /// Regularized incomplete beta I_x(a, b) for a, b > 0, x in [0, 1].
 double beta_inc(double a, double b, double x);
-
-/// Error function and complement (wrappers over std::erf/std::erfc).
-double erf(double x);
-double erfc(double x);
 
 /// Standard normal CDF and its inverse (Acklam's rational approximation,
 /// refined by one Halley step; |error| < 1e-12 over (0,1)).

@@ -43,15 +43,6 @@ kaplan_meier::kaplan_meier(std::vector<survival_observation> observations) {
   }
 }
 
-double kaplan_meier::survival_at(double time) const {
-  double s = 1.0;
-  for (const auto& p : curve_) {
-    if (p.time > time) break;
-    s = p.survival;
-  }
-  return s;
-}
-
 std::optional<double> kaplan_meier::median_survival() const {
   for (const auto& p : curve_) {
     if (p.survival <= 0.5) return p.time;
@@ -72,18 +63,6 @@ double kaplan_meier::restricted_mean(double horizon) const {
   }
   area += prev_survival * (horizon - prev_time);
   return area;
-}
-
-double kaplan_meier::greenwood_variance_at(double time) const {
-  const double s = survival_at(time);
-  double acc = 0;
-  for (const auto& p : curve_) {
-    if (p.time > time) break;
-    const double n = static_cast<double>(p.at_risk);
-    const double d = static_cast<double>(p.events);
-    if (n - d > 0) acc += d / (n * (n - d));
-  }
-  return s * s * acc;
 }
 
 std::optional<double> censored_exponential_mtbf(std::span<const survival_observation> obs) {

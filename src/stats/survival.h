@@ -35,18 +35,12 @@ class kaplan_meier {
 
   const std::vector<km_point>& curve() const { return curve_; }
 
-  /// S(t): step-function evaluation (1 before the first event).
-  double survival_at(double time) const;
-
   /// Median survival time: smallest event time with S(t) <= 0.5; nullopt
   /// when the curve never reaches 0.5 (heavy censoring).
   std::optional<double> median_survival() const;
 
   /// Restricted mean survival time up to `horizon` (area under S(t)).
   double restricted_mean(double horizon) const;
-
-  /// Greenwood variance of S(t) at the given time.
-  double greenwood_variance_at(double time) const;
 
   std::size_t subjects() const { return n_; }
   std::size_t observed_events() const { return events_; }

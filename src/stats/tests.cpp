@@ -69,20 +69,6 @@ bool rate_differs_from(std::int64_t events, double exposure, double reference_ra
   return reference_rate < ci.lower || reference_rate > ci.upper;
 }
 
-rate_interval wilson_interval(std::int64_t successes, std::int64_t trials, double confidence) {
-  if (trials <= 0 || successes < 0 || successes > trials) {
-    throw logic_error("wilson_interval requires 0 <= successes <= trials, trials > 0");
-  }
-  const double n = static_cast<double>(trials);
-  const double p = static_cast<double>(successes) / n;
-  const double z = normal_quantile(0.5 + confidence / 2.0);
-  const double z2 = z * z;
-  const double denom = 1.0 + z2 / n;
-  const double center = (p + z2 / (2.0 * n)) / denom;
-  const double half = z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom;
-  return rate_interval{std::max(0.0, center - half), p, std::min(1.0, center + half)};
-}
-
 double kalra_paddock_miles(double target_rate_per_mile, double confidence) {
   if (!(target_rate_per_mile > 0)) throw logic_error("kalra_paddock requires rate > 0");
   if (!(confidence > 0) || !(confidence < 1)) {

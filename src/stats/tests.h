@@ -44,10 +44,6 @@ rate_interval poisson_rate_interval(std::int64_t events, double exposure,
 bool rate_differs_from(std::int64_t events, double exposure, double reference_rate,
                        double confidence = 0.90);
 
-/// Wilson score interval for a binomial proportion.
-rate_interval wilson_interval(std::int64_t successes, std::int64_t trials,
-                              double confidence = 0.95);
-
 /// Kalra & Paddock (2016): miles of failure-free driving needed to
 /// demonstrate, with confidence `confidence`, that the true failure rate is
 /// below `target_rate_per_mile`. (Equation: miles = -ln(1-C) / rate.)

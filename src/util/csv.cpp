@@ -176,48 +176,4 @@ std::string format(const std::vector<row>& rows, char sep) {
   return out;
 }
 
-table::table(row header, std::vector<row> rows) : header_(std::move(header)), rows_(std::move(rows)) {
-  for (auto& r : rows_) {
-    if (r.size() > header_.size()) {
-      throw parse_error("CSV row has more fields than header");
-    }
-    r.resize(header_.size());
-  }
-}
-
-table table::from_text(std::string_view text, char sep) {
-  auto rows = parse(text, sep);
-  if (rows.empty()) return table{};
-  row header = std::move(rows.front());
-  rows.erase(rows.begin());
-  // A trailing newline produces a spurious single-empty-field row; drop it.
-  if (!rows.empty() && rows.back().size() == 1 && rows.back()[0].empty()) {
-    rows.pop_back();
-  }
-  return table(std::move(header), std::move(rows));
-}
-
-const row& table::row_at(std::size_t i) const {
-  if (i >= rows_.size()) throw logic_error("CSV row index out of range");
-  return rows_[i];
-}
-
-std::size_t table::column(std::string_view name) const {
-  for (std::size_t i = 0; i < header_.size(); ++i) {
-    if (header_[i] == name) return i;
-  }
-  throw not_found_error("CSV column '" + std::string(name) + "'");
-}
-
-bool table::has_column(std::string_view name) const {
-  for (const auto& h : header_) {
-    if (h == name) return true;
-  }
-  return false;
-}
-
-const std::string& table::at(std::size_t row_index, std::string_view column_name) const {
-  return row_at(row_index)[column(column_name)];
-}
-
 }  // namespace avtk::csv

@@ -16,12 +16,15 @@ namespace avtk::csv {
 /// One parsed row; fields are unescaped.
 using row = std::vector<std::string>;
 
-/// A parsed document: zero or more rows. The first row is *not* treated
-/// specially; callers that want a header use `table` below.
+/// A parsed document: zero or more rows. Only tests call it (the CSV
+/// reader the export round-trips through); kept here because it is a thin
+/// wrapper over the row scanner scan_line shares.
 std::vector<row> parse(std::string_view text, char sep = ',');
 
 /// Parses a single line (no embedded newlines). Throws avtk::parse_error on
-/// an unterminated quote.
+/// an unterminated quote. Only tests call it; kept here because it is a
+/// thin wrapper over the row scanner scan_line shares, whose rules its
+/// tests pin.
 row parse_line(std::string_view line, char sep = ',');
 
 /// The first fields of one CSV line as views, scanned without building a
@@ -48,33 +51,5 @@ std::string format_line(const row& fields, char sep = ',');
 
 /// Serializes rows, one per line, '\n'-terminated.
 std::string format(const std::vector<row>& rows, char sep = ',');
-
-/// A header-indexed CSV table.
-class table {
- public:
-  /// Builds from raw text; the first row becomes the header. Rows shorter
-  /// than the header are padded with empty fields; longer rows throw.
-  static table from_text(std::string_view text, char sep = ',');
-
-  table() = default;
-  table(row header, std::vector<row> rows);
-
-  const row& header() const { return header_; }
-  std::size_t row_count() const { return rows_.size(); }
-  const row& row_at(std::size_t i) const;
-
-  /// Column index for `name`; throws avtk::not_found_error when missing.
-  std::size_t column(std::string_view name) const;
-
-  /// True when the header contains `name`.
-  bool has_column(std::string_view name) const;
-
-  /// Field at (row, named column).
-  const std::string& at(std::size_t row_index, std::string_view column_name) const;
-
- private:
-  row header_;
-  std::vector<row> rows_;
-};
 
 }  // namespace avtk::csv

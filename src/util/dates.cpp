@@ -58,20 +58,6 @@ std::int64_t date::to_days() const {
   return era * 146097 + doe - 719468;
 }
 
-date date::from_days(std::int64_t z) {
-  z += 719468;
-  const std::int64_t era = (z >= 0 ? z : z - 146096) / 146097;
-  const std::int64_t doe = z - era * 146097;                                    // [0, 146096]
-  const std::int64_t yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
-  const std::int64_t y = yoe + era * 400;
-  const std::int64_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);             // [0, 365]
-  const std::int64_t mp = (5 * doy + 2) / 153;                                  // [0, 11]
-  const std::int64_t d = doy - (153 * mp + 2) / 5 + 1;                          // [1, 31]
-  const std::int64_t m = mp + (mp < 10 ? 3 : -9);                               // [1, 12]
-  return date{static_cast<std::int32_t>(y + (m <= 2)), static_cast<std::uint8_t>(m),
-              static_cast<std::uint8_t>(d)};
-}
-
 std::string date::to_string() const {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%04d-%02u-%02u", year, month, day);

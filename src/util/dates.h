@@ -28,9 +28,6 @@ struct date {
   /// Days since 1970-01-01 (can be negative).
   std::int64_t to_days() const;
 
-  /// Inverse of `to_days`.
-  static date from_days(std::int64_t days);
-
   /// Validated constructor; throws avtk::parse_error on an invalid date.
   static date make(int year, int month, int day);
 

@@ -8,7 +8,7 @@ constexpr std::pair<error_code, std::string_view> k_code_names[] = {
     {error_code::ocr, "ocr"},           {error_code::header, "header"},
     {error_code::parse, "parse"},       {error_code::normalize, "normalize"},
     {error_code::label, "label"},       {error_code::io, "io"},
-    {error_code::internal, "internal"},
+    {error_code::internal, "internal"}, {error_code::limit, "limit"},
 };
 
 }  // namespace
@@ -18,13 +18,6 @@ std::string_view error_code_name(error_code code) {
     if (c == code) return name;
   }
   return "internal";
-}
-
-std::optional<error_code> error_code_from_name(std::string_view name) {
-  for (const auto& [c, n] : k_code_names) {
-    if (n == name) return c;
-  }
-  return std::nullopt;
 }
 
 }  // namespace avtk

@@ -11,7 +11,6 @@
 // the obs per-code counters — keep the spellings stable.
 #pragma once
 
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -20,7 +19,9 @@ namespace avtk {
 
 /// Machine-readable failure taxonomy. The first six name the Stage I-IV
 /// pipeline facilities that can reject a document; `internal` is the
-/// catch-all for everything else (logic/numeric/lookup failures).
+/// catch-all for everything else (logic/numeric/lookup failures); `limit`
+/// rejects an input that exceeds a fixed size bound (a serve request line
+/// longer than serve::k_max_request_bytes).
 enum class error_code {
   ocr,        ///< OCR recovery failed on a scanned document
   header,     ///< report identity (kind / manufacturer / release) not established
@@ -29,13 +30,11 @@ enum class error_code {
   label,      ///< Stage III NLP labeling failed
   io,         ///< filesystem / stream failure
   internal,   ///< unclassified: logic, numeric, lookup, unknown exceptions
+  limit,      ///< input larger than a fixed size bound
 };
 
 /// Stable wire spelling of a code ("ocr", "header", ...).
 std::string_view error_code_name(error_code code);
-
-/// Inverse of error_code_name; nullopt for unknown spellings.
-std::optional<error_code> error_code_from_name(std::string_view name);
 
 /// Base class of every error thrown by avtk.
 class error : public std::runtime_error {

@@ -18,8 +18,6 @@ std::int64_t rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
 }
 
-double rng::normal() { return std::normal_distribution<double>(0.0, 1.0)(engine_); }
-
 double rng::normal(double mean, double stddev) {
   return std::normal_distribution<double>(mean, stddev)(engine_);
 }
@@ -27,11 +25,6 @@ double rng::normal(double mean, double stddev) {
 double rng::exponential(double mean) {
   if (!(mean > 0)) throw logic_error("rng::exponential requires mean > 0");
   return std::exponential_distribution<double>(1.0 / mean)(engine_);
-}
-
-double rng::weibull(double shape, double scale) {
-  if (!(shape > 0 && scale > 0)) throw logic_error("rng::weibull requires positive parameters");
-  return std::weibull_distribution<double>(shape, scale)(engine_);
 }
 
 double rng::exponentiated_weibull(double shape, double scale, double power) {

@@ -30,15 +30,11 @@ class rng {
   /// Uniform integer on [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Standard normal / normal(mean, stddev).
-  double normal();
+  /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
   /// Exponential with the given mean (not rate). Requires mean > 0.
   double exponential(double mean);
-
-  /// Weibull with shape k and scale lambda. Requires k, lambda > 0.
-  double weibull(double shape, double scale);
 
   /// Exponentiated Weibull: CDF F(x) = [1 - exp(-(x/scale)^shape)]^power.
   /// Sampled by inversion. Requires shape, scale, power > 0.

@@ -22,12 +22,6 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
-std::string to_upper(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), upper);
-  return out;
-}
-
 std::optional<std::string_view> lower_into(std::string_view s, std::span<char> buf) {
   if (s.size() > buf.size()) return std::nullopt;
   std::ranges::transform(s, buf.begin(), lower);
@@ -98,10 +92,6 @@ std::vector<std::string_view> split(std::string_view s, char sep) {
   return collect([&](std::span<std::string_view> out) { return split_into(s, sep, out); });
 }
 
-std::vector<std::string_view> split(std::string_view s, std::string_view sep) {
-  return collect([&](std::span<std::string_view> out) { return split_into(s, sep, out); });
-}
-
 std::vector<std::string_view> split_whitespace(std::string_view s) {
   return collect([&](std::span<std::string_view> out) { return split_whitespace_into(s, out); });
 }
@@ -117,10 +107,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
 bool contains(std::string_view s, std::string_view needle) {
@@ -142,24 +128,6 @@ bool icontains(std::string_view s, std::string_view needle) {
     if (iequals(s.substr(i, needle.size()), needle)) return true;
   }
   return false;
-}
-
-std::string replace_all(std::string_view s, std::string_view from, std::string_view to) {
-  if (from.empty()) return std::string(s);
-  std::string out;
-  out.reserve(s.size());
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(from, start);
-    if (pos == std::string_view::npos) {
-      out.append(s.substr(start));
-      break;
-    }
-    out.append(s.substr(start, pos - start));
-    out.append(to);
-    start = pos + from.size();
-  }
-  return out;
 }
 
 bool normalize_whitespace(std::string& s) {

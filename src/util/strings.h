@@ -22,9 +22,6 @@ std::string_view trim(std::string_view s);
 /// Returns `s` lower-cased (ASCII only).
 std::string to_lower(std::string_view s);
 
-/// Returns `s` upper-cased (ASCII only).
-std::string to_upper(std::string_view s);
-
 /// `s` lower-cased (ASCII only) into `buf`, as a view of `buf`; nullopt
 /// when `s` does not fit. Never allocates.
 std::optional<std::string_view> lower_into(std::string_view s, std::span<char> buf);
@@ -47,7 +44,6 @@ std::size_t split_whitespace_into(std::string_view s, std::span<std::string_view
 
 /// Every field of split_into / split_whitespace_into, as views of `s`.
 std::vector<std::string_view> split(std::string_view s, char sep);
-std::vector<std::string_view> split(std::string_view s, std::string_view sep);
 std::vector<std::string_view> split_whitespace(std::string_view s);
 
 /// A temporary std::string dies at the end of the call's full expression,
@@ -68,17 +64,13 @@ std::vector<std::string_view> split_whitespace(S&&) = delete;
 /// Joins `parts` with `sep` between consecutive elements.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// True if `s` starts with / ends with / contains `needle`.
+/// True if `s` starts with / contains `needle`.
 bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
 bool contains(std::string_view s, std::string_view needle);
 
 /// Case-insensitive variants (ASCII).
 bool iequals(std::string_view a, std::string_view b);
 bool icontains(std::string_view s, std::string_view needle);
-
-/// Replaces every occurrence of `from` with `to`. `from` must be non-empty.
-std::string replace_all(std::string_view s, std::string_view from, std::string_view to);
 
 /// Collapses runs of whitespace in `s` to a single space and trims it, in
 /// place; returns whether `s` changed. Never allocates.

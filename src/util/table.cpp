@@ -35,11 +35,6 @@ text_table& text_table::add_row(std::vector<std::string> row) {
   return *this;
 }
 
-text_table& text_table::add_separator() {
-  separators_.push_back(rows_.size());
-  return *this;
-}
-
 std::string text_table::render() const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();
@@ -79,12 +74,7 @@ std::string text_table::render() const {
   out += rule;
   out += render_row(header_);
   out += rule;
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    if (std::find(separators_.begin(), separators_.end(), r) != separators_.end() && r > 0) {
-      out += rule;
-    }
-    out += render_row(rows_[r]);
-  }
+  for (const auto& row : rows_) out += render_row(row);
   out += rule;
   return out;
 }

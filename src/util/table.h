@@ -26,9 +26,6 @@ class text_table {
   /// Appends a data row; throws avtk::logic_error on column-count mismatch.
   text_table& add_row(std::vector<std::string> row);
 
-  /// Appends a horizontal separator at this position.
-  text_table& add_separator();
-
   std::size_t row_count() const { return rows_.size(); }
 
   /// Renders with box-drawing ASCII (+,-,|).
@@ -39,7 +36,6 @@ class text_table {
   std::vector<std::string> header_;
   std::vector<align> alignment_;
   std::vector<std::vector<std::string>> rows_;
-  std::vector<std::size_t> separators_;  // row indices before which a rule is drawn
 };
 
 /// Formats `value` with `digits` significant digits, using scientific

@@ -72,7 +72,7 @@ TEST(FigureExport, Fig8DatMatchesPointCount) {
 TEST(FigureExport, DatValuesParseAsNumbers) {
   const auto bundle = export_fig12(fx().db);
   for (const auto& [name, contents] : bundle) {
-    if (!str::ends_with(name, ".dat")) continue;
+    if (!name.ends_with(".dat")) continue;
     for (const auto& line : str::split(contents, '\n')) {
       if (line.empty() || line[0] == '#') continue;
       for (const auto& field : str::split_whitespace(line)) {

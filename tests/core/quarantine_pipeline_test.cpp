@@ -18,6 +18,13 @@ namespace {
 
 using namespace avtk;
 
+// The corrupted document indices, in manifest (ascending) order.
+std::vector<std::size_t> indices_of(const inject::injection_report& report) {
+  std::vector<std::size_t> out;
+  for (const auto& f : report.faults) out.push_back(f.index);
+  return out;
+}
+
 dataset::generator_config corpus_config() {
   dataset::generator_config cfg;
   cfg.seed = 1207;
@@ -60,7 +67,7 @@ TEST(ErrorPolicy, NamesRoundTrip) {
 TEST(FailFast, ThrowsDocumentErrorForLowestIndexAtAnyParallelism) {
   const auto& fx = chaos();
   ASSERT_FALSE(fx.report.faults.empty());
-  const auto indices = fx.report.indices();
+  const auto indices = indices_of(fx.report);
   const std::size_t lowest = *std::min_element(indices.begin(), indices.end());
 
   for (const unsigned parallelism : {1u, 2u, 3u, 4u, 8u}) {
@@ -181,7 +188,7 @@ TEST(QuarantinePolicy, SurfacesExactlyTheInjectedDocuments) {
     EXPECT_NE(q.code, error_code::internal);
     EXPECT_EQ(q.title, fx.corpus.documents[q.index].title);
   }
-  EXPECT_EQ(got, fx.report.indices());  // document order == ascending index
+  EXPECT_EQ(got, indices_of(fx.report));  // document order == ascending index
   EXPECT_EQ(result.stats.documents_quarantined, fx.report.faults.size());
 }
 
@@ -222,7 +229,7 @@ TEST(QuarantinePolicy, CleanSubsetAnalysisMatchesDroppedRun) {
 
   // Control arm: the *uncorrupted* originals, minus the injected set.
   const auto clean = dataset::generate_corpus(corpus_config());
-  const auto injected = fx.report.indices();
+  const auto injected = indices_of(fx.report);
   std::vector<ocr::document> kept_docs;
   std::vector<ocr::document> kept_pristine;
   for (std::size_t i = 0; i < clean.documents.size(); ++i) {

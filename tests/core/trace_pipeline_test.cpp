@@ -9,6 +9,7 @@
 #include "dataset/generator.h"
 #include "obs/export.h"
 #include "obs/trace.h"
+#include "span_totals.h"
 
 namespace avtk::core {
 namespace {

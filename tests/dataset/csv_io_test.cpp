@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "csv_reference.h"
 #include "dataset/generator.h"
 #include "util/errors.h"
 

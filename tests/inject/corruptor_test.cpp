@@ -15,6 +15,13 @@ namespace {
 
 using namespace avtk;
 
+// The corrupted document indices, in manifest (ascending) order.
+std::vector<std::size_t> indices_of(const inject::injection_report& report) {
+  std::vector<std::size_t> out;
+  for (const auto& f : report.faults) out.push_back(f.index);
+  return out;
+}
+
 dataset::generator_config corpus_config() {
   dataset::generator_config cfg;
   cfg.seed = 2018;
@@ -66,7 +73,7 @@ TEST(InjectFaults, DifferentSeedPicksDifferentVictims) {
   cfg_b.seed = 2;
   const auto a = inject::inject_faults(corpus_a.documents, corpus_a.pristine_documents, cfg_a);
   const auto b = inject::inject_faults(corpus_b.documents, corpus_b.pristine_documents, cfg_b);
-  EXPECT_NE(a.indices(), b.indices());
+  EXPECT_NE(indices_of(a), indices_of(b));
 }
 
 TEST(InjectFaults, SelectsRequestedFraction) {
@@ -80,7 +87,7 @@ TEST(InjectFaults, SelectsRequestedFraction) {
   EXPECT_EQ(report.faults.size(), expected);
   EXPECT_EQ(report.documents_in, n);
   // Indices are unique, ascending, in range.
-  const auto indices = report.indices();
+  const auto indices = indices_of(report);
   EXPECT_TRUE(std::is_sorted(indices.begin(), indices.end()));
   EXPECT_EQ(std::adjacent_find(indices.begin(), indices.end()), indices.end());
   for (const auto i : indices) EXPECT_LT(i, n);
@@ -108,7 +115,7 @@ TEST(InjectFaults, UntouchedDocumentsAreByteIdentical) {
   inject::injection_config cfg;
   cfg.fraction = 0.1;
   const auto report = inject::inject_faults(corpus.documents, corpus.pristine_documents, cfg);
-  const auto injected = report.indices();
+  const auto injected = indices_of(report);
   for (std::size_t i = 0; i < corpus.documents.size(); ++i) {
     if (std::find(injected.begin(), injected.end(), i) != injected.end()) continue;
     EXPECT_EQ(corpus.documents[i].full_text(), original.documents[i].full_text()) << i;

@@ -86,14 +86,6 @@ TEST(Classifier, MixedSignalsPickHigherScore) {
   EXPECT_GT(c.runner_up, 0.0);
 }
 
-TEST(Classifier, ScoreAllReportsEveryMatchedTag) {
-  const auto cls = make_classifier();
-  const auto scores =
-      cls.score_all("LIDAR dropout then the planner failed to anticipate the bus.");
-  EXPECT_TRUE(scores.contains(fault_tag::sensor));
-  EXPECT_TRUE(scores.contains(fault_tag::planner));
-}
-
 TEST(Classifier, MatchedPhrasesRecorded) {
   const auto cls = make_classifier();
   const auto c = cls.classify("Disengage for a recklessly behaving road user.");

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,9 @@
 #include "nlp/classifier.h"
 
 namespace avtk::nlp::testing {
+
+/// Vote totals per tag.
+using tag_scores = std::map<fault_tag, double>;
 
 /// Counts contiguous (possibly overlapping) occurrences of `phrase` in
 /// `stems`. Empty stems or an empty phrase never match.

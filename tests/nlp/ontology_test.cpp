@@ -62,16 +62,6 @@ TEST(Ontology, CategoryNamesRoundTrip) {
   EXPECT_FALSE(category_from_string("nope"));
 }
 
-TEST(Ontology, StpaComponentsCoverAllTags) {
-  for (const auto tag : k_all_fault_tags) {
-    EXPECT_NO_THROW(stpa_component_of(tag));
-  }
-  EXPECT_EQ(stpa_component_of(fault_tag::sensor), stpa_component::sensors);
-  EXPECT_EQ(stpa_component_of(fault_tag::recognition_system), stpa_component::recognition);
-  EXPECT_EQ(stpa_component_of(fault_tag::network), stpa_component::network);
-  EXPECT_EQ(stpa_component_of(fault_tag::unknown), stpa_component::unknown);
-}
-
 TEST(Ontology, EveryTagHasNameAndId) {
   for (const auto tag : k_all_fault_tags) {
     EXPECT_FALSE(tag_name(tag).empty());

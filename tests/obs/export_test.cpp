@@ -3,12 +3,12 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "span_totals.h"
 
 namespace avtk::obs {
 namespace {
@@ -136,19 +136,6 @@ TEST(Export, StageTotalsSkipOpenSpansAndKeepOrder) {
   EXPECT_EQ(totals[0].first, "a");
 }
 
-TEST(Export, TraceCsvHasHeaderAndOneRowPerSpan) {
-  trace t;
-  populate_trace(t);
-  const auto csv = trace_to_csv(t);
-  std::istringstream in(csv);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "id,parent,name,start_ns,duration_ns");
-  std::size_t rows = 0;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, t.spans().size());
-}
-
 TEST(Export, MetricsJsonMatchesSchemaAndRoundTrips) {
   metric_registry reg;
   reg.get_counter("ocr.lines").add(8072);
@@ -158,16 +145,6 @@ TEST(Export, MetricsJsonMatchesSchemaAndRoundTrips) {
   EXPECT_EQ(parsed->find("schema")->as_string(), "avtk.metrics.v1");
   EXPECT_DOUBLE_EQ(parsed->find("counters")->find("ocr.lines")->as_number(), 8072);
   EXPECT_DOUBLE_EQ(parsed->find("gauges")->find("confidence")->as_number(), 0.79);
-}
-
-TEST(Export, MetricsCsvListsCountersAndGauges) {
-  metric_registry reg;
-  reg.get_counter("c").add(3);
-  reg.set_gauge("g", 1.5);
-  const auto csv = snapshot_to_csv(reg.snapshot());
-  EXPECT_NE(csv.find("kind,name,value\n"), std::string::npos);
-  EXPECT_NE(csv.find("counter,c,3\n"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,g,1.5\n"), std::string::npos);
 }
 
 TEST(Export, WriteTextFileCreatesParentDirectories) {

@@ -38,4 +38,10 @@ double reference_vocabulary_hit_rate(const std::vector<std::string>& words,
   return static_cast<double>(hits) / static_cast<double>(tokens);
 }
 
+double character_error_rate(std::string_view reference, std::string_view hypothesis) {
+  if (reference.empty()) return hypothesis.empty() ? 0.0 : 1.0;
+  return static_cast<double>(str::edit_distance(reference, hypothesis)) /
+         static_cast<double>(reference.size());
+}
+
 }  // namespace avtk::ocr::testing

@@ -26,4 +26,9 @@ std::string reference_best_match(const std::vector<std::string>& words, std::str
 double reference_vocabulary_hit_rate(const std::vector<std::string>& words,
                                      std::string_view line);
 
+/// Character error rate between a reference and a corrupted/recovered
+/// string: edit_distance / reference length (0 for two empty strings). The
+/// yardstick the recovery tests measure the engine with.
+double character_error_rate(std::string_view reference, std::string_view hypothesis);
+
 }  // namespace avtk::ocr::testing

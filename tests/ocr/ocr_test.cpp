@@ -88,10 +88,10 @@ TEST(Noise, CorruptDocumentPreservesLineStructure) {
 }
 
 TEST(CharacterErrorRate, KnownValues) {
-  EXPECT_DOUBLE_EQ(character_error_rate("abcd", "abcd"), 0.0);
-  EXPECT_DOUBLE_EQ(character_error_rate("abcd", "abce"), 0.25);
-  EXPECT_DOUBLE_EQ(character_error_rate("", ""), 0.0);
-  EXPECT_DOUBLE_EQ(character_error_rate("", "x"), 1.0);
+  EXPECT_DOUBLE_EQ(testing::character_error_rate("abcd", "abcd"), 0.0);
+  EXPECT_DOUBLE_EQ(testing::character_error_rate("abcd", "abce"), 0.25);
+  EXPECT_DOUBLE_EQ(testing::character_error_rate("", ""), 0.0);
+  EXPECT_DOUBLE_EQ(testing::character_error_rate("", "x"), 1.0);
 }
 
 // ------------------------------------------------------------- postprocess
@@ -205,7 +205,8 @@ TEST(Lexicon, VocabularyHitRateEqualsTokenizePathOnCorruptedLines) {
   const auto v = lexicon::builtin();
   std::vector<std::string> parts;
   for (std::size_t i = 0; i < v->words().size(); ++i) {
-    parts.push_back(i % 3 == 0 ? str::to_upper(v->words()[i]) : v->words()[i]);
+    parts.push_back(v->words()[i]);
+    if (i % 3 == 0) std::ranges::transform(parts.back(), parts.back().begin(), str::upper);
     if (i % 11 == 0) parts.push_back(std::to_string(i) + ".5");
   }
   parts.push_back(std::string(80, 'W'));
@@ -321,18 +322,6 @@ TEST(Lexicon, BuiltinKnowsDomainVocabulary) {
   }
 }
 
-TEST(RepairNumericToken, FixesConfusedDigits) {
-  EXPECT_EQ(repair_numeric_token("2O16"), "2016");
-  EXPECT_EQ(repair_numeric_token("1l2"), "112");
-  EXPECT_EQ(repair_numeric_token("4Z"), "42");
-}
-
-TEST(RepairNumericToken, LeavesWordsAlone) {
-  EXPECT_EQ(repair_numeric_token("a1pha"), "a1pha");  // letters present -> untouched
-  EXPECT_EQ(repair_numeric_token("2016"), "2016");
-  EXPECT_EQ(repair_numeric_token(""), "");
-}
-
 TEST(CorrectLine, FixesWordsAndNumbers) {
   const auto v = lexicon::builtin();
   EXPECT_EQ(correct_line("watchd0g error", *v), "watchdog error");
@@ -385,21 +374,10 @@ TEST(Engine, RecoveryReducesCharacterErrorRate) {
   for (int i = 0; i < trials; ++i) {
     const auto corrupted = corrupt_line(original, profile, g);
     const auto recovered = engine.recognize_line(corrupted).text;
-    cer_corrupted += character_error_rate(original, corrupted);
-    cer_recovered += character_error_rate(original, recovered);
+    cer_corrupted += testing::character_error_rate(original, corrupted);
+    cer_recovered += testing::character_error_rate(original, recovered);
   }
   EXPECT_LE(cer_recovered, cer_corrupted);
-}
-
-TEST(Engine, DocumentRecognitionAggregates) {
-  const mock_ocr_engine engine(lexicon::builtin());
-  const auto doc = document::from_text("watchdog error\nzxq wvut bnmp qrst\n");
-  const auto result = engine.recognize(doc);
-  ASSERT_EQ(result.lines.size(), 2u);
-  EXPECT_EQ(result.manual_review_count, 1u);
-  EXPECT_GT(result.mean_confidence, 0.0);
-  EXPECT_LT(result.mean_confidence, 1.0);
-  EXPECT_TRUE(str::contains(result.text(), "watchdog"));
 }
 
 TEST(Engine, PostprocessCanBeDisabled) {

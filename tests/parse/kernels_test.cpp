@@ -98,7 +98,9 @@ void expect_line_kernels_agree(std::string_view line) {
   EXPECT_EQ(formats::is_structural_line(line), testing::reference_is_structural_line(line))
       << line;
   std::vector<std::string_view> fields{line};
-  for (const auto f : str::split(line, " -- ")) fields.push_back(f);
+  std::vector<std::string_view> dash_fields(str::split_into(line, " -- ", {}));
+  str::split_into(line, " -- ", dash_fields);
+  fields.insert(fields.end(), dash_fields.begin(), dash_fields.end());
   for (const auto f : str::split(line, ',')) fields.push_back(f);
   for (const auto f : str::split(line, '|')) {
     fields.push_back(f);
@@ -157,6 +159,18 @@ void expect_corpus_agrees(ocr::scan_quality quality) {
   }
   EXPECT_GT(lines, 5000u);
   EXPECT_GT(reports, 15u);
+}
+
+// The string helper behind the reference date parser's comma stripping.
+TEST(ReplaceAll, Basic) {
+  EXPECT_EQ(testing::replace_all("a-b-c", "-", "+"), "a+b+c");
+  EXPECT_EQ(testing::replace_all("aaa", "aa", "b"), "ba");  // non-overlapping, left to right
+}
+
+TEST(ReplaceAll, NoOccurrences) { EXPECT_EQ(testing::replace_all("abc", "x", "y"), "abc"); }
+
+TEST(ReplaceAll, GrowingReplacement) {
+  EXPECT_EQ(testing::replace_all("a,b", ",", " -- "), "a -- b");
 }
 
 TEST(ParseKernels, AgreeWithReferenceOnCleanCorpus) {

@@ -235,7 +235,7 @@ std::optional<date> reference_parse_date(std::string_view s) {
     }
   }
   {
-    const std::string cleaned = str::replace_all(s, ",", " ");
+    const std::string cleaned = replace_all(s, ",", " ");
     const auto parts = split_whitespace(cleaned);
     if (parts.size() == 3) {
       const auto m = dates::month_from_name(parts[0]);
@@ -599,6 +599,24 @@ disengagement_parse_result reference_parse_disengagement_report(
     }
   }
   return result;
+}
+
+std::string replace_all(std::string_view s, std::string_view from, std::string_view to) {
+  if (from.empty()) return std::string(s);
+  std::string out;
+  out.reserve(s.size());
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t pos = s.find(from, start);
+    if (pos == std::string_view::npos) {
+      out.append(s.substr(start));
+      break;
+    }
+    out.append(s.substr(start, pos - start));
+    out.append(to);
+    start = pos + from.size();
+  }
+  return out;
 }
 
 }  // namespace avtk::parse::testing

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "dataset/manufacturers.h"
@@ -23,6 +24,10 @@
 #include "util/dates.h"
 
 namespace avtk::parse::testing {
+
+/// Replaces every occurrence of `from` with `to`, left to right, without
+/// overlap; an empty `from` leaves `s` unchanged.
+std::string replace_all(std::string_view s, std::string_view from, std::string_view to);
 
 bool reference_is_structural_line(std::string_view line);
 

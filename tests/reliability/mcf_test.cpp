@@ -3,11 +3,24 @@
 // bootstrap bands, and the degenerate inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "reliability/mcf.h"
 #include "util/errors.h"
 
 namespace avtk::reliability {
 namespace {
+
+// The estimated curve as a step function: 0 before the first point, flat
+// after the last.
+double mcf_at(const mcf_estimate& estimate, double miles) {
+  const auto& points = estimate.points;
+  auto it = std::upper_bound(points.begin(), points.end(), miles,
+                             [](double t, const mcf_point& p) { return t < p.miles; });
+  if (it == points.begin()) return 0.0;
+  return std::prev(it)->mcf;
+}
 
 event_process unit(std::string id, double exposure, std::vector<double> events) {
   event_process p;

@@ -69,7 +69,7 @@ TEST(QueryEngine, AppendInvalidatesOnlyDependentResults) {
   ASSERT_FALSE(metrics_cold.cache_hit);
 
   // An accident touches neither the tag mix nor its cache entry...
-  engine.append_accident(testing::make_accident(manufacturer::waymo, 2016, 6, 9.0, 9.0));
+  engine.commit_records({}, {}, {testing::make_accident(manufacturer::waymo, 2016, 6, 9.0, 9.0)});
   EXPECT_TRUE(engine.execute(tags).cache_hit);
   // ...but reliability metrics must recompute, and must see the new count.
   const auto metrics_after = engine.execute(metrics);
@@ -78,8 +78,8 @@ TEST(QueryEngine, AppendInvalidatesOnlyDependentResults) {
   EXPECT_EQ(metrics_after.version.accidents, metrics_cold.version.accidents + 1);
 
   // A new disengagement invalidates both.
-  engine.append_disengagement(testing::make_disengagement(
-      manufacturer::waymo, 2016, 6, nlp::fault_tag::sensor));
+  engine.commit_records({testing::make_disengagement(
+      manufacturer::waymo, 2016, 6, nlp::fault_tag::sensor)}, {}, {});
   EXPECT_FALSE(engine.execute(tags).cache_hit);
   EXPECT_FALSE(engine.execute(metrics).cache_hit);
 }
@@ -91,8 +91,8 @@ TEST(QueryEngine, AppendedRecordsEnterTheAnalysis) {
   q.tag = nlp::fault_tag::network;
   const auto before = engine.execute(q);
 
-  engine.append_disengagement(testing::make_disengagement(
-      manufacturer::delphi, 2016, 3, nlp::fault_tag::network));
+  engine.commit_records({testing::make_disengagement(
+      manufacturer::delphi, 2016, 3, nlp::fault_tag::network)}, {}, {});
   const auto after = engine.execute(q);
   EXPECT_NE(*before.payload, *after.payload);
   EXPECT_NE(after.payload->find("network"), std::string::npos);
@@ -189,8 +189,8 @@ TEST(QueryEngine, FiltersNarrowTheAnalyzedRecords) {
 TEST(QueryEngine, VersionReflectsAppends) {
   query_engine engine(testing::make_test_database(), {.threads = 1});
   const auto v0 = engine.version();
-  engine.append_mileage(testing::make_mileage(manufacturer::waymo, 2017, 2, 100.0));
-  engine.append_accident(testing::make_accident(manufacturer::delphi, 2017, 2, 3.0, 4.0));
+  engine.commit_records({}, {testing::make_mileage(manufacturer::waymo, 2017, 2, 100.0)}, {});
+  engine.commit_records({}, {}, {testing::make_accident(manufacturer::delphi, 2017, 2, 3.0, 4.0)});
   const auto v1 = engine.version();
   EXPECT_EQ(v1.disengagements, v0.disengagements);
   EXPECT_EQ(v1.mileage, v0.mileage + 1);

@@ -275,6 +275,61 @@ TEST(ServeLoop, NestingBombIsAnsweredAndTheNextRequestToo) {
   }
 }
 
+// ---- the request-line cap ------------------------------------------------
+
+std::string limit_envelope() {
+  return R"({"schema":"avtk.serve.v1","ok":false,"code":"limit","error":"request line exceeds )" +
+         std::to_string(k_max_request_bytes) + R"( bytes"})";
+}
+
+TEST(ServeLoop, OverlongLineIsOneLimitErrorBetweenItsNeighbours) {
+  query_engine engine(testing::make_test_database(), {.threads = 2});
+  std::istringstream in(R"({"query": "tags", "id": 0})" "\n" +
+                        std::string(k_max_request_bytes + 1, 'x') +
+                        "\n" R"({"query": "trend", "id": 2})" "\n");
+  std::ostringstream out;
+  const auto stats = run_serve_loop(engine, in, out);
+  EXPECT_EQ(stats.requests, 3u);
+  EXPECT_EQ(stats.parse_errors, 1u);
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[1], limit_envelope());
+  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+    const auto doc = json::parse(lines[i]);
+    ASSERT_TRUE(doc.has_value()) << lines[i];
+    EXPECT_TRUE(doc->find("ok")->as_bool());
+    EXPECT_EQ(doc->find("id")->as_number(), static_cast<double>(i));
+  }
+}
+
+TEST(ServeLoop, OverlongLastLineWithoutNewlineIsOneLimitError) {
+  query_engine engine(testing::make_test_database(), {.threads = 1});
+  std::istringstream in(R"({"query": "tags", "id": 0})" "\n" +
+                        std::string(k_max_request_bytes + 1, 'x'));
+  std::ostringstream out;
+  const auto stats = run_serve_loop(engine, in, out);
+  EXPECT_EQ(stats.requests, 2u);
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[1], limit_envelope());
+}
+
+TEST(ServeLoop, LineAtTheCapIsReadWhole) {
+  // Exactly k_max_request_bytes is still a request: it reaches the JSON
+  // parser (and fails there), it is not cut off as too long.
+  query_engine engine(testing::make_test_database(), {.threads = 1});
+  std::istringstream in(std::string(k_max_request_bytes, 'x') + "\n" +
+                        std::string(k_max_request_bytes, 'x'));
+  std::ostringstream out;
+  const auto stats = run_serve_loop(engine, in, out);
+  EXPECT_EQ(stats.requests, 2u);
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  for (const auto& line : lines) {
+    EXPECT_EQ(line, parse_error_envelope("", "request is not valid JSON"));
+  }
+}
+
 // ---- the pipelined loop equals the serial path ---------------------------
 
 // Warm hits and cold misses, string / numeric / absent ids, every

@@ -161,8 +161,8 @@ TEST(QueryIndex, PostIngestEpochRebuildsIndex) {
   const auto first = engine.execute(q);
   const auto base = builds.value();
 
-  engine.append_disengagement(testing::make_disengagement(
-      manufacturer::waymo, 2016, 3, nlp::fault_tag::recognition_system));
+  engine.commit_records({testing::make_disengagement(
+      manufacturer::waymo, 2016, 3, nlp::fault_tag::recognition_system)}, {}, {});
   const auto after = engine.execute(q);
   EXPECT_FALSE(after.cache_hit);  // the append invalidated the cached slice
   EXPECT_EQ(builds.value(), base + 1);  // fresh epoch, fresh index
@@ -264,12 +264,12 @@ TEST(QueryIndex, EpochReplayMatchesReference) {
       const int month = step % 6 + 1;
       for (auto* e : {&single, &engine}) {
         if (step % 4 == 0) {
-          e->append_disengagement(
-              testing::make_disengagement(maker, 2016, month, nlp::fault_tag::planner));
+          e->commit_records({
+              testing::make_disengagement(maker, 2016, month, nlp::fault_tag::planner)}, {}, {});
         } else if (step % 4 == 1) {
-          e->append_mileage(testing::make_mileage(maker, 2016, month, 300.0));
+          e->commit_records({}, {testing::make_mileage(maker, 2016, month, 300.0)}, {});
         } else if (step % 4 == 2) {
-          e->append_accident(testing::make_accident(maker, 2016, month, 3.0, 7.0));
+          e->commit_records({}, {}, {testing::make_accident(maker, 2016, month, 3.0, 7.0)});
         } else if (e->ingest_document(corpus.documents[doc], &corpus.pristine_documents[doc])
                        .accepted()) {
           ++accepted;

@@ -104,8 +104,8 @@ TEST(ReliabilityQuery, MileageAppendInvalidatesBothKinds) {
     EXPECT_TRUE(engine.execute(make_query(kind)).cache_hit);
   }
   const auto before = engine.version();
-  engine.append_mileage(
-      testing::make_mileage(dataset::manufacturer::waymo, 2017, 2, 900.0, "v3"));
+  engine.commit_records({}, {
+      testing::make_mileage(dataset::manufacturer::waymo, 2017, 2, 900.0, "v3")}, {});
   for (const auto kind : {query_kind::mcf, query_kind::nhpp}) {
     const auto r = engine.execute(make_query(kind));
     EXPECT_FALSE(r.cache_hit) << query_kind_name(kind);
@@ -117,8 +117,8 @@ TEST(ReliabilityQuery, AccidentAppendLeavesCachedCurvesServing) {
   query_engine engine(testing::make_test_database());
   const auto cold_mcf = engine.execute(make_query(query_kind::mcf));
   const auto cold_nhpp = engine.execute(make_query(query_kind::nhpp));
-  engine.append_accident(
-      testing::make_accident(dataset::manufacturer::waymo, 2017, 1, 10.0, 10.0));
+  engine.commit_records({}, {}, {
+      testing::make_accident(dataset::manufacturer::waymo, 2017, 1, 10.0, 10.0)});
   const auto warm_mcf = engine.execute(make_query(query_kind::mcf));
   const auto warm_nhpp = engine.execute(make_query(query_kind::nhpp));
   EXPECT_TRUE(warm_mcf.cache_hit);

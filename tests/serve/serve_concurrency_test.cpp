@@ -121,12 +121,12 @@ TEST(ConcurrencyAudit, EngineSurvivesMixedQueriesAndAppends) {
   threads.emplace_back([&] {
     using dataset::manufacturer;
     for (int i = 0; i < 10; ++i) {
-      engine.append_disengagement(testing::make_disengagement(
-          manufacturer::waymo, 2017, 1, nlp::fault_tag::software));
-      engine.append_mileage(testing::make_mileage(manufacturer::waymo, 2017, 1, 50.0));
+      engine.commit_records({testing::make_disengagement(
+          manufacturer::waymo, 2017, 1, nlp::fault_tag::software)}, {}, {});
+      engine.commit_records({}, {testing::make_mileage(manufacturer::waymo, 2017, 1, 50.0)}, {});
       if (i % 3 == 0) {
-        engine.append_accident(
-            testing::make_accident(manufacturer::delphi, 2017, 1, 4.0, 6.0));
+        engine.commit_records({}, {}, {
+            testing::make_accident(manufacturer::delphi, 2017, 1, 4.0, 6.0)});
       }
     }
   });

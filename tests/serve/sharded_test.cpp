@@ -181,20 +181,20 @@ TEST(ShardedEquivalence, AppendInterleavingsStayByteIdentical) {
           case 0: {
             const auto rec = testing::make_disengagement(maker, 2017, 1 + round,
                                                          nlp::fault_tag::software);
-            oracle.append_disengagement(rec);
-            sharded.append_disengagement(rec);
+            oracle.commit_records({rec}, {}, {});
+            sharded.commit_records({rec}, {}, {});
             break;
           }
           case 1: {
             const auto rec = testing::make_mileage(maker, 2017, 1 + round, 250.0);
-            oracle.append_mileage(rec);
-            sharded.append_mileage(rec);
+            oracle.commit_records({}, {rec}, {});
+            sharded.commit_records({}, {rec}, {});
             break;
           }
           case 2: {
             const auto rec = testing::make_accident(maker, 2017, 1 + round, 4.0, 6.0);
-            oracle.append_accident(rec);
-            sharded.append_accident(rec);
+            oracle.commit_records({}, {}, {rec});
+            sharded.commit_records({}, {}, {rec});
             break;
           }
         }
@@ -248,7 +248,7 @@ TEST(ShardedCache, WarmEntrySurvivesOtherShardIngest) {
   query_engine sharded(testing::make_test_database(), {.threads = 1, .shards = 4});
   const auto cold = sharded.execute(warm);
   EXPECT_FALSE(cold.cache_hit);
-  sharded.append_disengagement(probe);
+  sharded.commit_records({probe}, {}, {});
   const auto after = sharded.execute(warm);
   EXPECT_TRUE(after.cache_hit) << "maker-A ingest evicted a maker-B entry";
   EXPECT_EQ(*cold.payload, *after.payload);
@@ -257,7 +257,7 @@ TEST(ShardedCache, WarmEntrySurvivesOtherShardIngest) {
   // same sequence must evict — and recompute the identical payload.
   query_engine single(testing::make_test_database(), {.threads = 1, .shards = 1});
   const auto single_cold = single.execute(warm);
-  single.append_disengagement(probe);
+  single.commit_records({probe}, {}, {});
   const auto single_after = single.execute(warm);
   EXPECT_FALSE(single_after.cache_hit);
   EXPECT_EQ(*single_cold.payload, *single_after.payload);
@@ -271,8 +271,8 @@ TEST(ShardedCache, SameShardIngestStillEvicts) {
 
   query_engine engine(testing::make_test_database(), {.threads = 1, .shards = 4});
   engine.execute(warm);
-  engine.append_disengagement(testing::make_disengagement(manufacturer::waymo, 2017, 2,
-                                                          nlp::fault_tag::planner));
+  engine.commit_records({testing::make_disengagement(manufacturer::waymo, 2017, 2,
+                                                          nlp::fault_tag::planner)}, {}, {});
   const auto after = engine.execute(warm);
   EXPECT_FALSE(after.cache_hit) << "same-shard ingest must evict its dependents";
 }
@@ -362,14 +362,14 @@ TEST(ShardedStress, ConcurrentIngestAcrossShardsAndQueries) {
       for (int i = 0; i < appends_per_thread; ++i) {
         switch (i % 3) {
           case 0:
-            engine.append_disengagement(
-                testing::make_disengagement(maker, 2017, 1, nlp::fault_tag::planner));
+            engine.commit_records({
+                testing::make_disengagement(maker, 2017, 1, nlp::fault_tag::planner)}, {}, {});
             break;
           case 1:
-            engine.append_mileage(testing::make_mileage(maker, 2017, 1, 5.0));
+            engine.commit_records({}, {testing::make_mileage(maker, 2017, 1, 5.0)}, {});
             break;
           case 2:
-            engine.append_accident(testing::make_accident(maker, 2017, 1, 2.0, 3.0));
+            engine.commit_records({}, {}, {testing::make_accident(maker, 2017, 1, 2.0, 3.0)});
             break;
         }
       }

@@ -283,8 +283,8 @@ TEST(SnapshotSemantics, PinnedSnapshotAnswersPreCommitAcrossAppend) {
   const auto pinned = engine.snapshot();
   const auto v0 = pinned->version();
 
-  engine.append_disengagement(
-      testing::make_disengagement(manufacturer::waymo, 2017, 1, nlp::fault_tag::sensor));
+  engine.commit_records({
+      testing::make_disengagement(manufacturer::waymo, 2017, 1, nlp::fault_tag::sensor)}, {}, {});
 
   // A query that pinned before the append keeps computing against the
   // pre-commit epoch; the engine's published state moved on.
@@ -299,7 +299,7 @@ TEST(SnapshotSemantics, ResponseVersionAndEpochMatchThePinnedSnapshot) {
   EXPECT_EQ(r0.epoch, 0u);
   EXPECT_EQ(r0.version, engine.version());
 
-  engine.append_accident(testing::make_accident(manufacturer::waymo, 2017, 1, 3.0, 4.0));
+  engine.commit_records({}, {}, {testing::make_accident(manufacturer::waymo, 2017, 1, 3.0, 4.0)});
   const auto r1 = engine.execute(make_query(query_kind::metrics));
   EXPECT_EQ(r1.epoch, 1u);
   EXPECT_EQ(r1.version.accidents, r0.version.accidents + 1);
@@ -393,7 +393,7 @@ std::vector<std::vector<stress_sample>> run_ingest_query_mix(query_engine& engin
         const auto j =
             static_cast<std::size_t>(t * documents_per_thread + i) % docs.size();
         engine.ingest_document(docs[j], &pristine[j]);
-        engine.append_mileage(testing::make_mileage(manufacturer::waymo, 2017, 3, 1.0));
+        engine.commit_records({}, {testing::make_mileage(manufacturer::waymo, 2017, 3, 1.0)}, {});
       }
     });
   }

@@ -80,13 +80,6 @@ TEST(Faults, InjectorDrawCountsScaleWithMiles) {
   EXPECT_TRUE(inj.draw_faults(0, 0).empty());
 }
 
-TEST(Faults, InjectorWeightsSumToOne) {
-  fault_injector inj({}, 3);
-  double sum = 0;
-  for (const auto k : all_fault_kinds()) sum += inj.kind_weight(k);
-  EXPECT_NEAR(sum, 1.0, 1e-9);
-}
-
 TEST(Faults, InvalidConfigThrows) {
   fault_injector::config cfg;
   cfg.maturity_floor = 0.0;

@@ -41,8 +41,8 @@ TEST(Pearson, IndependentSamplesNearZero) {
   std::vector<double> xs;
   std::vector<double> ys;
   for (int i = 0; i < 5000; ++i) {
-    xs.push_back(g.normal());
-    ys.push_back(g.normal());
+    xs.push_back(g.normal(0.0, 1.0));
+    ys.push_back(g.normal(0.0, 1.0));
   }
   const auto r = pearson(xs, ys);
   EXPECT_LT(std::fabs(r.r), 0.05);
@@ -73,23 +73,6 @@ TEST(Ranks, NoTies) {
 TEST(Ranks, TiesGetAverageRank) {
   const std::vector<double> xs = {1, 2, 2, 3};
   EXPECT_EQ(ranks(xs), (std::vector<double>{1, 2.5, 2.5, 4}));
-}
-
-TEST(Spearman, MonotoneNonlinearIsPerfect) {
-  std::vector<double> xs;
-  std::vector<double> ys;
-  for (int i = 1; i <= 20; ++i) {
-    xs.push_back(i);
-    ys.push_back(std::exp(0.5 * i));  // monotone, very nonlinear
-  }
-  EXPECT_NEAR(spearman(xs, ys).r, 1.0, 1e-12);
-  EXPECT_LT(pearson(xs, ys).r, 0.9);  // pearson penalizes the nonlinearity
-}
-
-TEST(Spearman, HandlesTies) {
-  const std::vector<double> xs = {1, 2, 2, 3, 4};
-  const std::vector<double> ys = {1, 3, 3, 2, 5};
-  EXPECT_NO_THROW(spearman(xs, ys));
 }
 
 TEST(Pearson, TStatisticConsistentWithR) {

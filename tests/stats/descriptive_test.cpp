@@ -28,12 +28,6 @@ TEST(Stddev, SqrtOfVariance) {
   EXPECT_DOUBLE_EQ(stddev(k_simple), std::sqrt(2.5));
 }
 
-TEST(GeometricMean, KnownValue) {
-  EXPECT_NEAR(geometric_mean(std::vector<double>{1, 10, 100}), 10.0, 1e-12);
-  EXPECT_THROW(geometric_mean(std::vector<double>{1, 0}), logic_error);
-  EXPECT_THROW(geometric_mean(std::vector<double>{-1, 2}), logic_error);
-}
-
 TEST(MinMax, Basics) {
   EXPECT_DOUBLE_EQ(min(k_simple), 1.0);
   EXPECT_DOUBLE_EQ(max(k_simple), 5.0);
@@ -94,22 +88,6 @@ TEST(BoxSummary, OrderingInvariant) {
   EXPECT_LE(b.q1, b.median);
   EXPECT_LE(b.median, b.q3);
   EXPECT_LE(b.q3, b.whisker_high);
-}
-
-TEST(Skewness, SymmetricIsZero) {
-  EXPECT_NEAR(skewness(std::vector<double>{1, 2, 3, 4, 5}), 0.0, 1e-12);
-}
-
-TEST(Skewness, RightSkewPositive) {
-  EXPECT_GT(skewness(std::vector<double>{1, 1, 1, 1, 10}), 0.0);
-  EXPECT_THROW(skewness(std::vector<double>{1, 2}), logic_error);
-}
-
-TEST(Kurtosis, UniformIsPlatykurtic) {
-  std::vector<double> xs;
-  for (int i = 0; i < 1000; ++i) xs.push_back(static_cast<double>(i));
-  EXPECT_LT(kurtosis_excess(xs), 0.0);  // uniform: -1.2
-  EXPECT_NEAR(kurtosis_excess(xs), -1.2, 0.05);
 }
 
 TEST(Sorted, ReturnsSortedCopy) {

@@ -9,28 +9,6 @@
 namespace avtk::stats {
 namespace {
 
-TEST(GoldenSection, FindsParabolaMinimum) {
-  const auto opt = golden_section_minimize([](double x) { return (x - 3.0) * (x - 3.0); }, -10, 10);
-  EXPECT_TRUE(opt.converged);
-  EXPECT_NEAR(opt.x[0], 3.0, 1e-7);
-  EXPECT_NEAR(opt.value, 0.0, 1e-12);
-}
-
-TEST(GoldenSection, MinimumAtBoundary) {
-  const auto opt = golden_section_minimize([](double x) { return x; }, 2.0, 5.0);
-  EXPECT_NEAR(opt.x[0], 2.0, 1e-6);
-}
-
-TEST(GoldenSection, NonSmoothUnimodal) {
-  const auto opt =
-      golden_section_minimize([](double x) { return std::fabs(x - 1.5); }, -4, 4);
-  EXPECT_NEAR(opt.x[0], 1.5, 1e-7);
-}
-
-TEST(GoldenSection, InvalidBracketThrows) {
-  EXPECT_THROW(golden_section_minimize([](double x) { return x; }, 5, 2), logic_error);
-}
-
 TEST(NelderMead, Quadratic2d) {
   const auto opt = nelder_mead_minimize(
       [](const std::vector<double>& v) {

@@ -72,34 +72,6 @@ TEST(FitLogLog, RejectsNonPositive) {
   EXPECT_THROW(fit_log_log(xs, ys), logic_error);
 }
 
-TEST(SlopePValue, SignificantForStrongTrend) {
-  rng g(23);
-  std::vector<double> xs;
-  std::vector<double> ys;
-  for (int i = 0; i < 50; ++i) {
-    xs.push_back(i);
-    ys.push_back(2.0 * i + g.normal(0, 1.0));
-  }
-  EXPECT_LT(slope_p_value(fit_linear(xs, ys)), 1e-10);
-}
-
-TEST(SlopePValue, InsignificantForNoise) {
-  rng g(24);
-  std::vector<double> xs;
-  std::vector<double> ys;
-  for (int i = 0; i < 50; ++i) {
-    xs.push_back(i);
-    ys.push_back(g.normal(0, 1.0));
-  }
-  EXPECT_GT(slope_p_value(fit_linear(xs, ys)), 0.01);
-}
-
-TEST(SlopePValue, DegenerateFitsReturnOne) {
-  linear_fit fit;
-  fit.n = 2;
-  EXPECT_DOUBLE_EQ(slope_p_value(fit), 1.0);
-}
-
 // Property sweep: the fitted line always passes through the centroid.
 class CentroidProperty : public ::testing::TestWithParam<std::uint64_t> {};
 

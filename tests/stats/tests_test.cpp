@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "stats/dist/exponential.h"
 #include "stats/dist/weibull.h"
 #include "util/errors.h"
 #include "util/rng.h"
@@ -24,8 +23,7 @@ TEST(KsTest, AcceptsCorrectDistribution) {
   rng g(61);
   std::vector<double> xs;
   for (int i = 0; i < 2000; ++i) xs.push_back(g.exponential(2.0));
-  const exponential_dist d(2.0);
-  const auto r = ks_test(xs, [&](double x) { return d.cdf(x); });
+  const auto r = ks_test(xs, [](double x) { return 1.0 - std::exp(-x / 2.0); });
   EXPECT_GT(r.p_value, 0.01);
   EXPECT_LT(r.statistic, 0.05);
 }
@@ -34,15 +32,15 @@ TEST(KsTest, RejectsWrongDistribution) {
   rng g(62);
   std::vector<double> xs;
   for (int i = 0; i < 2000; ++i) xs.push_back(g.exponential(2.0));
-  const exponential_dist wrong(5.0);
-  const auto r = ks_test(xs, [&](double x) { return wrong.cdf(x); });
+  // Exponential with mean 5 instead of 2.
+  const auto r = ks_test(xs, [](double x) { return 1.0 - std::exp(-x / 5.0); });
   EXPECT_LT(r.p_value, 1e-6);
 }
 
 TEST(KsTest, DistinguishesWeibullShapes) {
   rng g(63);
   std::vector<double> xs;
-  for (int i = 0; i < 3000; ++i) xs.push_back(g.weibull(2.5, 1.0));
+  for (int i = 0; i < 3000; ++i) xs.push_back(g.exponentiated_weibull(2.5, 1.0, 1.0));
   const weibull_dist right(2.5, 1.0);
   const weibull_dist wrong(1.0, 1.0);
   EXPECT_GT(ks_test(xs, [&](double x) { return right.cdf(x); }).p_value, 0.01);
@@ -96,22 +94,6 @@ TEST(RateDiffers, DetectsClearDifference) {
 TEST(RateDiffers, AcceptsCompatibleRate) {
   // 2 events over 1M miles vs rate 2e-6 (expected 2.2): compatible.
   EXPECT_FALSE(rate_differs_from(2, 1.1e6, 2e-6, 0.90));
-}
-
-TEST(WilsonInterval, KnownValue) {
-  // 8/10 at 95%: Wilson interval ~ (0.49, 0.94).
-  const auto ci = wilson_interval(8, 10, 0.95);
-  EXPECT_NEAR(ci.point, 0.8, 1e-12);
-  EXPECT_NEAR(ci.lower, 0.4902, 1e-3);
-  EXPECT_NEAR(ci.upper, 0.9433, 1e-3);
-}
-
-TEST(WilsonInterval, DegenerateAndInvalid) {
-  const auto all = wilson_interval(10, 10);
-  EXPECT_LT(all.lower, 1.0);
-  EXPECT_DOUBLE_EQ(all.upper, 1.0);
-  EXPECT_THROW(wilson_interval(11, 10), logic_error);
-  EXPECT_THROW(wilson_interval(1, 0), logic_error);
 }
 
 TEST(KalraPaddock, FailureFreeMiles) {

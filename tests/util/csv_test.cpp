@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "csv_reference.h"
 #include "util/errors.h"
 
 namespace avtk::csv {

@@ -75,12 +75,6 @@ TEST(Rng, NormalMomentsApproximatelyCorrect) {
   EXPECT_NEAR(var, 4.0, 0.3);
 }
 
-TEST(Rng, WeibullPositive) {
-  rng g(7);
-  for (int i = 0; i < 100; ++i) EXPECT_GT(g.weibull(1.5, 0.8), 0.0);
-  EXPECT_THROW(g.weibull(-1, 1), logic_error);
-}
-
 TEST(Rng, ExponentiatedWeibullReducesToWeibullAtPowerOne) {
   // With power == 1 the exponentiated Weibull is a plain Weibull; compare
   // sample means against the analytic Weibull mean.
