@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <string_view>
+#include <utility>
 
 namespace avtk::dataset {
 
@@ -72,28 +74,46 @@ long long database_view::total_accidents(manufacturer maker) const {
 
 // The monthly attribution join (semantics in view.h), over one maker's
 // records: equal-share within a known month, miles-proportional fallback,
-// fractional-remainder distribution with content-hash tie breaks.
+// fractional-remainder distribution with content-hash tie breaks. Cost: one
+// stable sort of row pointers, a two-level binary search per dated,
+// identified event and, only when some events are unattributed, one pass
+// bucketing the positive-mile cells by month plus one remainder sort per
+// unattributed month over precomputed (fraction, tie hash) keys.
 std::vector<vehicle_month> database_view::vehicle_months(manufacturer maker) const {
-  // Cell order: (vehicle id, month index).
-  const auto before = [](const vehicle_month& cell, std::string_view vehicle,
-                         std::int64_t month) {
-    const int by_vehicle = cell.vehicle_id.compare(vehicle);
-    return by_vehicle != 0 ? by_vehicle < 0 : cell.month.index() < month;
+  // The maker's mileage rows as pointers beside their sort keys. Cell
+  // order: (vehicle id, month index). Stable, so the rows of one cell sum
+  // their miles in corpus order.
+  struct row_ref {
+    std::string_view id;
+    std::int64_t month;
+    const mileage_record* row;
   };
-  std::vector<vehicle_month> rows;
+  std::vector<row_ref> rows;
   for (const auto& m : mileage()) {
-    if (m.maker == maker) rows.push_back({maker, m.vehicle_id, m.month, m.miles, 0});
+    if (m.maker == maker) rows.push_back({m.vehicle_id, m.month.index(), &m});
   }
-  // Stable, so the rows of one cell sum their miles in corpus order.
-  std::stable_sort(rows.begin(), rows.end(), [&](const vehicle_month& a, const vehicle_month& b) {
-    return before(a, b.vehicle_id, b.month.index());
+  std::stable_sort(rows.begin(), rows.end(), [](const row_ref& a, const row_ref& b) {
+    const int by_vehicle = a.id.compare(b.id);
+    return by_vehicle != 0 ? by_vehicle < 0 : a.month < b.month;
   });
+
+  // One run of consecutive cells per vehicle; `id` views the records.
+  struct vehicle_run {
+    std::string_view id;
+    std::size_t first;
+    std::size_t last;
+  };
   std::vector<vehicle_month> cells;
-  for (auto& row : rows) {
-    if (cells.empty() || before(cells.back(), row.vehicle_id, row.month.index())) {
-      cells.push_back({maker, std::move(row.vehicle_id), row.month, 0.0, 0});
+  cells.reserve(rows.size());
+  std::vector<vehicle_run> runs;
+  for (const auto& row : rows) {
+    const bool new_vehicle = runs.empty() || runs.back().id != row.id;
+    if (new_vehicle || cells.back().month.index() != row.month) {
+      if (new_vehicle) runs.push_back({row.id, cells.size(), cells.size()});
+      cells.push_back({maker, row.row->vehicle_id, row.row->month, 0.0, 0});
+      runs.back().last = cells.size();
     }
-    cells.back().miles += row.miles;
+    cells.back().miles += row.row->miles;
   }
 
   std::map<std::int64_t, long long> unattributed;  // month -1 = any
@@ -102,70 +122,109 @@ std::vector<vehicle_month> database_view::vehicle_months(manufacturer maker) con
     const auto bucket = d.month_bucket();
     if (bucket && !d.vehicle_id.empty()) {
       const auto month = bucket->index();
-      const auto it = std::partition_point(cells.begin(), cells.end(), [&](const auto& cell) {
-        return before(cell, d.vehicle_id, month);
-      });
-      if (it != cells.end() && it->vehicle_id == d.vehicle_id && it->month.index() == month) {
-        ++it->disengagements;
-        continue;
+      const std::string_view id = d.vehicle_id;
+      const auto run = std::partition_point(runs.begin(), runs.end(),
+                                            [&](const vehicle_run& r) { return r.id < id; });
+      if (run != runs.end() && run->id == id) {
+        const auto first = cells.begin() + static_cast<std::ptrdiff_t>(run->first);
+        const auto last = cells.begin() + static_cast<std::ptrdiff_t>(run->last);
+        const auto it = std::partition_point(
+            first, last, [&](const vehicle_month& cell) { return cell.month.index() < month; });
+        if (it != last && it->month.index() == month) {
+          ++it->disengagements;
+          continue;
+        }
       }
     }
     ++unattributed[bucket ? bucket->index() : -1];
   }
+  if (unattributed.empty()) return cells;
 
+  // The positive-mile cells in cell order — the whole-history fallback
+  // set — and their mile total, summed in that order; then the same cells
+  // bucketed by unattributed known month. Each bucket keeps cell (vehicle)
+  // order, so its miles sum in the order a scan over every cell would.
+  std::vector<std::size_t> positive;
+  double positive_miles = 0;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (!(cells[i].miles > 0)) continue;
+    positive.push_back(i);
+    positive_miles += cells[i].miles;
+  }
+  std::vector<std::int64_t> months;  // ascending, as the map holds them
+  for (const auto& entry : unattributed) {
+    if (entry.first >= 0) months.push_back(entry.first);
+  }
+  std::vector<std::vector<std::size_t>> by_month(months.size());
+  for (const auto i : positive) {
+    const auto month = cells[i].month.index();
+    const auto it = std::lower_bound(months.begin(), months.end(), month);
+    if (it == months.end() || *it != month) continue;
+    by_month[static_cast<std::size_t>(it - months.begin())].push_back(i);
+  }
+
+  // Each cell's tie hash: its vehicle id's hash, once per vehicle, mixed
+  // with its month.
+  std::vector<std::size_t> tie(cells.size());
+  for (const auto& run : runs) {
+    const std::size_t id_hash = std::hash<std::string_view>{}(run.id);
+    for (std::size_t i = run.first; i < run.last; ++i) {
+      tie[i] = id_hash ^
+               (static_cast<std::size_t>(cells[i].month.index()) * 0x9E3779B97F4A7C15ULL);
+    }
+  }
+
+  struct share {
+    double fraction;
+    std::size_t tie;
+    std::size_t slot;
+  };
+  std::vector<share> order;
+  std::vector<long long> assigned;
   for (const auto& [month_index, count] : unattributed) {
     bool equal_share = month_index >= 0;
-    std::vector<vehicle_month*> mine;
-    double miles_total = 0;
-    for (auto& cell : cells) {
-      if (month_index >= 0 && cell.month.index() != month_index) continue;
-      if (!(cell.miles > 0)) continue;
-      mine.push_back(&cell);
-      miles_total += cell.miles;
-    }
-    if ((mine.empty() || miles_total <= 0) && month_index >= 0) {
-      // No mileage reported for that month: fall back to the whole history,
-      // miles-proportionally.
-      equal_share = false;
-      mine.clear();
+    std::span<const std::size_t> mine = positive;
+    double miles_total = positive_miles;
+    if (equal_share) {
+      const auto it = std::lower_bound(months.begin(), months.end(), month_index);
+      mine = by_month[static_cast<std::size_t>(it - months.begin())];
       miles_total = 0;
-      for (auto& cell : cells) {
-        if (!(cell.miles > 0)) continue;
-        mine.push_back(&cell);
-        miles_total += cell.miles;
+      for (const auto i : mine) miles_total += cells[i].miles;
+      if (mine.empty() || miles_total <= 0) {
+        // No mileage reported for that month: fall back to the whole
+        // history, miles-proportionally.
+        equal_share = false;
+        mine = positive;
+        miles_total = positive_miles;
       }
     }
     if (mine.empty() || miles_total <= 0) continue;
-    std::vector<double> expected(mine.size());
-    std::vector<long long> assigned(mine.size());
+    const double equal = static_cast<double>(count) / static_cast<double>(mine.size());
+    order.clear();
+    assigned.assign(mine.size(), 0);
     long long assigned_total = 0;
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      expected[i] = equal_share
-                        ? static_cast<double>(count) / static_cast<double>(mine.size())
-                        : static_cast<double>(count) * mine[i]->miles / miles_total;
-      assigned[i] = static_cast<long long>(expected[i]);
-      assigned_total += assigned[i];
+    for (std::size_t k = 0; k < mine.size(); ++k) {
+      const auto& cell = cells[mine[k]];
+      const double expected =
+          equal_share ? equal : static_cast<double>(count) * cell.miles / miles_total;
+      assigned[k] = static_cast<long long>(expected);
+      assigned_total += assigned[k];
+      order.push_back({expected - static_cast<double>(assigned[k]), tie[mine[k]], k});
     }
     // Distribute the remainder to the cells with the largest fractional
     // parts. Equal-share splits make every fractional part identical, so
     // ties are broken by a content hash — otherwise the first vehicles in
     // id order would absorb every event, month after month.
-    std::vector<std::size_t> order(mine.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    const auto tie_hash = [&](std::size_t i) {
-      return std::hash<std::string>{}(mine[i]->vehicle_id) ^
-             (static_cast<std::size_t>(mine[i]->month.index()) * 0x9E3779B97F4A7C15ULL);
-    };
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      const double fa = expected[a] - static_cast<double>(assigned[a]);
-      const double fb = expected[b] - static_cast<double>(assigned[b]);
-      if (fa != fb) return fa > fb;
-      return tie_hash(a) < tie_hash(b);
+    std::sort(order.begin(), order.end(), [](const share& a, const share& b) {
+      if (a.fraction != b.fraction) return a.fraction > b.fraction;
+      return a.tie < b.tie;
     });
-    for (std::size_t i = 0; assigned_total < count && i < order.size(); ++i, ++assigned_total) {
-      ++assigned[order[i]];
+    for (std::size_t k = 0; assigned_total < count && k < order.size(); ++k, ++assigned_total) {
+      ++assigned[order[k].slot];
     }
-    for (std::size_t i = 0; i < mine.size(); ++i) mine[i]->disengagements += assigned[i];
+    for (std::size_t k = 0; k < mine.size(); ++k) {
+      cells[mine[k]].disengagements += assigned[k];
+    }
   }
 
   return cells;

@@ -1,5 +1,6 @@
 #include "obs/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -14,16 +15,15 @@ void append_number(std::string& out, double d) {
     return;
   }
   // Integers within the exactly-representable range print without a dot so
-  // counters round-trip as the values users expect.
-  if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", d);
-    out += buf;
-    return;
-  }
+  // counters round-trip as the values users expect. Both forms are the
+  // printf ones ("%.0f", "%.17g"), which std::to_chars reproduces exactly.
+  // 32 bytes hold either form of any finite double.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out += buf;
+  const bool integral = d == std::floor(d) && std::fabs(d) < 9.007199254740992e15;
+  const auto result =
+      integral ? std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general, 17);
+  out.append(buf, result.ptr);
 }
 
 void dump_into(const value& v, std::string& out, int indent, int depth);

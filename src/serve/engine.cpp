@@ -69,8 +69,8 @@ query_lookup query_engine::try_hit(const query& q) {
   out.q = q;
   out.response.canonical = q.canonical();
 
-  // Pin the published composite: one atomic refcounted load per shard, no
-  // lock. Everything after — the version the response reports, the cache
+  // Pin the published composite: one shared_ptr copy per shard, each under
+  // its shard's publish mutex. Everything after — the version the response reports, the cache
   // key, a miss's computation — is against these frozen per-shard epochs;
   // a commit landing meanwhile publishes a *new* shard snapshot and cannot
   // touch these.

@@ -6,10 +6,11 @@
 //
 // Consistency model: snapshot isolation over an epoch-published store
 // (serve/store.h). The database is never locked for reading — a query
-// pins the currently published immutable snapshot with one atomic
-// shared_ptr load and computes entirely against that frozen state, so
-// concurrent ingests never stall queries and a query can never observe a
-// torn or in-progress ingest. The per-domain version vector a response
+// pins the currently published immutable snapshot (a shared_ptr copy under
+// a publish mutex that a commit holds only for its pointer swap) and
+// computes entirely against that frozen state, so concurrent ingests never
+// stall queries on their build and a query can never observe a torn or
+// in-progress ingest. The per-domain version vector a response
 // reports (and the cache key it is memoized under) is the pinned
 // snapshot's by construction, so a cached payload is always consistent
 // with the version in its key.
@@ -23,7 +24,7 @@
 // dependent queries to fresh cache keys and (b) eagerly drops the
 // now-unreachable dependent entries; results derived from untouched
 // domains keep serving from cache. Superseded snapshots free when their
-// last pinned reader drops (RCU-by-refcount; no reader ever blocks).
+// last pinned reader drops (RCU-by-refcount; no reader waits for a build).
 //
 // The store is partitioned by manufacturer into engine_config::shards
 // shards (serve/store.h), and every shard count, K = 1 included, runs one

@@ -69,13 +69,18 @@ snapshot_ptr snapshot_store::commit(
     // Build the next epoch off to the side. The copy shares every chunk
     // of all three domains; each append inside `mutate` clones at most
     // its domain's partly filled tail chunk.
-    superseded = published_.load(std::memory_order_acquire);
+    // Only writers write published_, and they hold commit_mutex_, so this
+    // read needs no publish lock.
+    superseded = published_;
     dataset::failure_database next = superseded->db();
     mutate(next);
 
     snap = std::make_shared<const store_snapshot>(std::move(next), superseded->epoch() + 1,
                                                   span_label_, superseded->index_base());
-    published_.store(snap, std::memory_order_release);
+    {
+      const std::lock_guard<std::mutex> publish(publish_mutex_);
+      published_ = snap;
+    }
 
     retired_.add();
     commits_.add();

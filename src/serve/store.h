@@ -4,21 +4,26 @@
 //
 // The store publishes exactly one immutable `store_snapshot` at a time — a
 // failure_database frozen at a per-domain version vector, stamped with a
-// monotone commit epoch — through a single atomic shared_ptr. Readers
-// pin() the published snapshot (one atomic refcounted load, no lock) and
-// compute against that frozen state for as long as they hold the pointer;
-// a concurrent commit can never change what a pinned reader sees.
+// monotone commit epoch — through a single shared_ptr guarded by a publish
+// mutex. Readers pin() the published snapshot (a shared_ptr copy under
+// that mutex, which a commit holds only for its pointer swap) and compute
+// against that frozen state for as long as they hold the pointer; a
+// concurrent commit can never change what a pinned reader sees. The
+// pointer is not a `std::atomic<std::shared_ptr>`: libstdc++ 12 releases
+// that type's internal lock bit with a relaxed read-modify-write, an
+// ordering ThreadSanitizer cannot see; a plain mutex gives the same short
+// critical section an ordering the tools check.
 //
-// Writers never block readers: commit() copies the newest database (three
+// Writers never stall readers: commit() copies the newest database (three
 // chunk-pointer lists — the domains are persistent chunked arrays,
 // dataset/chunked_array.h), applies the mutation off to the side (an
 // append clones at most its domain's partly filled tail chunk; every full
 // chunk and every untouched domain stays structurally shared with every
 // older epoch), and publishes the result as epoch N+1 with one pointer
-// swap. A commit of Δ records therefore costs O(Δ + chunks), not
-// O(corpus). Commits serialize against each other under a writer-only
-// mutex, which is what makes the epoch and every version component
-// monotone.
+// swap under the publish mutex. A commit of Δ records therefore costs
+// O(Δ + chunks), not O(corpus). Commits serialize against each other under
+// a writer-only mutex, which is what makes the epoch and every version
+// component monotone.
 //
 // The new epoch's query index (serve/index.h) is lazy, like every epoch's,
 // but it extends the newest index built before it instead of rebuilding:
@@ -51,7 +56,7 @@
 // counters (stored beside the record in its chunk), which is what lets
 // cross-shard queries merge per-shard records back into original corpus
 // order — the merged sequence, and therefore every payload byte, is
-// identical to the K = 1 layout. A composite pin is K acquire loads; the composite
+// identical to the K = 1 layout. A composite pin is K shard pins; the composite
 // version vector is the component-wise sum of the shard versions, which
 // equals the K = 1 version exactly (every append bumps exactly one
 // shard-domain by one). K == 1 is the same layout with one shard, which
@@ -145,10 +150,13 @@ class snapshot_store {
   snapshot_store(const snapshot_store&) = delete;
   snapshot_store& operator=(const snapshot_store&) = delete;
 
-  /// Pins the currently published snapshot: one atomic load, no lock.
-  /// Safe from any number of threads; never blocks, not even against a
-  /// commit in flight.
-  snapshot_ptr pin() const { return published_.load(std::memory_order_acquire); }
+  /// Pins the currently published snapshot: a shared_ptr copy under the
+  /// publish mutex. Safe from any number of threads; waits only for
+  /// another pin or a commit's pointer swap, never for a commit's build.
+  snapshot_ptr pin() const {
+    const std::lock_guard<std::mutex> lock(publish_mutex_);
+    return published_;
+  }
 
   /// The published epoch (0 for a freshly constructed store).
   std::uint64_t epoch() const { return pin()->epoch(); }
@@ -156,14 +164,15 @@ class snapshot_store {
   /// Read-copy-update commit: `mutate` receives a private copy of the
   /// newest database (cheap — chunks are shared until written) and
   /// the result is published as the next epoch with a single pointer
-  /// swap. Commits serialize; readers are never blocked and keep their
-  /// pinned epochs. Returns the snapshot it published, so the caller can
+  /// swap. Commits serialize; readers wait at most for the swap and keep
+  /// their pinned epochs. Returns the snapshot it published, so the caller can
   /// report the exact post-commit version vector without re-pinning (a
   /// later commit may already have superseded it).
   snapshot_ptr commit(const std::function<void(dataset::failure_database&)>& mutate);
 
  private:
-  std::atomic<snapshot_ptr> published_;
+  mutable std::mutex publish_mutex_;  ///< guards published_: pins and the swap
+  snapshot_ptr published_;            ///< written only under both mutexes
   std::mutex commit_mutex_;  ///< serializes writers; readers never take it
   obs::trace* trace_;
   std::string span_label_;       ///< "" for a standalone store, "s<i>" per shard
@@ -181,9 +190,9 @@ inline std::size_t shard_of(dataset::manufacturer maker, std::size_t shards) {
   return static_cast<std::size_t>(maker) % shards;
 }
 
-/// One pinned state of every shard: K snapshot pins taken with K acquire
-/// loads (no lock, no cross-shard barrier — concurrent commits on other
-/// shards may land between loads, so this is a *composite*, not an atomic
+/// One pinned state of every shard: K snapshot pins taken one shard at a
+/// time (no cross-shard lock or barrier — concurrent commits on other
+/// shards may land between pins, so this is a *composite*, not an atomic
 /// cut; per-shard states are each internally consistent and immutable).
 /// `version`/`epoch` are component-wise sums over the shards — for any
 /// composite observed by a serialized request stream they equal the
@@ -251,10 +260,10 @@ class sharded_store {
     return shard_of(maker, shards_.size());
   }
 
-  /// Pin one shard: a single acquire load, same cost as snapshot_store::pin.
+  /// Pin one shard: snapshot_store::pin on that shard.
   snapshot_ptr pin_shard(std::size_t shard) const { return shards_[shard]->pin(); }
 
-  /// Pin every shard (K acquire loads) and sum versions/epochs.
+  /// Pin every shard (K shard pins) and sum versions/epochs.
   composite_snapshot pin() const;
 
   /// The published epoch sum / per-shard epochs.

@@ -1,8 +1,15 @@
 // JSON model round-trips and the trace/metrics exporter schemas.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
+#include <string>
 
 #include "obs/export.h"
 #include "obs/json.h"
@@ -49,6 +56,50 @@ TEST(Json, IntegersPrintWithoutDecimalPoint) {
   EXPECT_EQ(json::value(5328).dump(), "5328");
   EXPECT_EQ(json::value(-7).dump(), "-7");
   EXPECT_EQ(json::value(0.5).dump(), "0.5");
+}
+
+// The emitter's number text against printf, the definition it follows:
+// "%.0f" for integers below 2^53 in magnitude, "%.17g" for everything else
+// finite, "null" for NaN and infinities.
+TEST(Json, NumberTextMatchesPrintf) {
+  const auto printf_text = [](double d) -> std::string {
+    if (!std::isfinite(d)) return "null";
+    char buf[64];
+    const bool integral = d == std::floor(d) && std::fabs(d) < 9.007199254740992e15;
+    std::snprintf(buf, sizeof(buf), integral ? "%.0f" : "%.17g", d);
+    return buf;
+  };
+  const auto check = [&](double d) {
+    ASSERT_EQ(json::value(d).dump(), printf_text(d)) << std::hexfloat << d;
+  };
+
+  const double two53 = 9007199254740992.0;
+  using limits = std::numeric_limits<double>;
+  for (const double d :
+       {0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1.0 / 3.0, 2.0 / 3.0, 123456789.12345678,
+        0.12345678901234567, 9.8765432109876543e-5, two53 - 1, two53, two53 + 2, -(two53 - 1),
+        -two53, -(two53 + 2), 1e308, -1e308, limits::max(), limits::lowest(), limits::min(),
+        -limits::min(), limits::denorm_min(), -limits::denorm_min(), limits::min() / 3,
+        limits::infinity(), -limits::infinity(), limits::quiet_NaN(), 1e15, 1e16, 1e17, 1e21,
+        1e-7, 5e-324, 2.2250738585072009e-308}) {
+    check(d);
+  }
+
+  std::mt19937_64 rng(20180625);
+  for (int i = 0; i < 50000; ++i) {
+    // Every bit pattern: subnormals, huge magnitudes, NaNs, both signs.
+    const std::uint64_t bits = rng();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    check(d);
+    // Integers on both sides of +-2^53.
+    const auto offset = static_cast<double>(static_cast<std::int64_t>(rng() % 2001) - 1000);
+    check(two53 + offset);
+    check(-two53 + offset);
+    // 17-significant-digit fractions of the magnitudes the payloads carry.
+    const double scale = std::pow(10.0, static_cast<double>(rng() % 13) - 6);
+    check(static_cast<double>(rng() % 100000000000000000ull) * 1e-17 * scale);
+  }
 }
 
 TEST(Json, ParseRejectsMalformedDocuments) {
