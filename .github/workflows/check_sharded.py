@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI gate for the sharded snapshot-store layout.
+"""Gate for the sharded snapshot-store layout (ctest cli.serve_sharded_equality).
 
 Usage: check_sharded.py SINGLE_RESPONSES SHARDED_RESPONSES
 

@@ -61,54 +61,61 @@ query_engine::query_engine(dataset::failure_database db, engine_config config)
       ingest_records_(obs::metrics().get_counter("serve.ingest.records")),
       ingest_ns_(obs::metrics().get_counter("serve.ingest_ns")) {}
 
-query_lookup query_engine::try_hit(const query& q) {
+bool query_engine::try_hit(const query& q, std::string_view canonical, query_lookup& lookup) {
   const obs::stopwatch watch;
   queries_.add();
 
-  query_lookup out;
-  out.q = q;
-  out.response.canonical = q.canonical();
-
-  // Pin the published composite: one shared_ptr copy per shard, each under
-  // its shard's publish mutex. Everything after — the version the response reports, the cache
-  // key, a miss's computation — is against these frozen per-shard epochs;
-  // a commit landing meanwhile publishes a *new* shard snapshot and cannot
+  // Pin the published composite into the lookup's own slots: one
+  // shared_ptr copy per shard, each under its shard's publish mutex.
+  // Everything after — the version the response reports, the cache key, a
+  // miss's computation — is against these frozen per-shard epochs; a
+  // commit landing meanwhile publishes a *new* shard snapshot and cannot
   // touch these.
-  out.comp = store_.pin();
-  report_state(out.response, out.comp);
+  const std::size_t shards = store_.shards();
+  lookup.pins.resize(shards);
+  lookup.version = {};
+  for (std::size_t s = 0; s < shards; ++s) {
+    lookup.pins[s] = store_.pin_shard(s);
+    const auto& v = lookup.pins[s]->version();
+    lookup.version.disengagements += v.disengagements;
+    lookup.version.mileage += v.mileage;
+    lookup.version.accidents += v.accidents;
+  }
 
   // Route: a maker-filtered query reads exactly its maker's shard, any
   // other query reads them all. The cache key carries the versions of the
   // routed shards alone, so commits elsewhere leave it live.
-  out.last = out.comp.shards.size();
+  lookup.first = 0;
+  lookup.last = shards;
   if (q.maker) {
-    out.first = store_.shard_for(*q.maker);
-    out.last = out.first + 1;
+    lookup.first = store_.shard_for(*q.maker);
+    lookup.last = lookup.first + 1;
   }
   const domain_mask deps = q.dependencies();
-  out.key = out.response.canonical;
-  out.key += '@';
-  for (std::size_t s = out.first; s < out.last; ++s) {
-    append_key_segment(out.key, deps, s, out.comp.shards[s]->version());
+  lookup.key.assign(canonical);
+  lookup.key += '@';
+  for (std::size_t s = lookup.first; s < lookup.last; ++s) {
+    append_key_segment(lookup.key, deps, s, lookup.pins[s]->version());
   }
-  if (auto cached = cache_.get(out.key)) {
+  lookup.payload = cache_.get(lookup.key);
+  if (lookup.payload) {
     hits_.add();
     const obs::scoped_span span(trace_, span_name(trace_, "serve.hit.", q.kind));
-    out.response.payload = std::move(cached);
-    out.response.cache_hit = true;
-    out.response.latency_ns = watch.elapsed_ns();
-    query_ns_.add(static_cast<std::uint64_t>(out.response.latency_ns));
-    return out;
+    lookup.latency_ns = watch.elapsed_ns();
+    query_ns_.add(static_cast<std::uint64_t>(lookup.latency_ns));
+    return true;
   }
   misses_.add();
-  out.response.latency_ns = watch.elapsed_ns();
-  return out;
+  lookup.q = q;
+  lookup.canonical.assign(canonical);
+  lookup.latency_ns = watch.elapsed_ns();
+  return false;
 }
 
 query_response query_engine::run_miss(query_lookup miss) {
   const obs::stopwatch watch;
   const query& q = miss.q;
-  const auto& comp = miss.comp;
+  const auto comp = composite_snapshot::of(std::move(miss.pins));
   const std::size_t first = miss.first;
   const std::size_t last = miss.last;
 
@@ -143,17 +150,26 @@ query_response query_engine::run_miss(query_lookup miss) {
   obs::metrics().set_gauge("serve.cache_size", static_cast<double>(cache_.size()));
   obs::metrics().set_gauge("serve.cache_evictions", static_cast<double>(cache_.evictions()));
 
-  query_response out = std::move(miss.response);
+  query_response out;
   out.payload = std::move(payload);
-  out.latency_ns += watch.elapsed_ns();
+  out.canonical = std::move(miss.canonical);
+  report_state(out, comp);
+  out.latency_ns = miss.latency_ns + watch.elapsed_ns();
   query_ns_.add(static_cast<std::uint64_t>(out.latency_ns));
   return out;
 }
 
 query_response query_engine::execute(const query& q) {
-  query_lookup lookup = try_hit(q);
-  if (lookup.hit()) return std::move(lookup.response);
-  return run_miss(std::move(lookup));
+  query_lookup lookup;
+  std::string canonical = q.canonical();
+  if (!try_hit(q, canonical, lookup)) return run_miss(std::move(lookup));
+  query_response out;
+  out.payload = std::move(lookup.payload);
+  out.canonical = std::move(canonical);
+  report_state(out, composite_snapshot::of(std::move(lookup.pins)));
+  out.cache_hit = true;
+  out.latency_ns = lookup.latency_ns;
+  return out;
 }
 
 std::future<query_response> query_engine::submit(query q) {

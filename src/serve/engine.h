@@ -41,6 +41,9 @@
 // cache put) runs only on a miss, against the pin and key try_hit took.
 // execute() is the two back to back; the serve loop's reader thread runs
 // try_hit itself and sends only misses to the pool (serve/protocol.h).
+// try_hit works in a query_lookup its caller owns and reuses: the pins and
+// the key are rebuilt in place, and a hit copies neither the query nor its
+// canonical form, so the reader answers a hit without allocating.
 //
 // Every query records an obs span (when a trace is attached) and hit/miss,
 // latency and cache-occupancy metrics in the global obs registry under the
@@ -56,6 +59,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataset/database.h"
@@ -89,7 +93,8 @@ struct engine_config {
   /// manufacturer so ingests for different makers commit in parallel
   /// (ShardedStore.CommitsOnDistinctShardsDoNotSerialize). Payloads are
   /// byte-identical at every K: ShardedEquivalence.* compares K = 2, 4, 7
-  /// against K = 1, and CI's check_sharded.py does so over the smoke batch.
+  /// against K = 1, and ctest cli.serve_sharded_equality does so over the
+  /// smoke batch.
   std::size_t shards = 1;
 };
 
@@ -107,18 +112,23 @@ struct query_response {
 };
 
 /// A query pinned, routed and keyed against the published composite: what
-/// try_hit() returns. A hit carries its finished response; a miss carries
-/// the pin and the key on to the miss path (submit_miss, or execute's own
-/// call), which therefore neither pins again nor rebuilds the key.
+/// try_hit() works in. The caller owns it and may reuse it call after call;
+/// the pins and the key keep their storage. A hit leaves the cached payload
+/// and the composite version; a miss also carries the query and its
+/// canonical form on to the miss path (submit_miss or run_miss), which
+/// therefore neither pins again nor rebuilds the key.
 struct query_lookup {
-  query q;
-  composite_snapshot comp;   ///< the pin every later step reads
-  std::size_t first = 0;     ///< routed shards: [first, last)
+  query q;                               ///< set on a miss
+  std::string canonical;                 ///< set on a miss
+  std::vector<snapshot_ptr> pins;        ///< one per shard, index = shard id, held until reuse
+  dataset::database_version version;     ///< the pins' composite version vector
+  std::size_t first = 0;                 ///< routed shards: [first, last)
   std::size_t last = 0;
-  std::string key;           ///< the cache key over the routed shards
-  query_response response;   ///< complete on a hit; canonical + versions on a miss
+  std::string key;                       ///< the cache key over the routed shards
+  std::shared_ptr<const std::string> payload;  ///< the cached payload on a hit, else null
+  std::int64_t latency_ns = 0;           ///< try_hit's own time
 
-  bool hit() const { return response.cache_hit; }
+  bool hit() const { return payload != nullptr; }
 };
 
 /// The outcome of ingesting one raw report document. An accepted document
@@ -159,14 +169,19 @@ class query_engine {
 
   /// The cheap half of a query, run on the calling thread: pins the
   /// published composite, routes, builds the cache key and consults the
-  /// cache. Counts the query (and its hit or miss) and, on a hit, records
-  /// the "serve.hit.<kind>" span. The serve loop's reader answers hits
-  /// with it and hands only misses to the pool.
-  query_lookup try_hit(const query& q);
+  /// cache, all in `lookup`. `canonical` must be q.canonical() (the
+  /// request decoder hands it over). Returns lookup.hit(). Counts the
+  /// query (and its hit or miss) and, on a hit, records the
+  /// "serve.hit.<kind>" span. The serve loop's reader answers hits with it
+  /// and hands only misses to the pool.
+  bool try_hit(const query& q, std::string_view canonical, query_lookup& lookup);
 
-  /// Completes a lookup that missed, on the worker pool: selects, merges
+  /// Completes a lookup that missed, on the calling thread: selects, merges
   /// and renders against the lookup's pin, caches the payload under the
   /// lookup's key. Records the "serve.query.<kind>" span.
+  query_response run_miss(query_lookup miss);
+
+  /// run_miss on the worker pool.
   std::future<query_response> submit_miss(query_lookup miss);
 
   /// The one record write path (ingest_document and direct appends):
@@ -211,8 +226,6 @@ class query_engine {
   unsigned threads() const { return pool_.size(); }
 
  private:
-  /// The miss half of a query (what submit_miss runs on a worker).
-  query_response run_miss(query_lookup miss);
   void invalidate_dependents(char domain_letter, std::size_t shard);
 
   sharded_store store_;

@@ -1,8 +1,10 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
-#include <deque>
+#include <charconv>
+#include <cstdint>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <ostream>
@@ -23,33 +25,50 @@ namespace {
 
 // Envelopes are assembled by hand so the cached payload text can be spliced
 // in verbatim — re-parsing it into a value tree would cost the warm path
-// the whole serialization again for nothing. `body_bytes` is what the
-// caller will append, reserved up front so a large payload is copied once.
-std::string envelope_prefix(const std::optional<json::value>& id, bool ok,
-                            std::size_t body_bytes = 0) {
-  std::string out;
-  out.reserve(64 + body_bytes);
-  out += "{\"schema\":";
-  out += json::escape(k_serve_schema);
-  out += ",\"ok\":";
-  out += ok ? "true" : "false";
-  if (id) {
+// the whole serialization again for nothing. Each writer clears `out` and
+// reserves once for the whole envelope, so a buffer reused line after line
+// (the serve loop's window slots) takes a hit's envelope without
+// allocating. `id` is the request's id echo (parsed_request::id), spliced
+// in as it is.
+void begin_envelope(std::string& out, std::string_view id, bool ok, std::size_t body_bytes) {
+  out.clear();
+  out.reserve(64 + id.size() + body_bytes);
+  out += R"({"schema":")";
+  out += k_serve_schema;
+  out += ok ? R"(","ok":true)" : R"(","ok":false)";
+  if (!id.empty()) {
     out += ",\"id\":";
-    out += id->dump();
+    out += id;
   }
-  return out;
 }
 
-std::string envelope_ok(const std::optional<json::value>& id, const query_response& r) {
-  std::string out = envelope_prefix(id, true, r.canonical.size() + r.payload->size() + 64);
-  out += ",\"query\":";
-  out += json::escape(r.canonical);
-  out += ",\"version\":";
-  out += json::escape(r.version.to_string());
-  out += ",\"payload\":";
-  out += *r.payload;
+void append_count(std::string& out, std::uint64_t n) {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, std::end(digits), n).ptr);
+}
+
+// dataset::database_version::to_string(), without the temporaries.
+void append_version(std::string& out, const dataset::database_version& v) {
+  out += 'd';
+  append_count(out, v.disengagements);
+  out += ".m";
+  append_count(out, v.mileage);
+  out += ".a";
+  append_count(out, v.accidents);
+}
+
+// The canonical form is spelled from wire names, machine ids and decimal
+// numbers, none of which JSON escapes, so it is spliced in as it is.
+void write_ok(std::string& out, std::string_view id, std::string_view canonical,
+              const dataset::database_version& version, const std::string& payload) {
+  begin_envelope(out, id, true, canonical.size() + payload.size() + 64);
+  out += R"(,"query":")";
+  out += canonical;
+  out += R"(","version":")";
+  append_version(out, version);
+  out += R"(","payload":)";
+  out += payload;
   out += '}';
-  return out;
 }
 
 // Machine-readable code for an execution failure: avtk errors report their
@@ -61,15 +80,14 @@ std::string_view execution_code(const std::exception& e) {
   return "internal";
 }
 
-std::string envelope_error(const std::optional<json::value>& id, std::string_view code,
-                           std::string_view message) {
-  std::string out = envelope_prefix(id, false);
+void write_error(std::string& out, std::string_view id, std::string_view code,
+                 std::string_view message) {
+  begin_envelope(out, id, false, code.size() + message.size() + 32);
   out += ",\"code\":";
   out += json::escape(code);
   out += ",\"error\":";
   out += json::escape(message);
   out += '}';
-  return out;
 }
 
 enum class line_read { line, too_long, end };
@@ -109,78 +127,40 @@ bool is_request_line(std::string_view line) {
   return first != std::string_view::npos && line[first] != '#';
 }
 
-// The "ingest" member is either a bare text string or
-// {"text": ..., "title": ..., "pristine": ...}. Unknown members are
-// rejected, matching parse_query's posture.
-std::optional<ingest_request> parse_ingest_request(const json::value& spec, std::string* error) {
-  ingest_request out;
-  if (spec.is_string()) {
-    out.delivered = ocr::document::from_text(spec.as_string());
-    return out;
-  }
-  if (!spec.is_object()) {
-    *error = "'ingest' must be a document text string or an object";
-    return std::nullopt;
-  }
-  for (const auto& [key, unused] : spec.as_object()) {
-    if (key != "text" && key != "title" && key != "pristine") {
-      *error = "unknown ingest field '" + key + "'";
-      return std::nullopt;
-    }
-  }
-  const auto* text = spec.find("text");
-  if (text == nullptr || !text->is_string()) {
-    *error = "ingest request needs a string 'text' member";
-    return std::nullopt;
-  }
-  out.delivered = ocr::document::from_text(text->as_string());
-  if (const auto* title = spec.find("title")) {
-    if (!title->is_string()) {
-      *error = "ingest 'title' must be a string";
-      return std::nullopt;
-    }
-    out.delivered.title = title->as_string();
-  }
-  if (const auto* pristine = spec.find("pristine")) {
-    if (!pristine->is_string()) {
-      *error = "ingest 'pristine' must be a string";
-      return std::nullopt;
-    }
-    out.pristine = ocr::document::from_text(pristine->as_string());
-    out.pristine->title = out.delivered.title;
-  }
-  return out;
-}
-
-std::string envelope_ingest_ok(const std::optional<json::value>& id, const ingest_response& r) {
-  std::string out = envelope_prefix(id, true);
-  out += ",\"ingest\":{\"index\":" + std::to_string(r.index);
-  out += ",\"disengagements\":" + std::to_string(r.disengagements_added);
-  out += ",\"mileage\":" + std::to_string(r.mileage_added);
-  out += ",\"accidents\":" + std::to_string(r.accidents_added);
-  out += ",\"unknown_tags\":" + std::to_string(r.unknown_tags);
+void write_ingest_ok(std::string& out, std::string_view id, const ingest_response& r) {
+  begin_envelope(out, id, true, 160);
+  out += ",\"ingest\":{\"index\":";
+  append_count(out, r.index);
+  out += ",\"disengagements\":";
+  append_count(out, r.disengagements_added);
+  out += ",\"mileage\":";
+  append_count(out, r.mileage_added);
+  out += ",\"accidents\":";
+  append_count(out, r.accidents_added);
+  out += ",\"unknown_tags\":";
+  append_count(out, r.unknown_tags);
   out += ",\"ocr_retried\":";
   out += r.ocr_retried ? "true" : "false";
-  out += "},\"version\":";
-  out += json::escape(r.version.to_string());
-  out += '}';
-  return out;
+  out += "},\"version\":\"";
+  append_version(out, r.version);
+  out += "\"}";
 }
 
 // The structured per-record reject: taxonomy code at the top level (so
 // clients branch without string-matching), plus — unless the skip posture
 // dropped it — a "rejects" array with one index/title/code/message entry
 // per refused record.
-std::string envelope_ingest_reject(const std::optional<json::value>& id,
-                                   const ingest_response& r, bool detail) {
+void write_ingest_reject(std::string& out, std::string_view id, const ingest_response& r,
+                         bool detail) {
   const auto& q = *r.reject;
-  std::string out = envelope_prefix(id, false);
+  begin_envelope(out, id, false, 2 * q.message.size() + q.title.size() + 160);
   out += ",\"code\":";
   out += json::escape(error_code_name(q.code));
   out += ",\"error\":";
   out += json::escape(q.message);
   if (detail) {
-    out += ",\"rejects\":[{\"index\":" + std::to_string(q.index);
+    out += ",\"rejects\":[{\"index\":";
+    append_count(out, q.index);
     out += ",\"title\":";
     out += json::escape(q.title);
     out += ",\"code\":";
@@ -189,64 +169,45 @@ std::string envelope_ingest_reject(const std::optional<json::value>& id,
     out += json::escape(q.message);
     out += "}]";
   }
-  out += ",\"version\":";
-  out += json::escape(r.version.to_string());
-  out += '}';
-  return out;
+  out += ",\"version\":\"";
+  append_version(out, r.version);
+  out += "\"}";
 }
 
 }  // namespace
 
-parsed_request parse_request(std::string_view line) {
-  parsed_request out;
-  const auto doc = json::parse(line);
-  // The two messages parse_query(std::string_view) gives for the same lines.
-  if (!doc) {
-    out.body = query_parse_error{"request is not valid JSON"};
+std::string answer_request(query_engine& engine, const parsed_request& req) {
+  std::string out;
+  if (const auto* error = std::get_if<query_parse_error>(&req.body)) {
+    write_error(out, req.id, "parse", error->message);
     return out;
   }
-  if (!doc->is_object()) {
-    out.body = query_parse_error{"request must be a JSON object"};
-    return out;
-  }
-  if (const auto* id = doc->find("id"); id != nullptr && (id->is_string() || id->is_number())) {
-    out.id = *id;
-  }
-  if (const auto* spec = doc->find("ingest")) {
-    out.ingest = true;
-    std::string error;
-    if (auto req = parse_ingest_request(*spec, &error)) {
-      out.body = std::move(*req);
+  if (const auto* doc = std::get_if<ingest_request>(&req.body)) {
+    const auto r =
+        engine.ingest_document(doc->delivered, doc->pristine ? &*doc->pristine : nullptr);
+    if (r.accepted()) {
+      write_ingest_ok(out, req.id, r);
     } else {
-      out.body = query_parse_error{std::move(error)};
+      write_ingest_reject(out, req.id, r, /*detail=*/true);
     }
     return out;
   }
-  query_parse_error error;
-  if (auto q = parse_query(doc->as_object(), &error)) {
-    out.body = std::move(*q);
-  } else {
-    out.body = std::move(error);
+  try {
+    query_lookup lookup;
+    if (engine.try_hit(std::get<query>(req.body), req.canonical, lookup)) {
+      write_ok(out, req.id, req.canonical, lookup.version, *lookup.payload);
+    } else {
+      const auto r = engine.run_miss(std::move(lookup));
+      write_ok(out, req.id, r.canonical, r.version, *r.payload);
+    }
+  } catch (const std::exception& e) {
+    write_error(out, req.id, execution_code(e), std::string("query failed: ") + e.what());
   }
   return out;
 }
 
 std::string handle_request_line(query_engine& engine, std::string_view line) {
-  const auto req = parse_request(line);
-  if (const auto* error = std::get_if<query_parse_error>(&req.body)) {
-    return envelope_error(req.id, "parse", error->message);
-  }
-  if (const auto* doc = std::get_if<ingest_request>(&req.body)) {
-    const auto r =
-        engine.ingest_document(doc->delivered, doc->pristine ? &*doc->pristine : nullptr);
-    return r.accepted() ? envelope_ingest_ok(req.id, r)
-                        : envelope_ingest_reject(req.id, r, /*detail=*/true);
-  }
-  try {
-    return envelope_ok(req.id, engine.execute(std::get<query>(req.body)));
-  } catch (const std::exception& e) {
-    return envelope_error(req.id, execution_code(e), std::string("query failed: ") + e.what());
-  }
+  return answer_request(engine, parse_request(line));
 }
 
 serve_loop_stats run_serve_loop(query_engine& engine, std::istream& in, std::ostream& out,
@@ -266,12 +227,12 @@ serve_loop_stats run_serve_loop(query_engine& engine, std::istream& in, std::ost
 
   // A line answered without running anything: malformed ("parse") or
   // over-long ("limit").
-  const auto parse_error = [&](const std::optional<json::value>& id, std::string_view message,
+  const auto parse_error = [&](std::string& line, std::string_view id, std::string_view message,
                                std::string_view code = "parse") {
     ++stats.errors;
     ++stats.parse_errors;
     obs::metrics().get_counter("serve.errors.parse").add();
-    return envelope_error(id, code, message);
+    write_error(line, id, code, message);
   };
 
   // A window of in-flight requests; responses drain from the front so
@@ -280,47 +241,70 @@ serve_loop_stats run_serve_loop(query_engine& engine, std::istream& in, std::ost
   // so their entries hold a finished response line; a miss holds the
   // future of the worker computing it. Either way an entry is written only
   // when it leaves the window: when the window is full, when a filing
-  // drains it, or when input ends.
+  // drains it, or when input ends. The window is a ring of slots, grown on
+  // demand up to max_in_flight, whose buffers outlive their entries: a
+  // steady stream of hits writes its envelopes into storage that is
+  // already there.
   struct pending {
     std::string line;  ///< the response line, unless `miss` is set
-    std::optional<json::value> id;
+    std::string id;    ///< a miss's id echo
     std::optional<std::future<query_response>> miss;
   };
-  std::deque<pending> window;
+  std::vector<pending> slots;
+  std::size_t head = 0;      // the oldest entry's slot
+  std::size_t in_flight = 0;
+
+  const auto push = [&]() -> pending& {
+    if (in_flight == slots.size()) {
+      // Full ring below the window size: unroll it oldest-first and add a slot.
+      std::rotate(slots.begin(), slots.begin() + static_cast<std::ptrdiff_t>(head), slots.end());
+      head = 0;
+      slots.emplace_back();
+    }
+    return slots[(head + in_flight++) % slots.size()];
+  };
 
   const auto drain_front = [&] {
-    pending p = std::move(window.front());
-    window.pop_front();
+    pending& p = slots[head];
+    head = (head + 1) % slots.size();
+    --in_flight;
     if (p.miss) {
       try {
-        p.line = envelope_ok(p.id, p.miss->get());
+        const auto r = p.miss->get();
+        write_ok(p.line, p.id, r.canonical, r.version, *r.payload);
       } catch (const std::exception& e) {
         ++stats.errors;
         ++stats.execution_errors;
         obs::metrics().get_counter("serve.errors.execution").add();
-        p.line = envelope_error(p.id, execution_code(e), std::string("query failed: ") + e.what());
+        write_error(p.line, p.id, execution_code(e), std::string("query failed: ") + e.what());
       }
+      p.miss.reset();
     }
     out << p.line << '\n';
   };
+
+  // The reader's reused state: the decode target, the lookup try_hit pins
+  // and keys in, and the buffer for the responses a filing writes outside
+  // the window.
+  parsed_request req;
+  query_lookup lookup;
+  std::string direct;
 
   std::vector<char> buf;
   std::size_t len = 0;
   for (line_read r; (r = read_request_line(in, buf, len)) != line_read::end;) {
     if (r == line_read::too_long) {
       ++stats.requests;
-      pending p;
-      p.line = parse_error(std::nullopt,
-                           "request line exceeds " + std::to_string(k_max_request_bytes) + " bytes",
-                           error_code_name(error_code::limit));
-      window.push_back(std::move(p));
-      while (window.size() >= max_in_flight) drain_front();
+      parse_error(push().line, {},
+                  "request line exceeds " + std::to_string(k_max_request_bytes) + " bytes",
+                  error_code_name(error_code::limit));
+      while (in_flight >= max_in_flight) drain_front();
       continue;
     }
     const std::string_view line(buf.data(), len);
     if (!is_request_line(line)) continue;
     ++stats.requests;
-    auto req = parse_request(line);
+    parse_request(line, req);
 
     if (req.ingest) {
       // Response-order barrier (not a store barrier: the snapshot store
@@ -328,10 +312,11 @@ serve_loop_stats run_serve_loop(query_engine& engine, std::istream& in, std::ost
       // answers against its pinned pre-ingest snapshot before the
       // document lands, so the response stream reads like a serial
       // history and each query's version vector matches its position.
-      while (!window.empty()) drain_front();
+      while (in_flight > 0) drain_front();
       const auto* doc = std::get_if<ingest_request>(&req.body);
       if (doc == nullptr) {
-        out << parse_error(req.id, std::get<query_parse_error>(req.body).message) << '\n';
+        parse_error(direct, req.id, std::get<query_parse_error>(req.body).message);
+        out << direct << '\n';
         continue;
       }
       ++stats.ingests;
@@ -339,41 +324,42 @@ serve_loop_stats run_serve_loop(query_engine& engine, std::istream& in, std::ost
           engine.ingest_document(doc->delivered, doc->pristine ? &*doc->pristine : nullptr);
       if (r.accepted()) {
         stats.ingest_records += r.disengagements_added + r.mileage_added + r.accidents_added;
-        out << envelope_ingest_ok(req.id, r) << '\n';
+        write_ingest_ok(direct, req.id, r);
+        out << direct << '\n';
       } else {
         ++stats.errors;
         ++stats.ingest_rejected;
         const bool detail = options.on_ingest_error != ingest::error_policy::skip;
-        out << envelope_ingest_reject(req.id, r, detail) << '\n';
+        write_ingest_reject(direct, req.id, r, detail);
+        out << direct << '\n';
         if (options.on_ingest_error == ingest::error_policy::fail_fast) {
           stats.aborted = true;
           // Deterministic-prefix contract (see the header): the reject
           // envelope is the LAST line of the response stream. The barrier
           // above already drained everything that was in flight, so the
-          // window is empty here; clearing it anyway means a future
+          // window is empty here; emptying it anyway means a future
           // reordering of this branch cannot silently answer queued
           // queries after the abort decision.
-          window.clear();
+          in_flight = 0;
           break;
         }
       }
       continue;
     }
 
-    pending p;
+    pending& p = push();
     if (const auto* error = std::get_if<query_parse_error>(&req.body)) {
-      p.line = parse_error(req.id, error->message);
-    } else if (auto lookup = engine.try_hit(std::get<query>(req.body)); lookup.hit()) {
+      parse_error(p.line, req.id, error->message);
+    } else if (engine.try_hit(std::get<query>(req.body), req.canonical, lookup)) {
       ++stats.cache_hits;
-      p.line = envelope_ok(req.id, lookup.response);
+      write_ok(p.line, req.id, req.canonical, lookup.version, *lookup.payload);
     } else {
-      p.id = std::move(req.id);
+      p.id = req.id;
       p.miss = engine.submit_miss(std::move(lookup));
     }
-    window.push_back(std::move(p));
-    while (window.size() >= max_in_flight) drain_front();
+    while (in_flight >= max_in_flight) drain_front();
   }
-  while (!window.empty()) drain_front();
+  while (in_flight > 0) drain_front();
   out.flush();
   // Sample the occupancy gauges only after the last response is written:
   // per-query samples race each other under pipelining, so the snapshot a

@@ -52,9 +52,13 @@
 // hit/miss flag, so a warm (cached) response is byte-identical to the cold
 // one. Hit/miss and latency are observable via the obs metric registry.
 //
-// The reader path: run_serve_loop's reader thread parses each line once
-// (parse_request) and runs query_engine::try_hit itself, so a cache hit
-// never leaves the reader. Only a miss goes to the worker pool. Hits,
+// The reader path: run_serve_loop's reader thread decodes each line in one
+// pass over its bytes (parse_request, serve/query.h: no JSON value tree,
+// the canonical form written by the decoder) and runs
+// query_engine::try_hit itself, so a cache hit never leaves the reader.
+// The reader owns the decode target, the lookup's pins and key buffer and
+// the window's response buffers and reuses them line after line, so a hit
+// allocates nothing. Only a miss goes to the worker pool. Hits,
 // misses and parse errors all queue in one in-flight window, whose
 // release rule is the same for each: a response line is written only
 // when the window is full, when a filing (a line with an "ingest" member,
@@ -67,12 +71,9 @@
 
 #include <cstddef>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <variant>
 
-#include "obs/json.h"
 #include "serve/engine.h"
 
 namespace avtk::serve {
@@ -86,33 +87,13 @@ inline constexpr std::string_view k_serve_schema = "avtk.serve.v1";
 /// largest generated filing, text plus pristine, is well under 1 MiB.
 inline constexpr std::size_t k_max_request_bytes = std::size_t{16} << 20;
 
-/// A parsed ingest request: the delivered document plus the optional
-/// pristine (manual-transcription) fallback.
-struct ingest_request {
-  ocr::document delivered;
-  std::optional<ocr::document> pristine;
-};
+/// Answers one decoded request synchronously: execute, envelope. Never
+/// throws — execution errors become {"ok":false,...} responses. Ingest
+/// requests are handled under the quarantine posture (full reject detail,
+/// caller keeps going).
+std::string answer_request(query_engine& engine, const parsed_request& req);
 
-/// One request line, parsed once: the correlation id (when the line is an
-/// object carrying a string or numeric "id") and what the line asks for —
-/// a query, an ingest, or the "parse" error message it is answered with.
-struct parsed_request {
-  std::optional<obs::json::value> id;
-  std::variant<query, ingest_request, query_parse_error> body;
-  /// The line carries a top-level "ingest" member. The serve loop treats
-  /// it as a write barrier even when the member is malformed.
-  bool ingest = false;
-};
-
-/// Parses one request line with a single obs::json::parse. A top-level
-/// "ingest" member makes the line an ingest request (its other members are
-/// ignored); any other object is parsed as a query.
-parsed_request parse_request(std::string_view line);
-
-/// Handles one request line synchronously: parse, execute, envelope.
-/// Never throws — execution errors become {"ok":false,...} responses.
-/// Ingest requests are handled under the quarantine posture (full reject
-/// detail, caller keeps going).
+/// answer_request over parse_request(line).
 std::string handle_request_line(query_engine& engine, std::string_view line);
 
 struct serve_loop_stats {

@@ -2,10 +2,18 @@
 //
 // The typed query surface of the analytics engine: every Stage-IV analysis
 // the paper runs once in batch, expressed as a small request object that can
-// be parsed from JSON, canonicalized to a stable cache key, and executed
-// against a const failure_database. Queries declare which database domains
-// (disengagements / mileage / accidents) they read, so the cache can key
-// results on exactly the versions a computation depends on.
+// be decoded from a JSON request line, canonicalized to a stable cache key,
+// and executed against a const failure_database. Queries declare which
+// database domains (disengagements / mileage / accidents) they read, so the
+// cache can key results on exactly the versions a computation depends on.
+//
+// Request lines are decoded in one pass over their bytes (parse_request):
+// the pass validates the JSON exactly as obs::json::parse does (same
+// grammar, same nesting limit), and fills the id echo, the query and its
+// canonical form, or the ingest documents, without building a value tree.
+// The DOM-based decoder it replaced is the test-only oracle in
+// tests/serve/serve_reference.h; the protocol fuzz suite holds the two to
+// the same response bytes.
 #pragma once
 
 #include <cstddef>
@@ -13,11 +21,12 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 
 #include "dataset/database.h"
 #include "dataset/manufacturers.h"
 #include "nlp/ontology.h"
-#include "obs/json.h"
+#include "ocr/document.h"
 
 namespace avtk::serve {
 
@@ -83,6 +92,8 @@ struct query {
   /// with the same canonical form always produce identical results against
   /// the same database version.
   std::string canonical() const;
+  /// The same, appended to `out` (no allocation once `out` has grown).
+  void append_canonical(std::string& out) const;
 };
 
 /// Parse error carrying a human-readable reason.
@@ -93,15 +104,50 @@ struct query_parse_error {
 /// Parses a JSON request object, e.g.
 ///   {"query": "metrics", "maker": "waymo", "year": 2016}
 /// Unknown fields are rejected (a typoed filter silently matching
-/// everything would be a correctness bug in a cached service).
-/// Returns the query or a parse error message.
+/// everything would be a correctness bug in a cached service), "ingest"
+/// included; an "id" member is accepted and ignored. A repeated member
+/// takes its last value, and the first bad member in line order names the
+/// error. Knobs cast to integers must fit their type: a `min_samples` or
+/// `seed` of 2^64 or more is out of range. Returns the query or a parse
+/// error message. A thin wrapper over parse_request's one-pass decoder in
+/// query-only mode.
 std::optional<query> parse_query(std::string_view text, query_parse_error* error = nullptr);
 
-/// The same over a request line's already parsed top-level object, so a
-/// caller that has parsed the line (serve/protocol.h) does not parse it
-/// again. The text overload is a thin wrapper over this one.
-std::optional<query> parse_query(const obs::json::object& request,
-                                 query_parse_error* error = nullptr);
+/// A parsed ingest request: the delivered document plus the optional
+/// pristine (manual-transcription) fallback.
+struct ingest_request {
+  ocr::document delivered;
+  std::optional<ocr::document> pristine;
+};
+
+/// One request line, decoded once: the correlation id echo, what the line
+/// asks for (a query, an ingest, or the "parse" error message it is
+/// answered with) and, for a query, its canonical form.
+struct parsed_request {
+  /// The bytes obs::json::value::dump() gives for the line's first "id"
+  /// member when that is a string or a number (`7`, `"a"`, `100` for
+  /// `1e2`); empty when the line carries no such id.
+  std::string id;
+  std::variant<query, ingest_request, query_parse_error> body;
+  /// The query's canonical form (query::canonical()) when `body` holds a
+  /// query, so the engine keys it without canonicalizing again.
+  std::string canonical;
+  /// The line carries a top-level "ingest" member. The serve loop treats
+  /// it as a write barrier even when the member is malformed.
+  bool ingest = false;
+};
+
+/// Decodes one request line in a single pass over its bytes. A line that
+/// is not valid JSON (obs::json::parse's grammar and nesting limit) or not
+/// an object answers the messages parse_query gives. A top-level "ingest"
+/// member makes the line an ingest request: its first occurrence is the
+/// document (a text string, or {"text", "title", "pristine"} with unknown
+/// members rejected), and the line's other members are ignored. Any other
+/// object is decoded as parse_query does. The first "id" member is the one
+/// echoed. This overload reuses `out`'s buffers, so a reader that keeps one
+/// parsed_request decodes a query line without allocating.
+void parse_request(std::string_view line, parsed_request& out);
+parsed_request parse_request(std::string_view line);
 
 /// Cache keys are the canonical form, '@', then one segment per store
 /// shard the query reads: "s<i>:" followed by that shard's versions of the

@@ -213,7 +213,7 @@ TEST(ParseRequest, MalformedLinesAnswerExactMessages) {
     const auto* error = std::get_if<query_parse_error>(&req.body);
     ASSERT_NE(error, nullptr) << c.line;
     EXPECT_EQ(error->message, c.message) << c.line;
-    EXPECT_EQ(req.id ? req.id->dump() : "", c.id_json) << c.line;
+    EXPECT_EQ(req.id, c.id_json) << c.line;
     EXPECT_EQ(handle_request_line(engine, c.line), parse_error_envelope(c.id_json, c.message))
         << c.line;
     // A query line answers the message parse_query's text overload gives.
@@ -227,21 +227,23 @@ TEST(ParseRequest, MalformedLinesAnswerExactMessages) {
 
 TEST(ParseRequest, OneParseYieldsIdAndBody) {
   const auto q = parse_request(R"({"id": "a", "query": "tags", "maker": "waymo"})");
-  ASSERT_TRUE(q.id.has_value());
-  EXPECT_EQ(q.id->as_string(), "a");
+  EXPECT_EQ(q.id, R"("a")");
   EXPECT_FALSE(q.ingest);
   ASSERT_TRUE(std::holds_alternative<query>(q.body));
   EXPECT_EQ(std::get<query>(q.body).canonical(), "tags?maker=waymo");
+  EXPECT_EQ(q.canonical, "tags?maker=waymo");
 
-  // Only string and numeric ids are echoed.
-  EXPECT_EQ(parse_request(R"({"id": 4, "query": "tags"})").id->as_number(), 4.0);
-  EXPECT_FALSE(parse_request(R"({"id": true, "query": "tags"})").id.has_value());
-  EXPECT_FALSE(parse_request(R"({"query": "tags"})").id.has_value());
+  // Only string and numeric ids are echoed, as obs::json dumps them.
+  EXPECT_EQ(parse_request(R"({"id": 4, "query": "tags"})").id, "4");
+  EXPECT_EQ(parse_request(R"({"id": 1e2, "query": "tags"})").id, "100");
+  EXPECT_EQ(parse_request(R"({"id": "\u0041", "query": "tags"})").id, R"("A")");
+  EXPECT_TRUE(parse_request(R"({"id": true, "query": "tags"})").id.empty());
+  EXPECT_TRUE(parse_request(R"({"query": "tags"})").id.empty());
 
   // "ingest" wins over "query", and the request's other members are ignored.
   const auto i = parse_request(R"({"ingest": "REPORT", "query": "tags", "id": 7})");
   EXPECT_TRUE(i.ingest);
-  EXPECT_EQ(i.id->as_number(), 7.0);
+  EXPECT_EQ(i.id, "7");
   ASSERT_TRUE(std::holds_alternative<ingest_request>(i.body));
   EXPECT_FALSE(std::get<ingest_request>(i.body).pristine.has_value());
 }

@@ -185,6 +185,52 @@ TEST(ParseQuery, ParsesTagAndCategorySpellings) {
   EXPECT_EQ(by_name->category, nlp::failure_category::ml_design);
 }
 
+// min_samples and seed are cast to 64-bit unsigned integers. A double at or
+// above 2^64 has no such value (the cast would be undefined), so it is a
+// parse error naming the knob; every value below keeps its answer.
+TEST(QueryParse, MinSamplesAtOrAbove2Pow64IsOutOfRange) {
+  for (const char* n : {"1e300", "1e20", "18446744073709551616", "18446744073709551615",
+                        "1e999"}) {
+    query_parse_error error;
+    EXPECT_FALSE(
+        parse_query(std::string(R"({"query": "fit", "min_samples": )") + n + "}", &error))
+        << n;
+    EXPECT_EQ(error.message, "'min_samples' out of range") << n;
+  }
+  const auto largest = parse_query(R"({"query": "fit", "min_samples": 18446744073709549568})");
+  ASSERT_TRUE(largest.has_value());
+  EXPECT_EQ(largest->min_samples, std::size_t{18446744073709549568u});
+  EXPECT_EQ(largest->canonical(), "fit?min_samples=18446744073709549568");
+}
+
+TEST(QueryParse, SeedAtOrAbove2Pow64IsOutOfRange) {
+  for (const char* n : {"1e30", "1e300", "18446744073709551616", "1e999"}) {
+    query_parse_error error;
+    EXPECT_FALSE(parse_query(std::string(R"({"query": "mcf", "seed": )") + n + "}", &error))
+        << n;
+    EXPECT_EQ(error.message, "'seed' out of range") << n;
+  }
+  // Below 2^64 a seed still parses, "-0" and exponent forms included.
+  EXPECT_EQ(parse_query(R"({"query": "mcf", "seed": 1e19})")->seed, 10000000000000000000u);
+  EXPECT_EQ(parse_query(R"({"query": "mcf", "seed": -0})")->seed, 0u);
+  EXPECT_EQ(parse_query(R"({"query": "mcf", "seed": 7e0})")->canonical(),
+            "mcf?replicates=200&seed=7");
+}
+
+TEST(QueryParse, KnobErrorsKeepTheirPrecedence) {
+  query_parse_error error;
+  // The type check comes first, then the range, then the next member.
+  EXPECT_FALSE(parse_query(R"({"query": "fit", "min_samples": -1e300})", &error));
+  EXPECT_EQ(error.message, "'min_samples' must be a positive integer");
+  EXPECT_FALSE(parse_query(R"({"query": "mcf", "seed": -1e300})", &error));
+  EXPECT_EQ(error.message, "'seed' must be a non-negative integer");
+  EXPECT_FALSE(parse_query(R"({"query": "mcf", "seed": 1e300, "bogus": 1})", &error));
+  EXPECT_EQ(error.message, "'seed' out of range");
+  // A query kind that ignores the knob still range-checks it.
+  EXPECT_FALSE(parse_query(R"({"query": "tags", "min_samples": 1e300})", &error));
+  EXPECT_EQ(error.message, "'min_samples' out of range");
+}
+
 TEST(CacheKey, CarriesOnlyDependentVersionComponents) {
   const dataset::database_version v{3, 7, 9};
   query tags;

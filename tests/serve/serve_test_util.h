@@ -1,12 +1,16 @@
 // Shared fixture material for the serve test suites: a small, fully
 // deterministic failure database built by hand (no generator, no pipeline)
-// so tests control exactly which records exist per maker / month / tag.
+// so tests control exactly which records exist per maker / month / tag,
+// and serve_hot's request lines.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "dataset/database.h"
+#include "dataset/manufacturers.h"
 
 namespace avtk::serve::testing {
 
@@ -97,6 +101,25 @@ inline dataset::failure_database make_test_database() {
   db.add_accident(make_accident(manufacturer::waymo, 2016, 5, 12.0, 15.0));
   db.add_accident(make_accident(manufacturer::delphi, 2016, 4, 8.0, 20.0));
   return db;
+}
+
+/// perfbench serve_hot's 45 request lines: its five kinds (tags, metrics,
+/// categories, modality, trend), bare and per analyzed maker, numbered.
+inline std::vector<std::string> hot_lines() {
+  std::vector<std::string> out;
+  const char* const kinds[] = {"tags", "metrics", "categories", "modality", "trend"};
+  for (std::size_t m = 0; m <= dataset::k_analyzed_manufacturers.size(); ++m) {
+    for (const char* kind : kinds) {
+      std::string line = R"({"id":)" + std::to_string(out.size()) + R"(,"query":")" + kind + '"';
+      if (m > 0) {
+        line += R"(,"maker":")";
+        line += dataset::manufacturer_id(dataset::k_analyzed_manufacturers[m - 1]);
+        line += '"';
+      }
+      out.push_back(line + '}');
+    }
+  }
+  return out;
 }
 
 }  // namespace avtk::serve::testing
