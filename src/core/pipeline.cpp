@@ -21,9 +21,8 @@ namespace {
 // processor. Scans are strict under skip/quarantine (document-level damage
 // becomes a captured fault) and lenient under fail_fast, preserving the
 // historical tolerate-everything behavior of that policy bit-for-bit. The
-// Stage-III dictionary is deliberately not handed over: the batch driver
-// labels the merged corpus with its own classifier, so the processor must
-// never pay for building one.
+// scan workers label each document with the processor's classifier, built
+// from the run's dictionary.
 ingest::processor_config make_scan_config(const pipeline_config& config) {
   ingest::processor_config pcfg;
   pcfg.run_ocr = config.run_ocr;
@@ -31,6 +30,7 @@ ingest::processor_config make_scan_config(const pipeline_config& config) {
   pcfg.ocr_give_up_confidence = config.ocr_give_up_confidence;
   pcfg.retry_degraded_ocr = config.retry_degraded_ocr;
   pcfg.normalizer = config.normalizer;
+  pcfg.dictionary = config.dictionary;
   pcfg.trace = config.trace;
   return pcfg;
 }
@@ -53,14 +53,13 @@ std::vector<std::size_t> scan_order(const std::vector<ocr::document>& documents)
 }
 
 std::size_t label_disengagements(dataset::failure_database& db,
-                                 const nlp::keyword_voting_classifier& classifier,
-                                 unsigned parallelism) {
-  // One batch call so the classifier's automaton, interner and per-worker
-  // scratch buffers are set up once for the whole corpus.
+                                 const nlp::keyword_voting_classifier& classifier) {
+  // One batch call so the classifier's scratch buffers are set up once for
+  // the whole corpus.
   std::vector<std::string_view> descriptions;
   descriptions.reserve(db.disengagements().size());
   for (const auto& d : db.disengagements()) descriptions.push_back(d.description);
-  const auto verdicts = classifier.classify_all(descriptions, parallelism);
+  const auto verdicts = classifier.classify_all(descriptions);
 
   std::size_t unknown = 0;
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
@@ -84,13 +83,26 @@ pipeline_result run_pipeline(const std::vector<ocr::document>& documents,
   auto& stats = result.stats;
   stats.documents_in = documents.size();
 
-  // Stage II: OCR + parse through the shared document processor, one task
-  // per document. Every per-document failure is captured into its slot;
-  // what happens to it afterwards is the policy's call, so the scan itself
-  // is identical for all policies (and for any thread count).
   const bool strict = config.on_error != error_policy::fail_fast;
   const ingest::document_processor processor(make_scan_config(config));
-  ingest::scan_timing stage2;
+
+  // Stage III's matcher (dictionary interning + automaton compile) is
+  // built once, up front, and shared read-only by every scan worker.
+  obs::scoped_span classify_span(config.trace, "classify", pipeline_span.id());
+  obs::scoped_span build_span(config.trace, "classify.build", classify_span.id());
+  const obs::stopwatch build_watch;
+  processor.classifier();
+  const double classify_build_seconds = build_watch.elapsed_seconds();
+  build_span.close();
+  classify_span.close();
+
+  // Stage II and the record-local rest of the chain through the shared
+  // document processor, one task per document: OCR + parse, then the
+  // document's normalization and Stage-III labels in the same worker.
+  // Every per-document failure is captured into its slot; what happens to
+  // it afterwards is the policy's call, so the scan itself is identical
+  // for all policies (and for any thread count).
+  ingest::scan_timing worker_time;
   obs::scoped_span scan_span(config.trace, "scan", pipeline_span.id());
   std::vector<ingest::document_scan> per_document(documents.size());
   // Under fail_fast the lowest faulting index is the run's outcome, so
@@ -100,12 +112,15 @@ pipeline_result run_pipeline(const std::vector<ocr::document>& documents,
   std::atomic<std::size_t> first_fault{documents.size()};
   const auto worker = [&](std::size_t i) {
     const ocr::document* fallback = pristine.empty() ? nullptr : &pristine[i];
-    per_document[i] = processor.scan(documents[i], fallback, i, &stage2, scan_span.id());
-    if (per_document[i].fault) {
-      // Atomic running minimum of the faulting indices.
-      std::size_t seen = first_fault.load(std::memory_order_relaxed);
-      while (i < seen && !first_fault.compare_exchange_weak(seen, i, std::memory_order_relaxed)) {
-      }
+    auto& doc = per_document[i];
+    doc = processor.scan(documents[i], fallback, i, &worker_time, scan_span.id());
+    if (!doc.fault) {
+      processor.normalize_and_label(doc, &worker_time, scan_span.id());
+      return;
+    }
+    // Atomic running minimum of the faulting indices.
+    std::size_t seen = first_fault.load(std::memory_order_relaxed);
+    while (i < seen && !first_fault.compare_exchange_weak(seen, i, std::memory_order_relaxed)) {
     }
   };
 
@@ -149,12 +164,12 @@ pipeline_result run_pipeline(const std::vector<ocr::document>& documents,
   }
 
   // Deterministic merge in document order; faulted documents contribute
-  // nothing and are counted (and, under quarantine, surfaced).
+  // nothing and are counted (and, under quarantine, surfaced). Only the
+  // mileage is gathered: its cells merge across documents. Disengagements
+  // and accidents stay in their documents' slots until ingest.
   obs::scoped_span merge_span(config.trace, "merge", pipeline_span.id());
   const obs::stopwatch merge_watch;
-  std::vector<dataset::disengagement_record> all_events;
   std::vector<dataset::mileage_record> all_mileage;
-  std::vector<dataset::accident_record> all_accidents;
   std::map<error_code, std::size_t> quarantined_by_code;
   double confidence_sum = 0;
   for (auto& doc : per_document) {
@@ -174,57 +189,44 @@ pipeline_result run_pipeline(const std::vector<ocr::document>& documents,
     stats.ocr_manual_review_lines += doc.ocr_manual_review_lines;
     stats.parse_failed_lines += doc.parse_failed_lines;
     stats.manual_transcriptions += doc.manual_transcriptions;
+    stats.records_normalized_away += doc.records_normalized_away;
+    stats.unknown_tags += doc.unknown_tags;
     if (doc.is_disengagement_report) ++stats.disengagement_reports;
     if (doc.is_accident_report) ++stats.accident_reports;
     if (doc.unidentified) ++stats.unidentified_documents;
-    all_events.insert(all_events.end(), std::make_move_iterator(doc.events.begin()),
-                      std::make_move_iterator(doc.events.end()));
     all_mileage.insert(all_mileage.end(), std::make_move_iterator(doc.mileage.begin()),
                        std::make_move_iterator(doc.mileage.end()));
-    all_accidents.insert(all_accidents.end(), std::make_move_iterator(doc.accidents.begin()),
-                         std::make_move_iterator(doc.accidents.end()));
   }
   stats.ocr_mean_confidence =
       stats.ocr_lines > 0 ? confidence_sum / static_cast<double>(stats.ocr_lines) : 1.0;
   const double merge_seconds = merge_watch.elapsed_seconds();
   merge_span.close();
 
-  // Stage II-2: normalization.
+  // Stage II-2 across documents: duplicate mileage cells merge corpus-wide.
   obs::scoped_span normalize_span(config.trace, "normalize", pipeline_span.id());
   const obs::stopwatch normalize_watch;
-  const auto d_stats = parse::normalize_disengagements(all_events, config.normalizer);
   parse::normalize_mileage(all_mileage);
-  parse::normalize_accidents(all_accidents);
-  stats.records_normalized_away = d_stats.records_dropped;
   const double normalize_seconds = normalize_watch.elapsed_seconds();
   normalize_span.close();
 
-  // Stage IV ingest: the consolidated failure database.
+  // Stage IV ingest: the consolidated failure database, in document order,
+  // every record already labeled by its scan worker (a faulted document's
+  // slot holds no records).
   obs::scoped_span ingest_span(config.trace, "ingest", pipeline_span.id());
   const obs::stopwatch ingest_watch;
-  for (auto& e : all_events) result.database.add_disengagement(std::move(e));
+  for (auto& doc : per_document) {
+    for (auto& e : doc.events) result.database.add_disengagement(std::move(e));
+  }
   for (auto& m : all_mileage) result.database.add_mileage(std::move(m));
-  for (auto& a : all_accidents) result.database.add_accident(std::move(a));
+  for (auto& doc : per_document) {
+    for (auto& a : doc.accidents) result.database.add_accident(std::move(a));
+  }
+  // Keep the wire's version bytes: the retired relabel pass bumped once per label.
+  auto version = result.database.version();
+  version.disengagements += result.database.disengagements().size();
+  result.database.set_version(version);
   const double ingest_seconds = ingest_watch.elapsed_seconds();
   ingest_span.close();
-
-  // Stage III: NLP labeling, split into matcher construction (dictionary
-  // interning + automaton compile) and the labeling pass proper, so
-  // `stage_timings` shows where label time goes.
-  obs::scoped_span classify_span(config.trace, "classify", pipeline_span.id());
-  const obs::stopwatch classify_watch;
-  obs::scoped_span build_span(config.trace, "classify.build", classify_span.id());
-  const obs::stopwatch build_watch;
-  const nlp::keyword_voting_classifier classifier(config.dictionary);
-  const double classify_build_seconds = build_watch.elapsed_seconds();
-  build_span.close();
-  obs::scoped_span label_span(config.trace, "classify.label", classify_span.id());
-  const obs::stopwatch label_watch;
-  stats.unknown_tags = label_disengagements(result.database, classifier, parallelism);
-  const double classify_label_seconds = label_watch.elapsed_seconds();
-  label_span.close();
-  const double classify_seconds = classify_watch.elapsed_seconds();
-  classify_span.close();
 
   obs::scoped_span analysis_span(config.trace, "analysis", pipeline_span.id());
   const obs::stopwatch analysis_watch;
@@ -234,10 +236,15 @@ pipeline_result run_pipeline(const std::vector<ocr::document>& documents,
   const double analysis_seconds = analysis_watch.elapsed_seconds();
   analysis_span.close();
 
+  // The per-document stages are summed across workers, like ocr and parse.
+  const double classify_label_seconds = worker_time.label_ns.total_seconds();
   stats.stage_timings = {
-      {"ocr", stage2.ocr_ns.total_seconds()},   {"parse", stage2.parse_ns.total_seconds()},
-      {"merge", merge_seconds},                 {"normalize", normalize_seconds},
-      {"ingest", ingest_seconds},               {"classify", classify_seconds},
+      {"ocr", worker_time.ocr_ns.total_seconds()},
+      {"parse", worker_time.parse_ns.total_seconds()},
+      {"merge", merge_seconds},
+      {"normalize", normalize_seconds + worker_time.normalize_ns.total_seconds()},
+      {"ingest", ingest_seconds},
+      {"classify", classify_build_seconds + classify_label_seconds},
       {"classify.build", classify_build_seconds},
       {"classify.label", classify_label_seconds},
       {"analysis", analysis_seconds},

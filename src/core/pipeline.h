@@ -61,11 +61,12 @@ using ingest::document_error;
 
 struct pipeline_config {
   bool run_ocr = true;  ///< run mock-OCR recovery before parsing
-  /// Worker threads for the per-document OCR + parse stage. 1 = serial,
-  /// in document order. Above 1, min(parallelism, documents) workers take
-  /// documents longest first (scan_order) from one shared cursor. Results
-  /// are merged in document order, so the output is identical for any
-  /// thread count (determinism is tested).
+  /// Worker threads for the per-document OCR + parse + normalize + label
+  /// stage. 1 = serial, in document order. Above 1,
+  /// min(parallelism, documents) workers take documents longest first
+  /// (scan_order) from one shared cursor. Results are merged in document
+  /// order, so the output is identical for any thread count (determinism
+  /// is tested).
   unsigned parallelism = 1;
   /// Per-document failure policy (see the header comment). The policy
   /// never changes what a *successful* document contributes.
@@ -84,18 +85,20 @@ struct pipeline_config {
   parse::filter_config filter;
   nlp::failure_dictionary dictionary = nlp::failure_dictionary::builtin();
   /// When non-null, the pipeline records hierarchical stage spans here
-  /// (pipeline → scan → per-document ocr/parse, then merge / normalize /
-  /// ingest / classify / analysis; classify carries `classify.build` and
-  /// `classify.label` children splitting matcher construction from the
-  /// labeling pass; quarantined documents add a `quarantine` span under
-  /// scan). Tracing never changes the pipeline's output — determinism with
-  /// tracing on vs. off is tested.
+  /// (pipeline → classify → classify.build, the matcher construction; then
+  /// scan → per-document ocr / parse / normalize / classify →
+  /// classify.label; then merge / normalize / ingest / analysis;
+  /// quarantined documents add a `quarantine` span under scan). Tracing
+  /// never changes the pipeline's output — determinism with tracing on
+  /// vs. off is tested.
   obs::trace* trace = nullptr;
 };
 
-/// Wall-clock spent in one named pipeline stage. For the Stage II fan-out
-/// stages (`ocr`, `parse`) the time is summed across worker threads, so
+/// Wall-clock spent in one named pipeline stage. The per-document work
+/// of the scan workers (`ocr`, `parse`, `classify.label`, and the
+/// record-local part of `normalize`) is summed across worker threads, so
 /// with parallelism > 1 those entries can exceed the stage's wall-clock.
+/// `classify` is `classify.build` plus `classify.label`.
 struct stage_timing {
   std::string stage;
   double seconds = 0;
@@ -172,11 +175,10 @@ std::optional<quarantined_document> probe_document(const ocr::document& doc,
 std::string quarantine_to_json(const pipeline_result& result, error_policy policy);
 
 /// Stage III only: classifies every disengagement in `db` in place and
-/// returns how many came back Unknown-T. With parallelism > 1 the batch
-/// classify pass fans out over that many workers sharing the classifier
-/// read-only; the labeled database is identical for any worker count.
+/// returns how many came back Unknown-T. run_pipeline does not call it
+/// (its scan workers label each document as they parse it); it relabels a
+/// database built elsewhere.
 std::size_t label_disengagements(dataset::failure_database& db,
-                                 const nlp::keyword_voting_classifier& classifier,
-                                 unsigned parallelism = 1);
+                                 const nlp::keyword_voting_classifier& classifier);
 
 }  // namespace avtk::core

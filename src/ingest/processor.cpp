@@ -191,6 +191,30 @@ document_scan document_processor::scan(const ocr::document& delivered,
   return result;
 }
 
+void document_processor::normalize_and_label(document_scan& doc, scan_timing* timing,
+                                             std::uint64_t parent_span) const {
+  {
+    const obs::scoped_timer timer(timing != nullptr ? &timing->normalize_ns : nullptr);
+    const obs::scoped_span span(config_.trace, "normalize", parent_span);
+    doc.records_normalized_away =
+        parse::normalize_disengagements(doc.events, config_.normalizer).records_dropped;
+    parse::normalize_accidents(doc.accidents);
+  }
+  if (doc.events.empty()) return;
+
+  const obs::scoped_timer timer(timing != nullptr ? &timing->label_ns : nullptr);
+  const obs::scoped_span classify_span(config_.trace, "classify", parent_span);
+  const obs::scoped_span label_span(config_.trace, "classify.label", classify_span.id());
+  const auto& labeler = classifier();
+  for (auto& e : doc.events) {
+    const auto v = labeler.label(e.description);
+    e.tag = v.tag;
+    e.category = v.category;
+    if (v.tag == nlp::fault_tag::unknown) ++doc.unknown_tags;
+  }
+  nlp::keyword_voting_classifier::count_labels(doc.events.size(), doc.unknown_tags);
+}
+
 processed_document document_processor::process(const ocr::document& delivered,
                                                const ocr::document* pristine, std::size_t index,
                                                std::uint64_t parent_span) const {
@@ -212,26 +236,12 @@ processed_document document_processor::process(const ocr::document& delivered,
     return out;
   }
 
-  // Stage II-2 on this document's records only. Mileage dedup across
-  // documents is the live database's concern, not the processor's.
-  const auto d_stats = parse::normalize_disengagements(scanned.events, config_.normalizer);
+  // Mileage dedup across documents is the live database's concern, not
+  // the processor's; within the document its cells are merged here.
+  normalize_and_label(scanned, nullptr, parent_span);
   parse::normalize_mileage(scanned.mileage);
-  parse::normalize_accidents(scanned.accidents);
-  out.records_normalized_away = d_stats.records_dropped;
-
-  // Stage III through the shared phrase-automaton classifier.
-  if (!scanned.events.empty()) {
-    const obs::scoped_span label_span(config_.trace, "label", parent_span);
-    std::vector<std::string_view> descriptions;
-    descriptions.reserve(scanned.events.size());
-    for (const auto& e : scanned.events) descriptions.push_back(e.description);
-    const auto verdicts = classifier().classify_all(descriptions);
-    for (std::size_t i = 0; i < verdicts.size(); ++i) {
-      scanned.events[i].tag = verdicts[i].tag;
-      scanned.events[i].category = verdicts[i].category;
-      if (verdicts[i].tag == nlp::fault_tag::unknown) ++out.unknown_tags;
-    }
-  }
+  out.unknown_tags = scanned.unknown_tags;
+  out.records_normalized_away = scanned.records_normalized_away;
 
   out.disengagements = std::move(scanned.events);
   out.mileage = std::move(scanned.mileage);

@@ -9,17 +9,22 @@
 // ingest_document) ingestion share one code path — the record-at-a-time
 // processor that stream systems extract from their batch jobs.
 //
-// Two entry points:
+// Three entry points:
 //
-//   scan()     Stage II only (OCR + identify + parse). The batch driver
-//              fans this out per document and keeps merge / corpus-wide
-//              normalization / batch labeling to itself, so its output is
-//              bit-identical to the historical monolithic pipeline.
+//   scan()     Stage II only (OCR + identify + parse).
+//   normalize_and_label()
+//              the record-local rest of one scanned document's chain: the
+//              normalization of its disengagements and accidents, then the
+//              Stage-III label of every disengagement through the shared
+//              phrase-automaton classifier. The batch pipeline runs scan()
+//              and then this in the same worker, per document, and keeps
+//              only merge and the corpus-wide mileage normalization to its
+//              serial tail.
 //   process()  the full chain for one document: a strict scan, then
-//              per-document normalization and Stage-III labeling through
-//              the shared phrase-automaton classifier. This is the serve
-//              ingestion path; the records it returns are ready to append
-//              to a live failure_database.
+//              normalize_and_label() and the document's own mileage
+//              normalization. This is the serve ingestion path; the
+//              records it returns are ready to append to a live
+//              failure_database.
 //
 // Fault model: scan()/process() never throw for document-level damage —
 // the fault is captured as a quarantined_document (index, title, taxonomy
@@ -115,28 +120,30 @@ struct processor_config {
   bool retry_degraded_ocr = true;
   /// Conservative retry profile; its give-up floor is half the standard one.
   ocr::engine_config ocr_degraded = ocr::engine_config::degraded();
-  /// Normalization rules for process() (scan() leaves normalization to the
-  /// batch driver, which must apply it corpus-wide).
+  /// Disengagement normalization rules for normalize_and_label().
   parse::normalizer_config normalizer;
-  /// Stage-III dictionary for process(), scored by the default automaton
-  /// classifier; nullopt means the builtin dictionary, built lazily on
-  /// first use so scan-only users (the batch driver, the inject probes)
-  /// never pay for it.
+  /// Stage-III dictionary, scored by the automaton classifier; nullopt
+  /// means the builtin dictionary. The classifier is built on first use,
+  /// so scan-only users (the inject probes) never pay for it.
   std::optional<nlp::failure_dictionary> dictionary;
   /// When non-null, scans record ocr / parse (and, on containment,
-  /// quarantine) spans here; process() adds a label span.
+  /// quarantine) spans here; normalize_and_label() adds a normalize span
+  /// and a classify span with a classify.label child.
   obs::trace* trace = nullptr;
 };
 
-/// Timing sinks shared by every Stage II worker; accumulation is atomic so
+/// Timing sinks shared by every batch worker; accumulation is atomic so
 /// the totals are exact regardless of thread count.
 struct scan_timing {
   obs::duration_accumulator ocr_ns;
   obs::duration_accumulator parse_ns;
+  obs::duration_accumulator normalize_ns;  ///< record-local normalization
+  obs::duration_accumulator label_ns;      ///< Stage-III labeling
 };
 
-/// Everything one document's Stage II scan produced. A faulted document
-/// contributes nothing but its quarantine record.
+/// Everything one document's Stage II scan produced (and, once
+/// normalize_and_label() has run, its normalized, labeled records). A
+/// faulted document contributes nothing but its quarantine record.
 struct document_scan {
   std::vector<dataset::disengagement_record> events;
   std::vector<dataset::mileage_record> mileage;
@@ -150,6 +157,8 @@ struct document_scan {
   bool is_accident_report = false;
   bool unidentified = false;
   bool ocr_retried = false;  ///< the degraded-OCR rung fired for this document
+  std::size_t unknown_tags = 0;             ///< labeled Unknown-T
+  std::size_t records_normalized_away = 0;  ///< disengagements dropped by normalization
   std::optional<quarantined_document> fault;
 };
 
@@ -183,6 +192,17 @@ class document_processor {
   document_scan scan(const ocr::document& delivered, const ocr::document* pristine,
                      std::size_t index, scan_timing* timing = nullptr,
                      std::uint64_t parent_span = 0) const;
+
+  /// Stage II-2 and Stage III for one successfully scanned document, in
+  /// place: normalize its disengagements and accidents (whitespace,
+  /// reaction-time floor, empty-description drop; every rule is
+  /// record-local), then label every disengagement through classifier().
+  /// Sets `doc.unknown_tags` and `doc.records_normalized_away` and adds
+  /// the document's labels to the nlp.* counters once. Mileage is left
+  /// as scanned: merging its cells is a step across documents. `timing`
+  /// (optional) accumulates normalize and label time across workers.
+  void normalize_and_label(document_scan& doc, scan_timing* timing = nullptr,
+                           std::uint64_t parent_span = 0) const;
 
   /// The full per-document chain (always-strict scan → normalize → label).
   /// This is the online ingestion path; see the header comment.

@@ -1,7 +1,6 @@
 #include "nlp/classifier.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "util/strings.h"
@@ -38,12 +37,7 @@ void keyword_voting_classifier::score_interned(std::string_view description, scr
   }
 }
 
-classification keyword_voting_classifier::classify_with(std::string_view description,
-                                                        scratch& s) const {
-  static obs::counter& classified = obs::metrics().get_counter("nlp.classifications");
-  static obs::counter& unknown = obs::metrics().get_counter("nlp.unknown_tags");
-  classified.add();
-
+verdict keyword_voting_classifier::label_with(std::string_view description, scratch& s) const {
   score_interned(description, s);
   // Winner = max score; ties go to the first tag in enum order (tag_blocks
   // iterate the ordered dictionary map and strict > keeps the first
@@ -58,26 +52,24 @@ classification keyword_voting_classifier::classify_with(std::string_view descrip
       best_score = s.block_totals[b];
     }
   }
-  if (best_score <= 0) {
-    unknown.add();
-    return {};  // Unknown-T / Unknown-C defaults
-  }
+  if (best_score <= 0) return {};  // Unknown-T / Unknown-C defaults
   double runner_up = 0;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     if (blocks[b].tag != best) runner_up = std::max(runner_up, s.block_totals[b]);
   }
-  classification out;
-  out.tag = best;
-  out.category = category_of(best);
-  out.score = best_score;
-  out.runner_up = runner_up;
-  out.confidence = (best_score - runner_up) / best_score;
+  return {best, category_of(best), best_score, runner_up, (best_score - runner_up) / best_score};
+}
+
+classification keyword_voting_classifier::classify_with(std::string_view description,
+                                                        scratch& s) const {
+  classification out{label_with(description, s), {}};
+  if (out.tag == fault_tag::unknown) return out;
   // The hit counts from the single matching pass double as the
   // matched-phrase record: same phrases, same dictionary order.
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    if (blocks[b].tag != best) continue;
-    for (std::uint32_t i = 0; i < blocks[b].count; ++i) {
-      const auto pid = blocks[b].first + i;
+  for (const auto& block : automaton_.tag_blocks()) {
+    if (block.tag != out.tag) continue;
+    for (std::uint32_t i = 0; i < block.count; ++i) {
+      const auto pid = block.first + i;
       if (s.counts[pid] > 0) out.matched_phrases.push_back(phrase_texts_[pid]);
     }
     break;
@@ -87,37 +79,35 @@ classification keyword_voting_classifier::classify_with(std::string_view descrip
 
 classification keyword_voting_classifier::classify(std::string_view description) const {
   thread_local scratch s;
-  return classify_with(description, s);
+  auto out = classify_with(description, s);
+  count_labels(1, out.tag == fault_tag::unknown ? 1 : 0);
+  return out;
 }
 
 std::vector<classification> keyword_voting_classifier::classify_all(
-    std::span<const std::string_view> descriptions, unsigned parallelism) const {
-  std::vector<classification> out(descriptions.size());
-  unsigned workers = std::max(1u, parallelism);
-  if (descriptions.size() < workers) {
-    workers = descriptions.empty() ? 1u : static_cast<unsigned>(descriptions.size());
+    std::span<const std::string_view> descriptions) const {
+  std::vector<classification> out;
+  out.reserve(descriptions.size());
+  scratch s;
+  std::size_t unknown = 0;
+  for (const auto description : descriptions) {
+    out.push_back(classify_with(description, s));
+    if (out.back().tag == fault_tag::unknown) ++unknown;
   }
-  if (workers == 1) {
-    scratch s;
-    for (std::size_t i = 0; i < descriptions.size(); ++i) {
-      out[i] = classify_with(descriptions[i], s);
-    }
-    return out;
-  }
-  // Fixed-stride split into disjoint result slots; the automaton, interner
-  // and dictionary are read-only, so workers share them without locking.
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) {
-    threads.emplace_back([&, t] {
-      scratch s;
-      for (std::size_t i = t; i < descriptions.size(); i += workers) {
-        out[i] = classify_with(descriptions[i], s);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
+  count_labels(descriptions.size(), unknown);
   return out;
+}
+
+verdict keyword_voting_classifier::label(std::string_view description) const {
+  thread_local scratch s;
+  return label_with(description, s);
+}
+
+void keyword_voting_classifier::count_labels(std::size_t labeled, std::size_t unknown) {
+  static obs::counter& classified = obs::metrics().get_counter("nlp.classifications");
+  static obs::counter& unknown_tags = obs::metrics().get_counter("nlp.unknown_tags");
+  classified.add(labeled);
+  unknown_tags.add(unknown);
 }
 
 }  // namespace avtk::nlp

@@ -16,9 +16,11 @@
 //
 // The automaton, its stem interner, and the dictionary are immutable after
 // construction, so one classifier is safely shared read-only by any number
-// of classify workers (classify_all fans out on that property).
+// of threads: the batch pipeline's scan workers each label the documents
+// they parse through one classifier.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string>
 #include <string_view>
@@ -31,13 +33,17 @@
 
 namespace avtk::nlp {
 
-/// The classifier's verdict for one description.
-struct classification {
+/// The classifier's verdict for one description: the label and its scores.
+struct verdict {
   fault_tag tag = fault_tag::unknown;
   failure_category category = failure_category::unknown;
   double score = 0.0;        ///< winning tag's total vote weight
   double runner_up = 0.0;    ///< second-best tag's weight (0 when none)
   double confidence = 0.0;   ///< (score - runner_up) / score; 0 for unknown
+};
+
+/// A verdict plus the phrases that won it, for readers that show them.
+struct classification : verdict {
   std::vector<std::string> matched_phrases;  ///< stems of winning matches, joined by ' '
 };
 
@@ -45,15 +51,20 @@ class keyword_voting_classifier {
  public:
   explicit keyword_voting_classifier(failure_dictionary dictionary);
 
-  /// Classifies one free-text description.
+  /// Classifies one free-text description, matched phrases included.
   classification classify(std::string_view description) const;
 
   /// Classifies a batch of descriptions; result i is classify(descriptions[i]).
-  /// With parallelism > 1 the batch is split across that many workers, each
-  /// with its own scratch buffers against the shared read-only automaton;
-  /// the output is identical for any worker count.
-  std::vector<classification> classify_all(std::span<const std::string_view> descriptions,
-                                           unsigned parallelism = 1) const;
+  std::vector<classification> classify_all(std::span<const std::string_view> descriptions) const;
+
+  /// The verdict of classify(description) without its matched-phrase
+  /// strings, and without touching the nlp.* counters: a caller labeling
+  /// many descriptions adds its totals once through count_labels().
+  verdict label(std::string_view description) const;
+
+  /// Adds `labeled` verdicts, `unknown` of them Unknown-T, to the
+  /// process-wide nlp.classifications / nlp.unknown_tags counters.
+  static void count_labels(std::size_t labeled, std::size_t unknown);
 
   const failure_dictionary& dictionary() const { return dictionary_; }
 
@@ -71,6 +82,9 @@ class keyword_voting_classifier {
   /// dictionary order, the reference scorer's float addition order) in
   /// s.block_totals.
   void score_interned(std::string_view description, scratch& s) const;
+
+  /// The verdict for `description`, leaving its phrase hit counts in s.counts.
+  verdict label_with(std::string_view description, scratch& s) const;
 
   classification classify_with(std::string_view description, scratch& s) const;
 

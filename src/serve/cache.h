@@ -8,7 +8,9 @@
 // Sharding bounds contention: a key hashes to one shard, each shard holds
 // its own mutex, LRU list and map, and capacity is split evenly across
 // shards (so eviction is LRU *per shard* — global order is approximate by
-// design; tests that need exact LRU semantics configure one shard).
+// design; tests that need exact LRU semantics configure one shard). Each
+// get/put hashes its key once: the same hash picks the shard and, passed
+// through, the bucket in the shard's map.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +19,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -49,7 +52,7 @@ class result_cache {
       const std::lock_guard<std::mutex> lock(shard.mutex);
       for (auto it = shard.order.begin(); it != shard.order.end();) {
         if (pred(it->key)) {
-          shard.index.erase(it->key);
+          shard.index.erase(it->lookup());
           it = shard.order.erase(it);
           ++dropped;
         } else {
@@ -69,18 +72,33 @@ class result_cache {
   std::uint64_t evictions() const;
 
  private:
+  /// A key's text and its hash, computed once per call. The map's keys
+  /// view the text their list entry owns (list nodes never move).
+  struct hashed_key {
+    std::string_view text;
+    std::size_t hash = 0;
+    bool operator==(const hashed_key& other) const {
+      return hash == other.hash && text == other.text;
+    }
+  };
+  struct pass_hash {
+    std::size_t operator()(const hashed_key& key) const noexcept { return key.hash; }
+  };
   struct entry {
     std::string key;
+    std::size_t hash = 0;
     std::shared_ptr<const std::string> value;
+    hashed_key lookup() const { return {key, hash}; }
   };
   struct shard {
     mutable std::mutex mutex;
     std::list<entry> order;  ///< front = most recently used
-    std::unordered_map<std::string, std::list<entry>::iterator> index;
+    std::unordered_map<hashed_key, std::list<entry>::iterator, pass_hash> index;
     std::uint64_t evictions = 0;
   };
 
-  shard& shard_for(const std::string& key);
+  static hashed_key hash_key(const std::string& key);
+  shard& shard_for(const hashed_key& key);
 
   std::size_t capacity_;
   std::size_t per_shard_capacity_;

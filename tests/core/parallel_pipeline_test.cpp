@@ -4,8 +4,11 @@
 // dispatch order (scan_order) the workers take documents in.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/pipeline.h"
 #include "dataset/generator.h"
+#include "obs/metrics.h"
 
 namespace avtk::core {
 namespace {
@@ -37,8 +40,10 @@ void expect_identical(const pipeline_result& a, const pipeline_result& b) {
     EXPECT_EQ(a.database.mileage()[i].vehicle_id, b.database.mileage()[i].vehicle_id);
     EXPECT_DOUBLE_EQ(a.database.mileage()[i].miles, b.database.mileage()[i].miles);
   }
+  EXPECT_EQ(a.database.version(), b.database.version());
   EXPECT_EQ(a.stats.manual_transcriptions, b.stats.manual_transcriptions);
   EXPECT_EQ(a.stats.unknown_tags, b.stats.unknown_tags);
+  EXPECT_EQ(a.stats.records_normalized_away, b.stats.records_normalized_away);
   EXPECT_EQ(a.stats.parse_failed_lines, b.stats.parse_failed_lines);
   EXPECT_NEAR(a.stats.ocr_mean_confidence, b.stats.ocr_mean_confidence, 1e-12);
 }
@@ -58,6 +63,38 @@ TEST(ParallelPipeline, OversubscriptionIsClamped) {
   const auto result = run_with(10000);
   EXPECT_EQ(result.stats.documents_in, corpus().documents.size());
   EXPECT_EQ(result.stats.disengagements, 5328u);
+}
+
+// Records reach the database already labeled by their scan worker, yet the
+// disengagement version still carries one bump per label on top of one per
+// add, as when a corpus-wide pass relabeled the database: the serve wire
+// reports these bytes (d10656 for the canonical corpus).
+TEST(PipelineVersion, CountsOneLabelPerDisengagementOnTopOfItsAdd) {
+  for (const unsigned parallelism : {1u, 4u}) {
+    const auto result = run_with(parallelism);
+    const auto& db = result.database;
+    EXPECT_EQ(db.version().to_string(),
+              "d" + std::to_string(2 * db.disengagements().size()) + ".m" +
+                  std::to_string(db.mileage().size()) + ".a" +
+                  std::to_string(db.accidents().size()))
+        << "parallelism " << parallelism;
+    EXPECT_EQ(db.version().to_string(), "d10656.m2039.a42") << "parallelism " << parallelism;
+  }
+}
+
+// The workers add their labels to the nlp.* counters once per document;
+// a run still adds one classification per disengagement and one unknown
+// per Unknown-T label.
+TEST(PipelineCounters, NlpCountersMatchTheRunsLabels) {
+  auto& registry = obs::metrics();
+  auto& classified = registry.get_counter("nlp.classifications");
+  auto& unknown = registry.get_counter("nlp.unknown_tags");
+  const auto classified_before = classified.value();
+  const auto unknown_before = unknown.value();
+  const auto result = run_with(4);
+  EXPECT_EQ(classified.value() - classified_before, result.database.disengagements().size());
+  EXPECT_EQ(unknown.value() - unknown_before, result.stats.unknown_tags);
+  EXPECT_GT(result.stats.unknown_tags, 0u);
 }
 
 std::size_t line_bytes(const ocr::document& d) {

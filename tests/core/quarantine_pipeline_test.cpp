@@ -70,7 +70,7 @@ TEST(FailFast, ThrowsDocumentErrorForLowestIndexAtAnyParallelism) {
   const auto indices = indices_of(fx.report);
   const std::size_t lowest = *std::min_element(indices.begin(), indices.end());
 
-  for (const unsigned parallelism : {1u, 2u, 3u, 4u, 8u}) {
+  for (unsigned parallelism = 1; parallelism <= 8; ++parallelism) {
     core::pipeline_config cfg;
     cfg.parallelism = parallelism;
     try {
@@ -129,7 +129,7 @@ TEST(FailFast, LowerShortFaultWinsOverLongestFaultDispatchedFirst) {
   }
   ASSERT_EQ(core::scan_order(documents).front(), last);
 
-  for (const unsigned parallelism : {1u, 2u, 3u, 4u, 8u}) {
+  for (unsigned parallelism = 1; parallelism <= 8; ++parallelism) {
     core::pipeline_config cfg;
     cfg.parallelism = parallelism;
     try {
@@ -199,7 +199,7 @@ TEST(QuarantinePolicy, DeterministicAcrossParallelism) {
   const auto a = core::run_pipeline(fx.corpus.documents, fx.corpus.pristine_documents, serial);
   const auto csv_a = dataset::export_csv(a.database);
 
-  for (const unsigned parallelism : {2u, 3u, 4u, 8u}) {
+  for (unsigned parallelism = 2; parallelism <= 8; ++parallelism) {
     auto threaded = serial;
     threaded.parallelism = parallelism;
     const auto b =
@@ -215,6 +215,10 @@ TEST(QuarantinePolicy, DeterministicAcrossParallelism) {
     EXPECT_EQ(csv_a.disengagements, csv_b.disengagements) << "parallelism " << parallelism;
     EXPECT_EQ(csv_a.mileage, csv_b.mileage) << "parallelism " << parallelism;
     EXPECT_EQ(csv_a.accidents, csv_b.accidents) << "parallelism " << parallelism;
+    EXPECT_EQ(a.database.version(), b.database.version()) << "parallelism " << parallelism;
+    EXPECT_EQ(a.stats.unknown_tags, b.stats.unknown_tags) << "parallelism " << parallelism;
+    EXPECT_EQ(a.stats.records_normalized_away, b.stats.records_normalized_away)
+        << "parallelism " << parallelism;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.h"
+#include "dataset/generator.h"
 #include "dataset/phrase_bank.h"
 #include "nlp/stemmer.h"
 #include "nlp/stopwords.h"
@@ -132,6 +134,44 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<fault_tag>& info) {
       return std::string(tag_id(info.param));
     });
+
+// The lean verdict the pipeline and serve ingest label with is classify()
+// minus the matched phrases: same tag, category and bit-identical scores,
+// and both equal the reference scan's. The inputs are every description of
+// the canonical corpus, as generated and as the pipeline recovers it from
+// the OCR-noised documents, plus each generated description joined to the
+// next one: no single description draws votes for two tags, a joined pair
+// of different causes does, so the runner-up and confidence are exercised.
+TEST(ClassifierLabel, VerdictMatchesClassifyAndReferenceOnSeedCorpus) {
+  const auto corpus = dataset::generate_corpus({});
+  ASSERT_EQ(dataset::generator_config{}.seed, 20180625u);
+  std::vector<std::string> texts;
+  for (const auto& d : corpus.disengagements) texts.push_back(d.description);
+  const auto recovered = core::run_pipeline(corpus.documents, corpus.pristine_documents);
+  for (const auto& d : recovered.database.disengagements()) texts.push_back(d.description);
+  for (std::size_t i = 0; i + 1 < corpus.disengagements.size(); ++i) {
+    texts.push_back(corpus.disengagements[i].description + " " +
+                    corpus.disengagements[i + 1].description);
+  }
+
+  const auto dict = failure_dictionary::builtin();
+  const keyword_voting_classifier cls(dict);
+  std::size_t with_runner_up = 0;
+  for (const auto& text : texts) {
+    const verdict lean = cls.label(text);
+    const auto full = cls.classify(text);
+    const auto ref = testing::reference_classify(dict, text);
+    for (const classification* other : {&full, &ref}) {
+      ASSERT_EQ(lean.tag, other->tag) << text;
+      ASSERT_EQ(lean.category, other->category) << text;
+      ASSERT_EQ(lean.score, other->score) << text;
+      ASSERT_EQ(lean.runner_up, other->runner_up) << text;
+      ASSERT_EQ(lean.confidence, other->confidence) << text;
+    }
+    if (lean.runner_up > 0) ++with_runner_up;
+  }
+  EXPECT_GT(with_runner_up, 1000u);
+}
 
 TEST(PhraseBankVague, AllVagueDescriptionsAreUnknown) {
   const auto cls = make_classifier();
